@@ -1,0 +1,8 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+REPO = BENCH.parent
+for path in (BENCH, REPO / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
