@@ -32,7 +32,6 @@ from .flow import (
     energy_identity_residuals,
     run,
     solve_helmholtz,
-    step_imex,
 )
 from .functionals import (
     FunctionalReport,

@@ -71,9 +71,20 @@ CONFIG_DEFAULTS = {
 }
 
 
+def _finite_number(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"config numbers must be finite, got {token}")
+    return value
+
+
 def load_config(path) -> dict:
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(
+            Path(path).read_text(encoding="utf-8"),
+            parse_float=_finite_number,
+            parse_constant=_finite_number,
+        )
     except FileNotFoundError as exc:
         raise ConfigError(f"config not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -606,6 +617,10 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         out / "index.json",
         {"parameter": "lambda_multiple", "values": values, "cells": results},
     )
+    failed = sorted(key for key, res in results.items() if "error" in res)
+    if failed:
+        print(f"sweep cells failed: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

@@ -22,10 +22,10 @@ def eigenmode(g: GridSpec, kx: int = 1, ky: int = 1, component: int = 0, amplitu
     return VectorField(g, vals)
 
 
-def discrete_laplacian_eigenvalue(g: GridSpec, kx: int = 1, ky: int = 1) -> float:
-    """Eigenvalue mu of -Laplacian_h on the (kx, ky) sine mode."""
+def discrete_laplacian_eigenvalue(g: GridSpec, kx=1, ky=1):
+    """Eigenvalue mu of -Laplacian_h on the (kx, ky) sine mode; kx, ky may be broadcast arrays."""
     h = g.h
-    s = math.sin(kx * math.pi * h / 2.0) ** 2 + math.sin(ky * math.pi * h / 2.0) ** 2
+    s = np.sin(kx * math.pi * h / 2.0) ** 2 + np.sin(ky * math.pi * h / 2.0) ** 2
     return 4.0 / (h * h) * s
 
 

@@ -1,14 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hflow
 from hflow.cli import (
     EXIT_CONFIG,
     EXIT_LEMMA,
     EXIT_NUMERIC,
     EXIT_OK,
+    ConfigError,
     build_initial_condition,
     load_config,
     main,
@@ -68,6 +74,17 @@ def test_bad_parameter_values(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     cfg = write_config(tmp_path / "c2.json", physics={"H": -1.0})
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize(
+    "section, key, literal", [("physics", "H", "NaN"), ("time", "dt0", "Infinity"), ("physics", "H", "1e999")]
+)
+def test_non_finite_config_values(tmp_path, section, key, literal):
+    cfg = write_config(tmp_path / "c.json", **{section: {key: 12345.5}})
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace("12345.5", literal), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(cfg)
 
 
 def test_random_ic_requires_seed(tmp_path):
@@ -264,6 +281,52 @@ def test_sweep_duplicate_cells_deduplicated(tmp_path):
     assert list(index["cells"]) == ["lambda_multiple=0.2"]
     assert index["values"] == [0.2, 0.2]
     assert (out / "cell_lm_0.2" / "trajectory.csv").exists()
+
+
+def test_sweep_failed_cells_exit_numeric(tmp_path):
+    cfg = write_config(
+        tmp_path / "c.json",
+        well={"eps_count": 0},
+        sweep={"lambda_multiples": [0.2, 1.6], "max_workers": 1},
+    )
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    cells = json.loads((out / "index.json").read_text(encoding="utf-8"))["cells"]
+    assert set(cells) == {"lambda_multiple=0.2", "lambda_multiple=1.6"}
+    for cell in cells.values():
+        assert cell["error"].startswith("EstimationError: empty bubble family")
+
+
+def test_simulate_bytes_independent_of_blas_threads(tmp_path):
+    # the solve must not route through BLAS, whose threaded kernels change bits at n >= 127
+    cfg = write_config(
+        tmp_path / "c.json",
+        grid={"n": 127},
+        ic={
+            "type": "scaled-direction",
+            "params": {
+                "direction": {"type": "bubble", "center": [0.5, 0.5], "eps": 0.25},
+                "lambda_multiple": 0.5,
+            },
+        },
+        time={"dt0": 5e-4, "t_end": 0.01},
+        monitors={"record_every": 1},
+    )
+    src = str(Path(hflow.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hflow.cli", "simulate", "--config", str(cfg), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in ("trajectory.csv", "verdict.json")])
+    assert outputs[0] == outputs[1]
 
 
 def test_sweep_requires_scaled_direction(tmp_path):

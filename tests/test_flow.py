@@ -9,11 +9,11 @@ from hflow.flow import (
     DECAYED_TO_ZERO,
     REACHED_HORIZON,
     FlowParams,
+    SolverError,
     TrajectoryRecord,
     energy_identity_residuals,
     run,
     solve_helmholtz,
-    step_imex,
 )
 from hflow.functionals import report, volume_VH
 from hflow.grid import GridSpec, VectorField, h1_forward_sq, laplacian
@@ -30,6 +30,11 @@ def test_flow_params_validation():
         FlowParams(H=-1.0, dt0=1e-3, t_end=1.0)
     with pytest.raises(ValueError):
         FlowParams(H=1.0, dt0=1e-3, t_end=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt0 must be finite"):
+            FlowParams(H=1.0, dt0=bad, t_end=1.0)
+        with pytest.raises(ValueError, match="H must be finite"):
+            FlowParams(H=bad, dt0=1e-3, t_end=1.0)
 
 
 def test_solve_helmholtz_zero_rhs(g31):
@@ -56,24 +61,48 @@ def test_solve_helmholtz_residual_bound(g31):
         assert np.linalg.norm(resid[k]) <= tol * np.linalg.norm(rhs.values[k]) * (1.0 + 1e-12)
 
 
-def test_step_imex_zero_fixed_point(g31):
-    w = step_imex(VectorField.zeros(g31), dt=0.1, H=1.0)
-    assert not w.values.any()
+@pytest.mark.parametrize("n", [1, 15, 31, 63, 127])
+def test_solve_helmholtz_random_residual(n):
+    rng = np.random.default_rng(n)
+    g = GridSpec(nx=n, ny=n, h=1.0 / (n + 1))
+    for _ in range(4):
+        dt = 10.0 ** rng.uniform(-6.0, -1.0)
+        rhs = VectorField(g, rng.standard_normal((3, n, n)))
+        w = solve_helmholtz(rhs, dt, cg_tol=1e-12)
+        resid = (w.values - dt * laplacian(w).values) - rhs.values
+        for k in range(3):
+            assert np.linalg.norm(resid[k]) <= 1e-12 * np.linalg.norm(rhs.values[k])
 
 
-def test_step_imex_single_node_oracle():
+def test_solve_helmholtz_rejects_non_finite_rhs(g15):
+    rhs = eigenmode(g15)
+    rhs.values[1, 3, 4] = np.nan
+    with pytest.raises(SolverError):
+        solve_helmholtz(rhs, dt=1e-3, cg_tol=1e-10)
+
+
+def test_run_one_step_zero_fixed_point(g31):
+    p = FlowParams(H=1.0, dt0=0.1, t_end=0.1)
+    tr = run(VectorField.zeros(g31), p)
+    assert tr.status == REACHED_HORIZON
+    assert tr.t[-1] == pytest.approx(0.1)
+    assert len(tr) == 2
+    assert not tr.final_state.values.any()
+
+
+def test_solve_helmholtz_single_node_oracle():
     # relaxed-precondition grid: one interior node, h = 1/2, mu = 16
     g = GridSpec(nx=1, ny=1, h=0.5)
     u = VectorField(g, np.full((3, 1, 1), 1.0))
-    w = step_imex(u, dt=0.1, H=0.0)
+    w = solve_helmholtz(u, dt=0.1, cg_tol=1e-10)
     assert np.allclose(w.values, u.values / 2.6, rtol=1e-12)
 
 
-def test_step_imex_heat_amplification(g31):
+def test_solve_helmholtz_heat_amplification(g31):
     dt = 2e-3
     u = eigenmode(g31, amplitude=1.3)
     mu = discrete_laplacian_eigenvalue(g31)
-    w = step_imex(u, dt, H=0.0, cg_tol=1e-12)
+    w = solve_helmholtz(u, dt, cg_tol=1e-12)
     assert np.allclose(w.values, u.values / (1.0 + dt * mu), rtol=1e-9)
 
 
