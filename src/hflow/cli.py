@@ -111,6 +111,12 @@ def _eps_grid(cfg, g: GridSpec) -> np.ndarray:
         raise nehari.EstimationError("empty bubble family (well.eps_count < 1)")
     lo = 4.0 * g.h if well["eps_min"] == "4h" else float(well["eps_min"])
     hi = float(well["eps_max"])
+    if well["eps_min"] == "4h" and 0.0 < hi < lo:
+        raise ConfigError(
+            f"grid n = {g.nx} is too coarse for the bubble family: eps_min = 4h = {lo:g} exceeds "
+            f"well.eps_max = {hi:g}; this range needs n >= {math.ceil(4.0 / hi - 1.0)}, "
+            "or set well.eps_min explicitly"
+        )
     if not (0.0 < lo <= hi):
         raise ConfigError(f"bad eps range [{lo}, {hi}]")
     return np.geomspace(lo, hi, count)

@@ -28,6 +28,7 @@ singularity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import functionals
 from .fields import discrete_laplacian_eigenvalue
-from .grid import VectorField, laplacian_stencil
+from .grid import GridSpec, VectorField, _pad, laplacian_stencil
 
 REACHED_HORIZON = "reached-horizon"
 BLOWUP_SUSPECTED = "blowup-suspected"
@@ -101,19 +102,36 @@ class TrajectoryRecord:
         return len(self.t)
 
 
+def _dst_last_axis(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal DST-I along the last axis, through the real FFT of the odd extension.
+
+    The imaginary part of the FFT of [0, a, 0, -reversed(a)] holds the sine sums.
+    """
+    n = a.shape[-1]
+    odd = np.zeros(a.shape[:-1] + (2 * n + 2,))
+    odd[..., 1 : n + 1] = a
+    np.negative(a[..., ::-1], out=odd[..., n + 2 :])
+    return np.divide(np.fft.rfft(odd).imag[..., 1 : n + 1], -math.sqrt(2.0 * (n + 1)), out=out)
+
+
 def _sine_transform(a: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I over the last two axes; the transform is its own inverse.
 
-    Each axis goes through the real FFT of its odd extension
-    [0, a, 0, -reversed(a)], whose imaginary part holds the sine sums.
+    The result is C-contiguous, so reductions over it sum in a fixed order.
     """
-    for axis in (-1, -2):
-        a = np.moveaxis(a, axis, -1)
-        n = a.shape[-1]
-        zero = np.zeros(a.shape[:-1] + (1,))
-        odd = np.concatenate([zero, a, zero, -a[..., ::-1]], axis=-1)
-        a = np.moveaxis(np.fft.rfft(odd).imag[..., 1 : n + 1] / -math.sqrt(2.0 * (n + 1)), -1, axis)
-    return a
+    out = np.empty(a.shape)
+    _dst_last_axis(_dst_last_axis(a).swapaxes(-1, -2), out=out.swapaxes(-1, -2))
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _sine_eigenvalues(g: GridSpec) -> np.ndarray:
+    """Eigenvalues mu_kl of -Lap_h on the (nx, ny) sine modes of grid g (read-only)."""
+    kx = np.arange(1, g.nx + 1)[:, None]
+    ky = np.arange(1, g.ny + 1)[None, :]
+    mu = discrete_laplacian_eigenvalue(g, kx, ky)
+    mu.flags.writeable = False
+    return mu
 
 
 def solve_helmholtz(rhs: VectorField, dt: float, cg_tol: float) -> VectorField:
@@ -130,10 +148,9 @@ def solve_helmholtz(rhs: VectorField, dt: float, cg_tol: float) -> VectorField:
         raise ValueError(f"need dt > 0, got {dt}")
     g = rhs.grid
     b = rhs.values
-    kx = np.arange(1, g.nx + 1)[:, None]
-    ky = np.arange(1, g.ny + 1)[None, :]
-    mu = discrete_laplacian_eigenvalue(g, kx, ky)
-    w = _sine_transform(_sine_transform(b) / (1.0 + dt * mu))
+    spec = _sine_transform(b)
+    spec /= 1.0 + dt * _sine_eigenvalues(g)
+    w = _sine_transform(spec)
     resid = np.sqrt(np.sum((w - dt * laplacian_stencil(w, g.h) - b) ** 2, axis=(1, 2)))
     bound = cg_tol * np.sqrt(np.sum(b * b, axis=(1, 2)))
     if not np.all(resid <= bound):
@@ -149,25 +166,28 @@ class _State:
     def __init__(self, u: VectorField, H: float):
         h = u.grid.h
         v = u.values
-        p = np.pad(v, ((0, 0), (1, 1), (1, 1)))
-        ux = (p[:, 2:, 1:-1] - p[:, :-2, 1:-1]) / (2.0 * h)
-        uy = (p[:, 1:-1, 2:] - p[:, 1:-1, :-2]) / (2.0 * h)
-        w = np.stack(
-            [
-                ux[1] * uy[2] - ux[2] * uy[1],
-                ux[2] * uy[0] - ux[0] * uy[2],
-                ux[0] * uy[1] - ux[1] * uy[0],
-            ]
-        )
-        dxf = (p[:, 1:, 1:-1] - p[:, :-1, 1:-1]) / h
-        dyf = (p[:, 1:-1, 1:] - p[:, 1:-1, :-1]) / h
+        p = _pad(v)
+        ux = p[:, 2:, 1:-1] - p[:, :-2, 1:-1]
+        ux /= 2.0 * h
+        uy = p[:, 1:-1, 2:] - p[:, 1:-1, :-2]
+        uy /= 2.0 * h
+        w = np.empty(v.shape)
+        tmp = np.empty(v.shape[1:])
+        for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+            np.multiply(ux[i], uy[j], out=w[k])
+            w[k] -= np.multiply(ux[j], uy[i], out=tmp)
+        dxf = p[:, 1:, 1:-1] - p[:, :-1, 1:-1]
+        dxf /= h
+        dyf = p[:, 1:-1, 1:] - p[:, 1:-1, :-1]
+        dyf /= h
         h2 = h * h
         self.u = u
         self.wedge = w
+        # plain products: an out= buffer would reorder these sums for a v that is not C-ordered
         self.l2 = h2 * float(np.sum(v * v))
-        self.h1 = h2 * float(np.sum(ux * ux) + np.sum(uy * uy))
-        self.h1_fwd = h2 * float(np.sum(dxf * dxf) + np.sum(dyf * dyf))
         self.vol = h2 * float(np.sum(v * w))
+        self.h1 = h2 * float(np.sum(np.square(ux, out=ux)) + np.sum(np.square(uy, out=uy)))
+        self.h1_fwd = h2 * float(np.sum(np.square(dxf, out=dxf)) + np.sum(np.square(dyf, out=dyf)))
         self.E_fwd = 0.5 * self.h1_fwd + (2.0 / 3.0) * H * self.vol
         self.D = self.h1 + 2.0 * H * self.vol
 
@@ -233,9 +253,13 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
                 cand = solve_helmholtz(rhs, dt_step, p.cg_tol)
                 ok = bool(np.all(np.isfinite(cand.values)))
             except SolverError:
+                if np.all(np.isfinite(rhs.values)):
+                    raise  # a residual miss on finite input is a numeric fault, not blow-up
                 ok = False
             if ok:
-                diff = math.sqrt(h2 * float(np.sum((cand.values - state.u.values) ** 2)))
+                inc = cand.values - state.u.values
+                inc_sq = float(np.sum(np.square(inc, out=inc)))
+                diff = math.sqrt(h2 * inc_sq)
                 base = math.sqrt(state.l2)
                 rel = 0.0 if diff == 0.0 else (math.inf if base == 0.0 else diff / base)
                 if rel <= RELATIVE_INCREMENT_CAP:
@@ -251,7 +275,7 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
             break
 
         new_state = _State(w, H)
-        ut_sq = h2 * float(np.sum((w.values - state.u.values) ** 2)) / (dt_step * dt_step)
+        ut_sq = h2 * inc_sq / (dt_step * dt_step)
         cum_residual += abs(dt_step * ut_sq + new_state.E_fwd - state.E_fwd)
         f += 0.5 * dt_step * (state.l2 + new_state.l2)
         t += dt_step

@@ -132,7 +132,10 @@ def _check_same_grid(a, b):
 
 
 def _pad(v: np.ndarray) -> np.ndarray:
-    return np.pad(v, ((0, 0), (1, 1), (1, 1)))
+    """Copy of v inside a ring of zeros on the last two axes (the boundary nodes)."""
+    p = np.zeros(v.shape[:-2] + (v.shape[-2] + 2, v.shape[-1] + 2), dtype=v.dtype)
+    p[..., 1:-1, 1:-1] = v
+    return p
 
 
 def gradient(u: VectorField):

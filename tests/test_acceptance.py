@@ -225,12 +225,13 @@ def test_criterion_08_fibering_map(g63):
     _ok(8, f"20 directions: golden-section matches lambda* (worst rel err {worst:.1e})")
 
 
-def test_criterion_09_high_energy_condition(g63, wp63):
-    H = 1.0
+def test_criterion_09_high_energy_condition(g63):
     cfg = load_config("presets/t52.json")
+    H = float(cfg["physics"]["H"])
     u0, desc = _preset_u0(cfg, g63)
     ok, meas = check_e54(u0, H)
     assert ok
+    assert meas["energy"] > estimate_d(H, g63).d
     assert meas["identity_residual_rel"] <= 1e-12
     assert meas["nehari"] < 0.0
     p = FlowParams(H=H, dt0=5e-4, t_end=1.0, record_every=5)
@@ -238,7 +239,7 @@ def test_criterion_09_high_energy_condition(g63, wp63):
     assert tr.status == BLOWUP_SUSPECTED
     _ok(
         9,
-        f"e54 field (amplitude {desc['amplitude']:.3f}) accepted, identity residual "
+        f"e54 field at H={H:g} (amplitude {desc['amplitude']:.3f}) accepted, identity residual "
         f"{meas['identity_residual_rel']:.1e}, run blowup-suspected at t={tr.t[-1]:.4f}",
     )
 

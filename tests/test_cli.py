@@ -76,6 +76,39 @@ def test_bad_parameter_values(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("n", [3, 10])
+def test_grid_too_coarse_for_bubble_family(tmp_path, capsys, n):
+    cfg = write_config(tmp_path / "c.json", grid={"n": n})
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"grid n = {n} is too coarse" in err
+    assert "4h" in err and "well.eps_max = 0.35" in err and "n >= 11" in err
+    assert "well.eps_min" in err
+    assert not (tmp_path / "o" / "verdict.json").exists()
+
+
+def test_grid_at_bubble_family_minimum_runs(tmp_path):
+    cfg = write_config(tmp_path / "c.json", grid={"n": 11})
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert (out / "verdict.json").exists()
+
+
+def test_solve_residual_miss_exits_numeric(tmp_path, capsys):
+    # no solve meets cg_tol = 1e-17: a numeric fault, never blow-up evidence
+    cfg = write_config(
+        tmp_path / "c.json",
+        grid={"n": 15},
+        ic={"type": "eigenmode", "params": {"kx": 1, "ky": 1}},
+        time={"cg_tol": 1e-17},
+    )
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    assert "solve residual" in capsys.readouterr().err
+    assert not (out / "verdict.json").exists()
+    assert not (out / "trajectory.csv").exists()
+
+
 @pytest.mark.parametrize(
     "section, key, literal", [("physics", "H", "NaN"), ("time", "dt0", "Infinity"), ("physics", "H", "1e999")]
 )
@@ -297,6 +330,19 @@ def test_sweep_failed_cells_exit_numeric(tmp_path):
         assert cell["error"].startswith("EstimationError: empty bubble family")
 
 
+def test_sweep_solve_residual_miss_records_error(tmp_path):
+    cfg = write_config(
+        tmp_path / "c.json",
+        time={"cg_tol": 1e-17},
+        sweep={"lambda_multiples": [0.2], "max_workers": 1},
+    )
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    cell = json.loads((out / "index.json").read_text(encoding="utf-8"))["cells"]["lambda_multiple=0.2"]
+    assert cell["error"].startswith("SolverError: solve residual")
+    assert "status" not in cell
+
+
 def test_simulate_bytes_independent_of_blas_threads(tmp_path):
     # the solve must not route through BLAS, whose threaded kernels change bits at n >= 127
     cfg = write_config(
@@ -362,6 +408,14 @@ def test_preset_configs_parse():
         cfg = load_config(f"presets/{name}.json")
         assert cfg["ic"]["type"] == "scaled-direction"
         assert cfg["grid"]["n"] == 63
+
+
+@pytest.mark.parametrize("path", sorted(Path("presets").glob("t*.json")), ids=lambda p: p.stem)
+def test_preset_classifies_to_its_theorem(tmp_path, path):
+    out = tmp_path / "o"
+    assert main(["classify", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    verdict = json.loads((out / "verdict.json").read_text(encoding="utf-8"))["verdict"]
+    assert verdict["applicable_theorem"] == path.stem
 
 
 def test_energy_level_ic_mode(tmp_path):

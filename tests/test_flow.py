@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hflow.fields import discrete_laplacian_eigenvalue, eigenmode
+from hflow.fields import discrete_laplacian_eigenvalue, eigenmode, random_bandlimited
 from hflow.flow import (
     BLOWUP_SUSPECTED,
     DECAYED_TO_ZERO,
@@ -11,12 +11,23 @@ from hflow.flow import (
     FlowParams,
     SolverError,
     TrajectoryRecord,
+    _sine_transform,
+    _State,
     energy_identity_residuals,
     run,
     solve_helmholtz,
 )
-from hflow.functionals import report, volume_VH
-from hflow.grid import GridSpec, VectorField, h1_forward_sq, laplacian
+from hflow.functionals import report, volume_integral, volume_VH
+from hflow.grid import (
+    GridSpec,
+    VectorField,
+    gradient,
+    h1_forward_sq,
+    l2_norm_sq,
+    laplacian,
+    make_grid,
+    wedge,
+)
 from hflow.nehari import bubble_direction, fibering_coeffs, lambda_star
 
 
@@ -35,6 +46,46 @@ def test_flow_params_validation():
             FlowParams(H=1.0, dt0=bad, t_end=1.0)
         with pytest.raises(ValueError, match="H must be finite"):
             FlowParams(H=bad, dt0=1e-3, t_end=1.0)
+
+
+def _dense_sine_matrix(n):
+    j = np.arange(1, n + 1)
+    return math.sqrt(2.0 / (n + 1)) * np.sin(math.pi * np.outer(j, j) / (n + 1))
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (15, 15), (16, 9), (9, 31), (63, 63)])
+def test_sine_transform_matches_dense_sine_matrix(nx, ny):
+    rng = np.random.default_rng(1000 * nx + ny)
+    x = rng.standard_normal((3, nx, ny))
+    fast = _sine_transform(x)
+    dense = _dense_sine_matrix(nx) @ x @ _dense_sine_matrix(ny)
+    assert fast.shape == x.shape and fast.flags["C_CONTIGUOUS"]
+    assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
+    # the orthonormal DST-I is its own inverse
+    assert np.max(np.abs(_sine_transform(fast) - x)) <= 1e-13 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("n", [15, 31, 63])
+def test_state_matches_reference_functionals(n):
+    rng = np.random.default_rng(n)
+    g = make_grid(n)
+    for _ in range(3):
+        H = float(rng.uniform(0.1, 10.0))
+        seed, kmax = int(rng.integers(1 << 20)), int(rng.integers(1, 12))
+        u = random_bandlimited(g, seed, kmax, h1_norm=float(rng.uniform(0.1, 10.0)))
+        s = _State(u, H)
+        rep = report(u, H)
+        vol = volume_integral(u)
+        # a sum with cancellation is compared on the scale of its terms
+        scale = rep.dirichlet + 2.0 * H * abs(vol)
+        assert s.u is u
+        assert np.array_equal(s.wedge, wedge(*gradient(u)).values)
+        assert s.l2 == pytest.approx(l2_norm_sq(u), rel=1e-12)
+        assert s.h1 == pytest.approx(rep.dirichlet, rel=1e-12)
+        assert s.h1_fwd == pytest.approx(h1_forward_sq(u), rel=1e-12)
+        assert s.vol == pytest.approx(vol, abs=1e-12 * scale)
+        assert s.D == pytest.approx(rep.nehari, abs=1e-12 * scale)
+        assert s.E_fwd == pytest.approx(0.5 * h1_forward_sq(u) + volume_VH(u, H), abs=1e-12 * scale)
 
 
 def test_solve_helmholtz_zero_rhs(g31):
@@ -79,6 +130,26 @@ def test_solve_helmholtz_rejects_non_finite_rhs(g15):
     rhs.values[1, 3, 4] = np.nan
     with pytest.raises(SolverError):
         solve_helmholtz(rhs, dt=1e-3, cg_tol=1e-10)
+
+
+def test_run_raises_on_solve_residual_miss(g15):
+    # no solve can meet 1e-17 in double precision; on a finite rhs that is a
+    # numeric fault, not a rejection that halves dt down to a collapse
+    p = FlowParams(H=1.0, dt0=1e-3, t_end=0.01, cg_tol=1e-17)
+    with pytest.raises(SolverError):
+        run(eigenmode(g15), p)
+
+
+def test_run_non_finite_rhs_is_rejected(g15):
+    # 2 dt H (u_x ^ u_y) overflows for every dt above dt_min, so each attempt
+    # fails the solve on a non-finite rhs and is rejected with dt halved
+    u0 = bubble_direction(g15, 1.0, eps=0.25).scaled(100.0)
+    p = FlowParams(H=1e308, dt0=1e-3, t_end=0.01, dt_min=1e-6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tr = run(u0, p)
+    assert tr.status == BLOWUP_SUSPECTED
+    assert tr.stop_reason == "dt-collapse"
+    assert tr.t[-1] == 0.0
 
 
 def test_run_one_step_zero_fixed_point(g31):

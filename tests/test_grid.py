@@ -223,6 +223,17 @@ def test_integration_by_parts_pairing(g31):
         assert lhs == pytest.approx(-h1_forward_sq(u), rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [15, 31, 63])
+def test_integration_by_parts_pairing_random_fields(n):
+    # h^2 sum Lap(u).u == -h1_forward_sq(u) for rough fields, not only smooth ones
+    rng = np.random.default_rng(n)
+    g = make_grid(n)
+    for _ in range(4):
+        u = VectorField(g, rng.uniform(0.1, 10.0) * rng.standard_normal((3, n, n)))
+        lhs = g.h ** 2 * float(np.sum(laplacian(u).values * u.values))
+        assert lhs == pytest.approx(-h1_forward_sq(u), rel=1e-12)
+
+
 def test_operator_linearity(g31):
     a = random_bandlimited(g31, seed=10)
     b = random_bandlimited(g31, seed=11)
