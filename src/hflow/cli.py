@@ -20,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +37,10 @@ DELTA_TABLE = (0.25, 0.5, 0.75, 1.0, 1.25, 1.45)
 
 class ConfigError(ValueError):
     pass
+
+
+class NonFiniteError(RuntimeError):
+    """A functional of the initial datum overflowed to inf or NaN."""
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +161,15 @@ def trajectory_columns(delta_list) -> list[str]:
 
 def write_trajectory_csv(path: Path, tr: flow.TrajectoryRecord) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(trajectory_columns(tr.delta_list))]
-    for k in range(len(tr)):
-        row = (
-            [tr.t[k], tr.dt[k], tr.l2_sq[k], tr.h1_sq[k], tr.E[k], tr.D[k]]
-            + list(tr.D_delta[k])
-            + [tr.f[k], tr.fprime[k], tr.fsecond[k], tr.concavity[k], tr.energy_residual[k]]
-        )
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(trajectory_columns(tr.delta_list)) + "\n")
+        for k in range(len(tr)):
+            row = (
+                [tr.t[k], tr.dt[k], tr.l2_sq[k], tr.h1_sq[k], tr.E[k], tr.D[k]]
+                + list(tr.D_delta[k])
+                + [tr.f[k], tr.fprime[k], tr.fsecond[k], tr.concavity[k], tr.energy_residual[k]]
+            )
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +307,16 @@ def cmd_compute_well_depth(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
+def _require_finite_functionals(u0: VectorField, H: float) -> None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = functionals.report(u0, H)
+    bad = [f"{k} = {v}" for k, v in vars(rep).items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise NonFiniteError(f"initial datum has non-finite functionals: {', '.join(bad)}")
+
+
 def _verdict_for(cfg, g, H, u0, wp) -> classify.Verdict:
+    _require_finite_functionals(u0, H)
     tol_d = float(cfg["monitors"]["tol_d"])
     bounds = None
     energy = functionals.energy_E(u0, H)
@@ -612,6 +624,9 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     workers = int(sweep.get("max_workers", 0)) or min(4, len(jobs))
     results = {}
     if workers > 1 and len(jobs) > 1:
+        # imported here, so that no other command pays for loading the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for key, res in pool.map(_sweep_cell, jobs):
                 results[key] = res
@@ -670,7 +685,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (flow.SolverError, nehari.EstimationError) as exc:
+    except (flow.SolverError, nehari.EstimationError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -23,9 +23,14 @@ def eigenmode(g: GridSpec, kx: int = 1, ky: int = 1, component: int = 0, amplitu
 
 
 def discrete_laplacian_eigenvalue(g: GridSpec, kx=1, ky=1):
-    """Eigenvalue mu of -Laplacian_h on the (kx, ky) sine mode; kx, ky may be broadcast arrays."""
+    """Eigenvalue mu of -Laplacian_h on the (kx, ky) sine mode; kx, ky may be broadcast arrays.
+
+    The mode is sin(kx pi i / (nx + 1)) sin(ky pi j / (ny + 1)) on the interior
+    nodes (i, j), which on the unit-square grid of `make_grid` is `eigenmode`.
+    """
     h = g.h
-    s = np.sin(kx * math.pi * h / 2.0) ** 2 + np.sin(ky * math.pi * h / 2.0) ** 2
+    hx, hy = 1.0 / (g.nx + 1), 1.0 / (g.ny + 1)
+    s = np.sin(kx * math.pi * hx / 2.0) ** 2 + np.sin(ky * math.pi * hy / 2.0) ** 2
     return 4.0 / (h * h) * s
 
 

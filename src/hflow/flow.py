@@ -28,7 +28,6 @@ singularity.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import functionals
 from .fields import discrete_laplacian_eigenvalue
-from .grid import GridSpec, VectorField, _pad, laplacian_stencil
+from .grid import GridSpec, VectorField, laplacian_stencil
 
 REACHED_HORIZON = "reached-horizon"
 BLOWUP_SUSPECTED = "blowup-suspected"
@@ -102,83 +101,124 @@ class TrajectoryRecord:
         return len(self.t)
 
 
-def _dst_last_axis(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Orthonormal DST-I along the last axis, through the real FFT of the odd extension.
+class _Workspace:
+    """Scratch buffers of one flow run on grid g, reused by every step.
 
-    The imaginary part of the FFT of [0, a, 0, -reversed(a)] holds the sine sums.
+    `run` builds one and drops it when it returns; `solve_helmholtz` called
+    without one builds a one-off.  No result is kept in them past a step:
+    the solution of each solve and the wedge of each state, which the run
+    holds on to, are allocated fresh.
     """
-    n = a.shape[-1]
-    odd = np.zeros(a.shape[:-1] + (2 * n + 2,))
-    odd[..., 1 : n + 1] = a
-    np.negative(a[..., ::-1], out=odd[..., n + 2 :])
-    return np.divide(np.fft.rfft(odd).imag[..., 1 : n + 1], -math.sqrt(2.0 * (n + 1)), out=out)
+
+    __slots__ = ("grid", "mu", "dt", "den", "passes", "mid", "spec", "pad", "tmp", "dxf", "dyf", "rhs")
+
+    def __init__(self, g: GridSpec):
+        nx, ny = g.nx, g.ny
+        self.grid = g
+        # eigenvalues mu_kl of -Lap_h on the sine modes, and the solve's 1 + dt mu for self.dt
+        kx, ky = np.arange(1, nx + 1)[:, None], np.arange(1, ny + 1)[None, :]
+        self.mu = discrete_laplacian_eigenvalue(g, kx, ky)
+        self.dt = None
+        self.den = np.empty((nx, ny))
+        # (odd extension, its real FFT) of a transform pass over k rows of length m: one pair per length
+        by_len = {
+            m: (np.zeros((3, k, 2 * m + 2)), np.empty((3, k, m + 2), dtype=complex))
+            for k, m in ((nx, ny), (ny, nx))
+        }
+        self.passes = (by_len[ny], by_len[nx])
+        # between-pass array and spectrum; after a solve they hold its residual, in a state pass u_x, u_y
+        self.mid = np.empty((3, nx, ny))
+        self.spec = np.empty((3, nx, ny))
+        self.pad = np.zeros((3, nx + 2, ny + 2))  # only the interior is ever written: the ring stays zero
+        self.tmp = np.empty((nx, ny))
+        self.dxf = np.empty((3, nx + 1, ny))
+        self.dyf = np.empty((3, nx, ny + 1))
+        self.rhs = np.empty((3, nx, ny))
+
+    def sine_transform(self, a: np.ndarray, out: np.ndarray) -> None:
+        """Orthonormal DST-I of a over the last two axes into the C-contiguous out (overwrites self.mid).
+
+        The transform is its own inverse.  Writing into C-contiguous arrays
+        makes reductions over them sum in a fixed order.
+        """
+        self._dst_last_axis(a, self.mid, *self.passes[0])
+        self._dst_last_axis(self.mid.swapaxes(-1, -2), out.swapaxes(-1, -2), *self.passes[1])
+
+    @staticmethod
+    def _dst_last_axis(a, out, odd, spectrum):
+        """Orthonormal DST-I along the last axis, through the real FFT of the odd extension.
+
+        The imaginary part of the FFT of [0, a, 0, -reversed(a)] holds the sine
+        sums; the two zeros of `odd` are never written.
+        """
+        n = a.shape[-1]
+        odd[..., 1 : n + 1] = a
+        np.negative(a[..., ::-1], out=odd[..., n + 2 :])
+        np.fft.rfft(odd, out=spectrum)
+        np.divide(spectrum.imag[..., 1 : n + 1], -math.sqrt(2.0 * (n + 1)), out=out)
+
+    def solve(self, b: np.ndarray, dt: float, cg_tol: float) -> np.ndarray:
+        """Fresh solution w of (I - dt Lap_h) w = b; see `solve_helmholtz`."""
+        if dt != self.dt:
+            np.multiply(self.mu, dt, out=self.den)
+            self.den += 1.0
+            self.dt = dt
+        self.sine_transform(b, self.spec)
+        self.spec /= self.den
+        w = np.empty(b.shape)
+        self.sine_transform(self.spec, w)
+        r = laplacian_stencil(w, self.grid.h)
+        r *= dt
+        r = np.subtract(w, r, out=self.mid)
+        r -= b
+        resid = np.sqrt(np.sum(np.square(r, out=r), axis=(1, 2)))
+        bound = cg_tol * np.sqrt(np.sum(np.multiply(b, b, out=self.spec), axis=(1, 2)))
+        if not np.all(resid <= bound):
+            raise SolverError(f"solve residual {resid} exceeds cg_tol * |rhs| = {bound} per component")
+        return w
 
 
-def _sine_transform(a: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I over the last two axes; the transform is its own inverse.
-
-    The result is C-contiguous, so reductions over it sum in a fixed order.
-    """
-    out = np.empty(a.shape)
-    _dst_last_axis(_dst_last_axis(a).swapaxes(-1, -2), out=out.swapaxes(-1, -2))
-    return out
-
-
-@functools.lru_cache(maxsize=8)
-def _sine_eigenvalues(g: GridSpec) -> np.ndarray:
-    """Eigenvalues mu_kl of -Lap_h on the (nx, ny) sine modes of grid g (read-only)."""
-    kx = np.arange(1, g.nx + 1)[:, None]
-    ky = np.arange(1, g.ny + 1)[None, :]
-    mu = discrete_laplacian_eigenvalue(g, kx, ky)
-    mu.flags.writeable = False
-    return mu
-
-
-def solve_helmholtz(rhs: VectorField, dt: float, cg_tol: float) -> VectorField:
+def solve_helmholtz(
+    rhs: VectorField, dt: float, cg_tol: float, *, _workspace: _Workspace | None = None
+) -> VectorField:
     """Direct solve of (I - dt Lap_h) w = rhs per component.
 
-    On the unit-square grid (h = 1/(n+1)) the operator is diagonal in the
-    sine basis with eigenvalues 1 + dt mu_kl, so w is the sine transform of
-    rhs divided by them and transformed back (fast direct Poisson solver).
-    One stencil apply then checks the relative residual of each component
-    against cg_tol and raises SolverError above it, which also catches
-    non-finite input.
+    On the grid the operator is diagonal in the sine basis with eigenvalues
+    1 + dt mu_kl, so w is the sine transform of rhs divided by them and
+    transformed back (fast direct Poisson solver).  One stencil apply then
+    checks the relative residual of each component against cg_tol and raises
+    SolverError above it, which also catches non-finite input.  `run` passes
+    its own scratch buffers as `_workspace`; without them the solve uses a
+    one-off set.
     """
     if dt <= 0.0:
         raise ValueError(f"need dt > 0, got {dt}")
-    g = rhs.grid
-    b = rhs.values
-    spec = _sine_transform(b)
-    spec /= 1.0 + dt * _sine_eigenvalues(g)
-    w = _sine_transform(spec)
-    resid = np.sqrt(np.sum((w - dt * laplacian_stencil(w, g.h) - b) ** 2, axis=(1, 2)))
-    bound = cg_tol * np.sqrt(np.sum(b * b, axis=(1, 2)))
-    if not np.all(resid <= bound):
-        raise SolverError(f"solve residual {resid} exceeds cg_tol * |rhs| = {bound} per component")
-    return VectorField(g, w)
+    ws = _Workspace(rhs.grid) if _workspace is None else _workspace
+    return VectorField(rhs.grid, ws.solve(rhs.values, dt, cg_tol))
 
 
 class _State:
-    """Per-accepted-state quantities, computed in one pass over the field."""
+    """Per-accepted-state quantities, computed in one pass over the field in the buffers of ws."""
 
     __slots__ = ("u", "wedge", "l2", "h1", "h1_fwd", "vol", "E_fwd", "D")
 
-    def __init__(self, u: VectorField, H: float):
+    def __init__(self, u: VectorField, H: float, ws: _Workspace):
         h = u.grid.h
         v = u.values
-        p = _pad(v)
-        ux = p[:, 2:, 1:-1] - p[:, :-2, 1:-1]
+        p = ws.pad
+        p[:, 1:-1, 1:-1] = v
+        ux = np.subtract(p[:, 2:, 1:-1], p[:, :-2, 1:-1], out=ws.mid)
         ux /= 2.0 * h
-        uy = p[:, 1:-1, 2:] - p[:, 1:-1, :-2]
+        uy = np.subtract(p[:, 1:-1, 2:], p[:, 1:-1, :-2], out=ws.spec)
         uy /= 2.0 * h
         w = np.empty(v.shape)
-        tmp = np.empty(v.shape[1:])
+        tmp = ws.tmp
         for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
             np.multiply(ux[i], uy[j], out=w[k])
             w[k] -= np.multiply(ux[j], uy[i], out=tmp)
-        dxf = p[:, 1:, 1:-1] - p[:, :-1, 1:-1]
+        dxf = np.subtract(p[:, 1:, 1:-1], p[:, :-1, 1:-1], out=ws.dxf)
         dxf /= h
-        dyf = p[:, 1:-1, 1:] - p[:, 1:-1, :-1]
+        dyf = np.subtract(p[:, 1:-1, 1:], p[:, 1:-1, :-1], out=ws.dyf)
         dyf /= h
         h2 = h * h
         self.u = u
@@ -205,7 +245,8 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
         functionals._check_delta(d)
     H = p.H
     h2 = u0.grid.h ** 2
-    state = _State(u0, H)
+    ws = _Workspace(u0.grid)
+    state = _State(u0, H, ws)
     l2_initial = state.l2
     h1_initial = state.h1
     grad_cap = p.blowup_gradient_factor * max(1.0, h1_initial)
@@ -248,16 +289,18 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
         dt_step = min(dt, p.t_end - t)
         w = None
         while True:
-            rhs = VectorField(u0.grid, state.u.values - 2.0 * dt_step * H * state.wedge)
+            # rhs = u - 2 dt H (u_x ^ u_y), in the kept buffer
+            b = np.multiply(state.wedge, 2.0 * dt_step * H, out=ws.rhs)
+            rhs = VectorField(u0.grid, np.subtract(state.u.values, b, out=b))
             try:
-                cand = solve_helmholtz(rhs, dt_step, p.cg_tol)
+                cand = solve_helmholtz(rhs, dt_step, p.cg_tol, _workspace=ws)
                 ok = bool(np.all(np.isfinite(cand.values)))
             except SolverError:
                 if np.all(np.isfinite(rhs.values)):
                     raise  # a residual miss on finite input is a numeric fault, not blow-up
                 ok = False
             if ok:
-                inc = cand.values - state.u.values
+                inc = np.subtract(cand.values, state.u.values, out=ws.mid)
                 inc_sq = float(np.sum(np.square(inc, out=inc)))
                 diff = math.sqrt(h2 * inc_sq)
                 base = math.sqrt(state.l2)
@@ -274,7 +317,7 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
         if status is not None:
             break
 
-        new_state = _State(w, H)
+        new_state = _State(w, H, ws)
         ut_sq = h2 * inc_sq / (dt_step * dt_step)
         cum_residual += abs(dt_step * ut_sq + new_state.E_fwd - state.E_fwd)
         f += 0.5 * dt_step * (state.l2 + new_state.l2)

@@ -150,9 +150,12 @@ def gradient(u: VectorField):
 def laplacian_stencil(values: np.ndarray, h: float) -> np.ndarray:
     """5-point Laplacian with zero boundary, acting on a raw (3, n, n) array."""
     p = _pad(values)
-    return (
-        p[:, 2:, 1:-1] + p[:, :-2, 1:-1] + p[:, 1:-1, 2:] + p[:, 1:-1, :-2] - 4.0 * values
-    ) / (h * h)
+    out = p[:, 2:, 1:-1] + p[:, :-2, 1:-1]
+    out += p[:, 1:-1, 2:]
+    out += p[:, 1:-1, :-2]
+    out -= 4.0 * values
+    out /= h * h
+    return out
 
 
 def laplacian(u: VectorField) -> VectorField:

@@ -109,6 +109,48 @@ def test_solve_residual_miss_exits_numeric(tmp_path, capsys):
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "classify"])
+def test_non_finite_initial_datum_exits_numeric(tmp_path, capsys, command):
+    # |u0|^2 overflows: a numeric fault before any integration, never blow-up evidence
+    cfg = write_config(
+        tmp_path / "c.json",
+        grid={"n": 15},
+        ic={
+            "type": "scaled-direction",
+            "params": {
+                "direction": {"type": "bubble", "center": [0.5, 0.5], "eps": 0.25},
+                "lambda_multiple": 1e160,
+            },
+        },
+    )
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "l2_sq = inf" in err and "dirichlet = inf" in err
+    assert not (out / "verdict.json").exists()
+    assert not (out / "trajectory.csv").exists()
+
+
+def _no_constants(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("path", sorted(Path("presets").glob("t*.json")), ids=lambda p: p.stem)
+def test_preset_artifacts_are_strict_and_finite(tmp_path, path):
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    json.loads((out / "verdict.json").read_text(encoding="utf-8"), parse_constant=_no_constants)
+    _, rows = read_csv(out / "trajectory.csv")
+    assert np.all(np.isfinite(rows))
+
+
+def test_import_leaves_process_pool_unloaded():
+    src = str(Path(hflow.__file__).resolve().parents[1])
+    code = "import sys, hflow.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
 @pytest.mark.parametrize(
     "section, key, literal", [("physics", "H", "NaN"), ("time", "dt0", "Infinity"), ("physics", "H", "1e999")]
 )

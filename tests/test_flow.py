@@ -9,10 +9,11 @@ from hflow.flow import (
     DECAYED_TO_ZERO,
     REACHED_HORIZON,
     FlowParams,
+    RELATIVE_INCREMENT_CAP,
     SolverError,
     TrajectoryRecord,
-    _sine_transform,
     _State,
+    _Workspace,
     energy_identity_residuals,
     run,
     solve_helmholtz,
@@ -57,23 +58,28 @@ def _dense_sine_matrix(n):
 def test_sine_transform_matches_dense_sine_matrix(nx, ny):
     rng = np.random.default_rng(1000 * nx + ny)
     x = rng.standard_normal((3, nx, ny))
-    fast = _sine_transform(x)
+    x_before = x.copy()
+    ws = _Workspace(GridSpec(nx=nx, ny=ny, h=1.0 / (max(nx, ny) + 1)))
+    fast, back = np.empty(x.shape), np.empty(x.shape)
+    ws.sine_transform(x, fast)
     dense = _dense_sine_matrix(nx) @ x @ _dense_sine_matrix(ny)
-    assert fast.shape == x.shape and fast.flags["C_CONTIGUOUS"]
+    assert np.array_equal(x, x_before)
     assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
     # the orthonormal DST-I is its own inverse
-    assert np.max(np.abs(_sine_transform(fast) - x)) <= 1e-13 * np.max(np.abs(x))
+    ws.sine_transform(fast, back)
+    assert np.max(np.abs(back - x)) <= 1e-13 * np.max(np.abs(x))
 
 
 @pytest.mark.parametrize("n", [15, 31, 63])
 def test_state_matches_reference_functionals(n):
     rng = np.random.default_rng(n)
     g = make_grid(n)
+    ws = _Workspace(g)  # shared: what one state leaves in the buffers must not leak into the next
     for _ in range(3):
         H = float(rng.uniform(0.1, 10.0))
         seed, kmax = int(rng.integers(1 << 20)), int(rng.integers(1, 12))
         u = random_bandlimited(g, seed, kmax, h1_norm=float(rng.uniform(0.1, 10.0)))
-        s = _State(u, H)
+        s = _State(u, H, ws)
         rep = report(u, H)
         vol = volume_integral(u)
         # a sum with cancellation is compared on the scale of its terms
@@ -123,6 +129,58 @@ def test_solve_helmholtz_random_residual(n):
         resid = (w.values - dt * laplacian(w).values) - rhs.values
         for k in range(3):
             assert np.linalg.norm(resid[k]) <= 1e-12 * np.linalg.norm(rhs.values[k])
+
+
+@pytest.mark.parametrize(
+    "g", [GridSpec(15, 9, 1.0 / 16), GridSpec(9, 31, 1.0 / 32), GridSpec(12, 12, 0.05)], ids=str
+)
+def test_solve_helmholtz_residual_off_unit_square(g):
+    # the sine modes of an axis with m nodes have angles k pi / (m + 1) whatever the spacing h
+    rng = np.random.default_rng(g.nx * g.ny)
+    for dt in (1e-4, 1e-2):
+        rhs = VectorField(g, rng.standard_normal((3, g.nx, g.ny)))
+        w = solve_helmholtz(rhs, dt, cg_tol=1e-12)
+        resid = (w.values - dt * laplacian(w).values) - rhs.values
+        for k in range(3):
+            assert np.linalg.norm(resid[k]) <= 1e-12 * np.linalg.norm(rhs.values[k])
+
+
+def _run_with_public_solve(u0, p):
+    """Final state and accepted dts of `run` rebuilt from fresh solve_helmholtz calls, and the halvings."""
+    g = u0.grid
+    h2 = g.h ** 2
+    u, t, dt, halvings, dts = u0.values, 0.0, p.dt0, 0, []
+    while p.t_end - t > 1e-12 * max(p.t_end, 1.0):
+        dt_step = min(dt, p.t_end - t)
+        base = math.sqrt(h2 * float(np.sum(u * u)))
+        wedge_u = wedge(*gradient(VectorField(g, u))).values
+        while True:
+            rhs = VectorField(g, u - 2.0 * dt_step * p.H * wedge_u)
+            w = solve_helmholtz(rhs, dt_step, p.cg_tol).values
+            diff = math.sqrt(h2 * float(np.sum((w - u) ** 2)))
+            if diff / base <= RELATIVE_INCREMENT_CAP:
+                break
+            dt *= 0.5
+            halvings += 1
+            dt_step = min(dt, p.t_end - t)
+        u, t = w, t + dt_step
+        dts.append(dt_step)
+    return u, dts, halvings
+
+
+@pytest.mark.parametrize("g", [make_grid(15), GridSpec(15, 9, 1.0 / 16)], ids=str)
+@pytest.mark.parametrize("dt0, t_end, min_halvings", [(1e-3, 1e-3, 0), (0.05, 0.06, 3)])
+def test_run_matches_public_solve_bitwise(g, dt0, t_end, min_halvings):
+    # the run's workspace caches 1 + dt mu; a stale copy after a halving or the
+    # shortened last step would change the final state
+    u0 = VectorField(g, 0.5 * random_bandlimited(g, 5, kmax=4).values)
+    p = FlowParams(H=1.0, dt0=dt0, t_end=t_end, record_every=1)
+    tr = run(u0, p)
+    ref, dts, halvings = _run_with_public_solve(u0, p)
+    assert tr.status == REACHED_HORIZON
+    assert halvings >= min_halvings
+    assert list(tr.dt[1:]) == dts
+    assert np.array_equal(tr.final_state.values, ref)
 
 
 def test_solve_helmholtz_rejects_non_finite_rhs(g15):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hflow.fields import cutoff_weight, eigenmode, random_bandlimited
@@ -21,6 +22,7 @@ from hflow.grid import (
     lattice_gradient,
     lattice_integrate,
     lattice_wedge,
+    make_grid,
     sample,
     sample_on_lattice,
 )
@@ -76,6 +78,24 @@ def test_report_consistency_identities(g31):
         assert rep.dirichlet == pytest.approx(h1_seminorm_sq(u), rel=1e-13)
         assert rep.energy == pytest.approx(energy_E(u, 1.3), rel=1e-12)
         assert rep.d_delta[0.5] == pytest.approx(nehari_D_delta(u, 1.3, 0.5), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [15, 31, 63])
+def test_energy_nehari_split_random_fields(n):
+    # E = dirichlet/6 + D/3 on seeded band-limited and white-noise fields at random H
+    rng = np.random.default_rng(100 + n)
+    g = make_grid(n)
+    for k in range(6):
+        H = float(rng.uniform(0.05, 20.0))
+        if k % 2:
+            u = VectorField(g, rng.uniform(0.1, 10.0) * rng.standard_normal((3, n, n)))
+        else:
+            u = random_bandlimited(g, int(rng.integers(1 << 20)), int(rng.integers(1, 12)))
+        rep = report(u, H)
+        scale = rep.dirichlet + 2.0 * H * abs(volume_integral(u))  # a sum with cancellation
+        assert rep.energy == pytest.approx(rep.dirichlet / 6.0 + rep.nehari / 3.0, abs=1e-12 * scale)
+        split = h1_seminorm_sq(u) / 6.0 + nehari_D(u, H) / 3.0
+        assert energy_E(u, H) == pytest.approx(split, abs=1e-12 * scale)
 
 
 def test_homogeneities_exact(g31):

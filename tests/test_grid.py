@@ -121,6 +121,18 @@ def test_laplacian_eigenmode_identity(g63):
     assert np.allclose(lap.values, -mu * u.values, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("g", [GridSpec(15, 9, 1.0 / 16), GridSpec(7, 7, 0.05)], ids=str)
+def test_laplacian_sine_mode_identity_off_unit_square(g):
+    # on any grid the sine modes are sin(k pi i / (nx + 1)) sin(l pi j / (ny + 1))
+    i = np.arange(1, g.nx + 1)[:, None]
+    j = np.arange(1, g.ny + 1)[None, :]
+    for kx, ky in ((1, 1), (3, 2)):
+        mode = np.sin(kx * np.pi * i / (g.nx + 1)) * np.sin(ky * np.pi * j / (g.ny + 1))
+        u = VectorField(g, np.stack([mode, 0.0 * mode, -mode]))
+        mu = discrete_laplacian_eigenvalue(g, kx, ky)
+        assert np.allclose(laplacian(u).values, -mu * u.values, rtol=1e-12, atol=1e-12 * mu)
+
+
 def test_laplacian_continuum_limit_second_order():
     # discrete eigenvalue of the first mode approaches 2 pi^2 at O(h^2)
     e1 = abs(discrete_laplacian_eigenvalue(make_grid(31)) - 2.0 * np.pi**2)

@@ -5,7 +5,7 @@ import pytest
 
 from hflow.fields import random_bandlimited
 from hflow.functionals import a_of_delta, energy_E, nehari_D, nehari_D_delta, r_of_delta
-from hflow.grid import VectorField, h1_seminorm_sq
+from hflow.grid import VectorField, h1_seminorm_sq, make_grid
 from hflow.nehari import (
     EstimationError,
     FiberingCoefficients,
@@ -56,6 +56,26 @@ def test_fibering_reproduces_functionals(g31):
             assert c.nehari_delta_at(lam, delta) == pytest.approx(
                 nehari_D_delta(u.scaled(lam), 1.0, delta), rel=1e-12, abs=1e-13
             )
+
+
+@pytest.mark.parametrize("n", [15, 31, 63])
+def test_fibering_reduction_random_fields(n):
+    # E(lam u) = lam^2 A / 2 + (2/3) lam^3 B with (A, B) = fibering_coeffs(u, H), seeded fields and H
+    rng = np.random.default_rng(200 + n)
+    g = make_grid(n)
+    for k in range(6):
+        H = float(rng.uniform(0.05, 20.0))
+        if k % 2:
+            u = VectorField(g, rng.uniform(0.1, 10.0) * rng.standard_normal((3, n, n)))
+        else:
+            u = random_bandlimited(g, int(rng.integers(1 << 20)), int(rng.integers(1, 12)))
+        c = fibering_coeffs(u, H)
+        for lam in rng.uniform(-3.0, 3.0, size=3):
+            expected = 0.5 * lam**2 * c.A + (2.0 / 3.0) * lam**3 * c.B
+            scale = 0.5 * lam**2 * c.A + (2.0 / 3.0) * abs(lam**3 * c.B)
+            assert energy_E(u.scaled(lam), H) == pytest.approx(expected, abs=1e-12 * scale)
+            d_expected = lam**2 * c.A + 2.0 * lam**3 * c.B
+            assert nehari_D(u.scaled(lam), H) == pytest.approx(d_expected, abs=3e-12 * scale)
 
 
 def test_lambda_star_closed_forms():
