@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, fields, flow, functionals, nehari
-from .grid import GridSpec, VectorField, h1_seminorm_sq, l2_norm_sq, make_grid
+from .grid import GridSpec, VectorField, l2_norm_sq, make_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -433,11 +433,21 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
     if not corpus:
         warning = "empty corpus: field checks pass vacuously"
 
+    def direction(u, c):
+        """The sign of u whose B is not positive (scaled when used, so no copy is kept)."""
+        return u if c.B < 0.0 else u.scaled(-1.0)
+
+    # (c, cw) of each corpus member: its coefficients and those of its direction when A > 0
+    coeffs = [nehari.fibering_coeffs(u, H) for u in corpus + probe]
+    fibers = [
+        (c, nehari.fibering_coeffs(direction(u, c), H) if c.A > 0.0 else None) for u, c in zip(corpus, coeffs)
+    ]
+
     # isoperimetric inequality with discretization slack
     worst = math.inf
     violations = []
-    for i, u in enumerate(corpus + probe):
-        a = h1_seminorm_sq(u)
+    for i, (u, c) in enumerate(zip(corpus + probe, coeffs)):
+        a = c.A
         gap = functionals.isoperimetric_gap(u)
         rel = gap / a if a > 0 else 0.0
         worst = min(worst, rel)
@@ -453,14 +463,10 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
     # vanishing D_delta pins the norm near the radius r(delta)
     small_ok, neg_ok, zero_ok = True, True, True
     worst_zero = math.inf
-    for u in corpus:
-        c = nehari.fibering_coeffs(u, H)
-        if c.A <= 0.0:
+    for u, (c, cw) in zip(corpus, fibers):
+        if cw is None or cw.B >= 0.0:
             continue
-        w = u if c.B < 0.0 else u.scaled(-1.0)
-        cw = nehari.fibering_coeffs(w, H)
-        if cw.B >= 0.0:
-            continue
+        w = direction(u, c)
         for delta in (0.5, 1.0, 1.25):
             r = functionals.r_of_delta(delta, H)
             s = 0.9 * r / math.sqrt(cw.A)
@@ -515,14 +521,10 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
     fiber_ok = True
     fiber_worst = 0.0
     tested = 0
-    for u in corpus[: min(len(corpus), 20)]:
-        c = nehari.fibering_coeffs(u, H)
-        if c.A <= 0.0:
+    for u, (c, cw) in zip(corpus[:20], fibers):
+        if cw is None or cw.B >= 0.0:
             continue
-        w = u if c.B < 0.0 else u.scaled(-1.0)
-        cw = nehari.fibering_coeffs(w, H)
-        if cw.B >= 0.0:
-            continue
+        w = direction(u, c)
         tested += 1
         lam = nehari.lambda_star(cw)
         lam_gs = nehari.golden_section_peak(w, H, 0.0, 4.0 * lam, tol=1e-9 * lam)
@@ -545,8 +547,7 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
 
     # projected members with fiber energy below d stay inside the 6d ball
     cap_ok = True
-    for u in corpus:
-        c = nehari.fibering_coeffs(u, H)
+    for c in coeffs[: len(corpus)]:
         if c.A <= 0.0 or c.B >= 0.0:
             continue
         peak = nehari.fiber_peak_energy(c)

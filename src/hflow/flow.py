@@ -28,6 +28,7 @@ singularity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import functionals
 from .fields import discrete_laplacian_eigenvalue
-from .grid import GridSpec, VectorField, laplacian_stencil
+from .grid import GridSpec, VectorField, derivs, laplacian_stencil
 
 REACHED_HORIZON = "reached-horizon"
 BLOWUP_SUSPECTED = "blowup-suspected"
@@ -101,23 +102,30 @@ class TrajectoryRecord:
         return len(self.t)
 
 
-class _Workspace:
-    """Scratch buffers of one flow run on grid g, reused by every step.
+@functools.lru_cache(maxsize=8)
+def _sine_eigenvalues(g: GridSpec) -> np.ndarray:
+    """Read-only eigenvalues mu_kl of -Lap_h on the sine modes of g."""
+    kx, ky = np.arange(1, g.nx + 1)[:, None], np.arange(1, g.ny + 1)[None, :]
+    mu = discrete_laplacian_eigenvalue(g, kx, ky)
+    mu.flags.writeable = False
+    return mu
 
-    `run` builds one and drops it when it returns; `solve_helmholtz` called
-    without one builds a one-off.  No result is kept in them past a step:
-    the solution of each solve and the wedge of each state, which the run
-    holds on to, are allocated fresh.
+
+class _SolveBuffers:
+    """Scratch buffers of the direct solve on grid g.
+
+    `solve_helmholtz` called without a workspace builds a one-off set; `run`
+    keeps a `_Workspace`, which adds the state-pass buffers.  No result is
+    kept in them past a step: the solution of each solve is allocated fresh.
     """
 
-    __slots__ = ("grid", "mu", "dt", "den", "passes", "mid", "spec", "pad", "tmp", "dxf", "dyf", "rhs")
+    __slots__ = ("grid", "mu", "dt", "den", "passes", "mid", "spec")
 
     def __init__(self, g: GridSpec):
         nx, ny = g.nx, g.ny
         self.grid = g
-        # eigenvalues mu_kl of -Lap_h on the sine modes, and the solve's 1 + dt mu for self.dt
-        kx, ky = np.arange(1, nx + 1)[:, None], np.arange(1, ny + 1)[None, :]
-        self.mu = discrete_laplacian_eigenvalue(g, kx, ky)
+        self.mu = _sine_eigenvalues(g)
+        # the solve's 1 + dt mu, for self.dt
         self.dt = None
         self.den = np.empty((nx, ny))
         # (odd extension, its real FFT) of a transform pass over k rows of length m: one pair per length
@@ -129,11 +137,6 @@ class _Workspace:
         # between-pass array and spectrum; after a solve they hold its residual, in a state pass u_x, u_y
         self.mid = np.empty((3, nx, ny))
         self.spec = np.empty((3, nx, ny))
-        self.pad = np.zeros((3, nx + 2, ny + 2))  # only the interior is ever written: the ring stays zero
-        self.tmp = np.empty((nx, ny))
-        self.dxf = np.empty((3, nx + 1, ny))
-        self.dyf = np.empty((3, nx, ny + 1))
-        self.rhs = np.empty((3, nx, ny))
 
     def sine_transform(self, a: np.ndarray, out: np.ndarray) -> None:
         """Orthonormal DST-I of a over the last two axes into the C-contiguous out (overwrites self.mid).
@@ -178,8 +181,26 @@ class _Workspace:
         return w
 
 
+class _Workspace(_SolveBuffers):
+    """Scratch buffers of one flow run on grid g, reused by every step.
+
+    `run` builds one and drops it when it returns.  The wedge of each state,
+    which the run holds on to, is allocated fresh.
+    """
+
+    __slots__ = ("pad", "dxf", "dyf", "rhs")
+
+    def __init__(self, g: GridSpec):
+        super().__init__(g)
+        nx, ny = g.nx, g.ny
+        self.pad = np.zeros((3, nx + 2, ny + 2))  # only the interior is ever written: the ring stays zero
+        self.dxf = np.empty((3, nx + 1, ny))
+        self.dyf = np.empty((3, nx, ny + 1))
+        self.rhs = np.empty((3, nx, ny))
+
+
 def solve_helmholtz(
-    rhs: VectorField, dt: float, cg_tol: float, *, _workspace: _Workspace | None = None
+    rhs: VectorField, dt: float, cg_tol: float, *, _workspace: _SolveBuffers | None = None
 ) -> VectorField:
     """Direct solve of (I - dt Lap_h) w = rhs per component.
 
@@ -193,7 +214,7 @@ def solve_helmholtz(
     """
     if dt <= 0.0:
         raise ValueError(f"need dt > 0, got {dt}")
-    ws = _Workspace(rhs.grid) if _workspace is None else _workspace
+    ws = _SolveBuffers(rhs.grid) if _workspace is None else _workspace
     return VectorField(rhs.grid, ws.solve(rhs.values, dt, cg_tol))
 
 
@@ -205,17 +226,9 @@ class _State:
     def __init__(self, u: VectorField, H: float, ws: _Workspace):
         h = u.grid.h
         v = u.values
+        ux, uy, w = derivs(v, h, out=(ws.mid, ws.spec, np.empty(v.shape)))
         p = ws.pad
         p[:, 1:-1, 1:-1] = v
-        ux = np.subtract(p[:, 2:, 1:-1], p[:, :-2, 1:-1], out=ws.mid)
-        ux /= 2.0 * h
-        uy = np.subtract(p[:, 1:-1, 2:], p[:, 1:-1, :-2], out=ws.spec)
-        uy /= 2.0 * h
-        w = np.empty(v.shape)
-        tmp = ws.tmp
-        for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
-            np.multiply(ux[i], uy[j], out=w[k])
-            w[k] -= np.multiply(ux[j], uy[i], out=tmp)
         dxf = np.subtract(p[:, 1:, 1:-1], p[:, :-1, 1:-1], out=ws.dxf)
         dxf /= h
         dyf = np.subtract(p[:, 1:-1, 1:], p[:, 1:-1, :-1], out=ws.dyf)

@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .grid import VectorField, dot, gradient, h1_seminorm_sq, integrate, l2_norm_sq, wedge
+import numpy as np
+
+from .grid import VectorField, _dirichlet_sum, derivs, l2_norm_sq
 
 # constant of the isoperimetric inequality for H_0^1(Omega; R^3)
 ISOPERIMETRIC_CONST = (32.0 * math.pi) ** (1.0 / 3.0)
@@ -43,10 +45,26 @@ def _check_delta(delta: float, closed_right: bool = False):
         raise ValueError(f"delta = {delta} outside {rng}")
 
 
+def _dirichlet_and_volume(u: VectorField, dirichlet=_dirichlet_sum) -> tuple[float, float]:
+    """(dirichlet, integral u . u_x ^ u_y) from one derivative pass.
+
+    `dirichlet` reduces (u_x, u_y, h) to the Dirichlet integral; `report`
+    passes its node-wise sum, which rounds differently from the default.
+    """
+    h = u.grid.h
+    ux, uy, w = derivs(u.values, h)
+    return dirichlet(ux, uy, h), h ** 2 * float(np.sum(np.sum(u.values * w, axis=0)))
+
+
+def _dirichlet_by_node(ux: np.ndarray, uy: np.ndarray, h: float) -> float:
+    """h^2 sum |u_x|^2 + h^2 sum |u_y|^2 of fresh arrays, each summed over the components first."""
+    ux2, uy2 = np.square(ux, out=ux), np.square(uy, out=uy)
+    return h ** 2 * float(np.sum(np.sum(ux2, axis=0))) + h ** 2 * float(np.sum(np.sum(uy2, axis=0)))
+
+
 def volume_integral(u: VectorField) -> float:
     """integral u . u_x ^ u_y (no H factor)."""
-    ux, uy = gradient(u)
-    return integrate(dot(u, wedge(ux, uy)))
+    return _dirichlet_and_volume(u)[1]
 
 
 def volume_VH(u: VectorField, H: float) -> float:
@@ -54,16 +72,19 @@ def volume_VH(u: VectorField, H: float) -> float:
 
 
 def energy_E(u: VectorField, H: float) -> float:
-    return 0.5 * h1_seminorm_sq(u) + volume_VH(u, H)
+    a, v = _dirichlet_and_volume(u)
+    return 0.5 * a + (2.0 / 3.0) * H * v
 
 
 def nehari_D(u: VectorField, H: float) -> float:
-    return h1_seminorm_sq(u) + 2.0 * H * volume_integral(u)
+    a, v = _dirichlet_and_volume(u)
+    return a + 2.0 * H * v
 
 
 def nehari_D_delta(u: VectorField, H: float, delta: float) -> float:
     _check_delta(delta)
-    return delta * h1_seminorm_sq(u) + 2.0 * H * volume_integral(u)
+    a, v = _dirichlet_and_volume(u)
+    return delta * a + 2.0 * H * v
 
 
 def r_of_delta(delta: float, H: float) -> float:
@@ -85,8 +106,7 @@ def isoperimetric_gap(u: VectorField) -> float:
 
     Nonnegative for resolved fields, up to discretization slack.
     """
-    a = h1_seminorm_sq(u)
-    v = volume_integral(u)
+    a, v = _dirichlet_and_volume(u)
     return a - ISOPERIMETRIC_CONST * abs(v) ** (2.0 / 3.0)
 
 
@@ -94,9 +114,7 @@ def report(u: VectorField, H: float, deltas=()) -> FunctionalReport:
     """All functionals in one pass over the field."""
     for d in deltas:
         _check_delta(d)
-    ux, uy = gradient(u)
-    dirichlet = integrate(dot(ux, ux)) + integrate(dot(uy, uy))
-    vol_int = integrate(dot(u, wedge(ux, uy)))
+    dirichlet, vol_int = _dirichlet_and_volume(u, _dirichlet_by_node)
     volume = (2.0 / 3.0) * H * vol_int
     return FunctionalReport(
         dirichlet=dirichlet,

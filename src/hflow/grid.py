@@ -8,9 +8,10 @@ clipped (documented behaviour of `sample`).
 
 Two evaluation paths are provided:
 
-* the interior path (`gradient`, `laplacian`, `integrate`, ...) used by the
+* the interior path (`derivs`, `laplacian`, `integrate`, ...) used by the
   functionals and the time integrator, second-order accurate for smooth
-  fields whose relevant integrands vanish on the boundary;
+  fields whose relevant integrands vanish on the boundary; every central
+  difference of this path goes through the one kernel `derivs`;
 * a boundary-inclusive lattice path (`sample_on_lattice`,
   `lattice_gradient`, `lattice_integrate`) that keeps the true boundary
   values and integrates with trapezoid weights.  It is the oracle used to
@@ -138,12 +139,44 @@ def _pad(v: np.ndarray) -> np.ndarray:
     return p
 
 
+def derivs(values: np.ndarray, h: float, out=None):
+    """Central-difference (u_x, u_y, u_x ^ u_y) of a raw (3, nx, ny) array, zero boundary.
+
+    The one derivative kernel of the interior path; no padded copy is made.
+    `out` is an optional triple of C-contiguous (3, nx, ny) arrays to write
+    the three results into; without it they are allocated fresh.
+    """
+    ux, uy, w = (np.empty(values.shape) for _ in range(3)) if out is None else out
+    ny = values.shape[2]
+    flat = values.reshape(-1)
+    # differences along the flattened array; a node next to the boundary picks up a
+    # neighbour from another row, column or component and is rewritten against the
+    # zero ring: v - 0.0 is v itself, and 0.0 - v (not -v) keeps the +0.0 of a zero node
+    np.subtract(flat[2 * ny :], flat[: -2 * ny], out=ux.reshape(-1)[ny:-ny])
+    np.subtract(flat[2:], flat[:-2], out=uy.reshape(-1)[1:-1])
+    for v, d in ((values, ux), (values.swapaxes(1, 2), uy.swapaxes(1, 2))):
+        if v.shape[1] > 1:
+            d[:, 0] = v[:, 1]
+            np.subtract(0.0, v[:, -2], out=d[:, -1])
+        else:
+            d[:, 0] = 0.0
+    ux /= 2.0 * h
+    uy /= 2.0 * h
+    tmp = np.empty(values.shape[1:])
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(ux[i], uy[j], out=w[k])
+        w[k] -= np.multiply(ux[j], uy[i], out=tmp)
+    return ux, uy, w
+
+
+def _dirichlet_sum(ux: np.ndarray, uy: np.ndarray, h: float) -> float:
+    """h^2 (sum u_x^2 + sum u_y^2) of fresh difference arrays, which it squares in place."""
+    return h ** 2 * float(np.sum(np.square(ux, out=ux)) + np.sum(np.square(uy, out=uy)))
+
+
 def gradient(u: VectorField):
     """Central-difference gradient, zero boundary: returns (u_x, u_y)."""
-    h = u.grid.h
-    p = _pad(u.values)
-    ux = (p[:, 2:, 1:-1] - p[:, :-2, 1:-1]) / (2.0 * h)
-    uy = (p[:, 1:-1, 2:] - p[:, 1:-1, :-2]) / (2.0 * h)
+    ux, uy, _ = derivs(u.values, u.grid.h)
     return VectorField(u.grid, ux), VectorField(u.grid, uy)
 
 
@@ -192,8 +225,8 @@ def l2_norm_sq(u: VectorField) -> float:
 
 def h1_seminorm_sq(u: VectorField) -> float:
     """Central-difference Dirichlet integral; this is the norm ||u||^2."""
-    ux, uy = gradient(u)
-    return u.grid.h ** 2 * float(np.sum(ux.values**2) + np.sum(uy.values**2))
+    ux, uy, _ = derivs(u.values, u.grid.h)
+    return _dirichlet_sum(ux, uy, u.grid.h)
 
 
 def h1_forward_sq(u: VectorField) -> float:

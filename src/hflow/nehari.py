@@ -24,7 +24,7 @@ import numpy as np
 
 from . import functionals
 from .fields import cutoff_weight, random_bandlimited
-from .grid import GridSpec, VectorField, h1_seminorm_sq, interior_coords, l2_norm_sq
+from .grid import GridSpec, VectorField, interior_coords, l2_norm_sq
 
 
 class NoMaximizerError(ValueError):
@@ -58,7 +58,8 @@ class WellParameters:
 
 
 def fibering_coeffs(u: VectorField, H: float) -> FiberingCoefficients:
-    return FiberingCoefficients(A=h1_seminorm_sq(u), B=H * functionals.volume_integral(u))
+    a, v = functionals._dirichlet_and_volume(u)
+    return FiberingCoefficients(A=a, B=H * v)
 
 
 def lambda_star(c: FiberingCoefficients) -> float:

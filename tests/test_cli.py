@@ -135,11 +135,22 @@ def _no_constants(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
 
+# the outcome the README presets table promises for each preset: (status, stop reason)
+PRESET_OUTCOMES = {
+    "t21": ("decayed-to-zero", None),
+    "t31": ("decayed-to-zero", None),
+    "t22": ("blowup-suspected", "gradient-threshold"),
+    "t32": ("blowup-suspected", "gradient-threshold"),
+    "t52": ("blowup-suspected", "gradient-threshold"),
+}
+
+
 @pytest.mark.parametrize("path", sorted(Path("presets").glob("t*.json")), ids=lambda p: p.stem)
 def test_preset_artifacts_are_strict_and_finite(tmp_path, path):
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
-    json.loads((out / "verdict.json").read_text(encoding="utf-8"), parse_constant=_no_constants)
+    verdict = json.loads((out / "verdict.json").read_text(encoding="utf-8"), parse_constant=_no_constants)
+    assert (verdict["run"]["status"], verdict["run"]["stop_reason"]) == PRESET_OUTCOMES[path.stem]
     _, rows = read_csv(out / "trajectory.csv")
     assert np.all(np.isfinite(rows))
 

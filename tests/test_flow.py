@@ -14,6 +14,7 @@ from hflow.flow import (
     TrajectoryRecord,
     _State,
     _Workspace,
+    _sine_eigenvalues,
     energy_identity_residuals,
     run,
     solve_helmholtz,
@@ -166,6 +167,14 @@ def _run_with_public_solve(u0, p):
         u, t = w, t + dt_step
         dts.append(dt_step)
     return u, dts, halvings
+
+
+def test_sine_eigenvalues_are_cached_per_grid_and_read_only():
+    mu = _sine_eigenvalues(GridSpec(15, 9, 1.0 / 16))
+    assert mu is _sine_eigenvalues(GridSpec(15, 9, 1.0 / 16))
+    assert mu.shape == (15, 9)
+    with pytest.raises(ValueError):
+        mu[0, 0] = 0.0  # shared by every solve on the grid, so no caller may write it
 
 
 @pytest.mark.parametrize("g", [make_grid(15), GridSpec(15, 9, 1.0 / 16)], ids=str)
