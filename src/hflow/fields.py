@@ -52,10 +52,11 @@ def random_bandlimited(g: GridSpec, seed: int, kmax: int = 6, h1_norm: float | N
     k = np.arange(1, kmax + 1)
     coeffs /= k[:, None] ** 2 + k[None, :] ** 2
     x = g.h * np.arange(1, g.nx + 1)
-    sx = np.sin(math.pi * np.outer(k, x))  # (kmax, nx)
+    sx = np.sin(math.pi * np.outer(x, k))  # (nx, kmax)
     y = g.h * np.arange(1, g.ny + 1)
-    sy = np.sin(math.pi * np.outer(k, y))
-    vals = np.einsum("ckl,ki,lj->cij", coeffs, sx, sy)
+    sy = np.sin(math.pi * np.outer(k, y))  # (kmax, ny)
+    # y-sines, then x-sines: einsum without `optimize` never calls BLAS, whose thread count moves bits
+    vals = np.einsum("ik,ckj->cij", sx, np.einsum("ckl,lj->ckj", coeffs, sy))
     u = VectorField(g, vals)
     if h1_norm is not None:
         cur = math.sqrt(h1_seminorm_sq(u))

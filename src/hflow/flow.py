@@ -13,7 +13,8 @@ The energy monitored along the run is the scheme-compatible one,
     E_fwd(u) = h1_forward_sq(u)/2 + volume_VH(u),
 
 whose quadratic part pairs exactly with the 5-point Laplacian (summation by
-parts).  With this pairing the per-step defect
+parts); it and |u|_2^2 are h^2 sum mu w_hat^2 and h^2 sum w_hat^2 of the
+solve's spectrum w_hat (an isometry).  With this pairing the per-step defect
 
     |dt |u_t|_2^2 + E_fwd(t+dt) - E_fwd(t)|
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import functionals
 from .fields import discrete_laplacian_eigenvalue
-from .grid import GridSpec, VectorField, derivs, laplacian_stencil
+from .grid import GridSpec, VectorField, _dirichlet_sum, derivs, laplacian_stencil
 
 REACHED_HORIZON = "reached-horizon"
 BLOWUP_SUSPECTED = "blowup-suspected"
@@ -111,15 +112,15 @@ def _sine_eigenvalues(g: GridSpec) -> np.ndarray:
     return mu
 
 
-class _SolveBuffers:
-    """Scratch buffers of the direct solve on grid g.
+class _Workspace:
+    """Scratch buffers of the direct solve and the state pass on grid g.
 
-    `solve_helmholtz` called without a workspace builds a one-off set; `run`
-    keeps a `_Workspace`, which adds the state-pass buffers.  No result is
-    kept in them past a step: the solution of each solve is allocated fresh.
+    `run` builds one and reuses it in every step; `solve_helmholtz` called
+    without one builds a one-off set.  No result is kept in them past a step:
+    each solution, and the wedge of each state, is allocated fresh.
     """
 
-    __slots__ = ("grid", "mu", "dt", "den", "passes", "mid", "spec")
+    __slots__ = ("grid", "mu", "dt", "den", "passes", "mid", "spec", "energies", "rhs")
 
     def __init__(self, g: GridSpec):
         nx, ny = g.nx, g.ny
@@ -137,6 +138,8 @@ class _SolveBuffers:
         # between-pass array and spectrum; after a solve they hold its residual, in a state pass u_x, u_y
         self.mid = np.empty((3, nx, ny))
         self.spec = np.empty((3, nx, ny))
+        self.energies = None  # (|w|_2^2, h1_forward_sq(w)) of the last solution w
+        self.rhs = np.empty((3, nx, ny))
 
     def sine_transform(self, a: np.ndarray, out: np.ndarray) -> None:
         """Orthonormal DST-I of a over the last two axes into the C-contiguous out (overwrites self.mid).
@@ -160,6 +163,14 @@ class _SolveBuffers:
         np.fft.rfft(odd, out=spectrum)
         np.divide(spectrum.imag[..., 1 : n + 1], -math.sqrt(2.0 * (n + 1)), out=out)
 
+    def spectral_energies(self, spec: np.ndarray) -> tuple[float, float]:
+        """(|u|_2^2, h1_forward_sq(u)) = h^2 (sum s^2, sum mu s^2) of u with sine spectrum s (squared in place)."""
+        h2 = self.grid.h * self.grid.h
+        sq = np.square(spec, out=spec)
+        l2 = h2 * float(np.sum(sq))
+        sq *= self.mu
+        return l2, h2 * float(np.sum(sq))
+
     def solve(self, b: np.ndarray, dt: float, cg_tol: float) -> np.ndarray:
         """Fresh solution w of (I - dt Lap_h) w = b; see `solve_helmholtz`."""
         if dt != self.dt:
@@ -170,6 +181,7 @@ class _SolveBuffers:
         self.spec /= self.den
         w = np.empty(b.shape)
         self.sine_transform(self.spec, w)
+        self.energies = self.spectral_energies(self.spec)  # before the residual check overwrites spec
         r = laplacian_stencil(w, self.grid.h)
         r *= dt
         r = np.subtract(w, r, out=self.mid)
@@ -181,26 +193,8 @@ class _SolveBuffers:
         return w
 
 
-class _Workspace(_SolveBuffers):
-    """Scratch buffers of one flow run on grid g, reused by every step.
-
-    `run` builds one and drops it when it returns.  The wedge of each state,
-    which the run holds on to, is allocated fresh.
-    """
-
-    __slots__ = ("pad", "dxf", "dyf", "rhs")
-
-    def __init__(self, g: GridSpec):
-        super().__init__(g)
-        nx, ny = g.nx, g.ny
-        self.pad = np.zeros((3, nx + 2, ny + 2))  # only the interior is ever written: the ring stays zero
-        self.dxf = np.empty((3, nx + 1, ny))
-        self.dyf = np.empty((3, nx, ny + 1))
-        self.rhs = np.empty((3, nx, ny))
-
-
 def solve_helmholtz(
-    rhs: VectorField, dt: float, cg_tol: float, *, _workspace: _SolveBuffers | None = None
+    rhs: VectorField, dt: float, cg_tol: float, *, _workspace: _Workspace | None = None
 ) -> VectorField:
     """Direct solve of (I - dt Lap_h) w = rhs per component.
 
@@ -214,33 +208,32 @@ def solve_helmholtz(
     """
     if dt <= 0.0:
         raise ValueError(f"need dt > 0, got {dt}")
-    ws = _SolveBuffers(rhs.grid) if _workspace is None else _workspace
+    ws = _Workspace(rhs.grid) if _workspace is None else _workspace
     return VectorField(rhs.grid, ws.solve(rhs.values, dt, cg_tol))
 
 
 class _State:
-    """Per-accepted-state quantities, computed in one pass over the field in the buffers of ws."""
+    """Per-accepted-state quantities, computed in one pass over the field in the buffers of ws.
+
+    `energies` are the solve's `ws.energies` of u; without them (the initial
+    state) one forward sine transform of u gives them.
+    """
 
     __slots__ = ("u", "wedge", "l2", "h1", "h1_fwd", "vol", "E_fwd", "D")
 
-    def __init__(self, u: VectorField, H: float, ws: _Workspace):
+    def __init__(self, u: VectorField, H: float, ws: _Workspace, energies: tuple[float, float] | None = None):
         h = u.grid.h
         v = u.values
+        if energies is None:
+            ws.sine_transform(v, ws.spec)
+            energies = ws.spectral_energies(ws.spec)
         ux, uy, w = derivs(v, h, out=(ws.mid, ws.spec, np.empty(v.shape)))
-        p = ws.pad
-        p[:, 1:-1, 1:-1] = v
-        dxf = np.subtract(p[:, 1:, 1:-1], p[:, :-1, 1:-1], out=ws.dxf)
-        dxf /= h
-        dyf = np.subtract(p[:, 1:-1, 1:], p[:, 1:-1, :-1], out=ws.dyf)
-        dyf /= h
-        h2 = h * h
         self.u = u
         self.wedge = w
-        # plain products: an out= buffer would reorder these sums for a v that is not C-ordered
-        self.l2 = h2 * float(np.sum(v * v))
-        self.vol = h2 * float(np.sum(v * w))
-        self.h1 = h2 * float(np.sum(np.square(ux, out=ux)) + np.sum(np.square(uy, out=uy)))
-        self.h1_fwd = h2 * float(np.sum(np.square(dxf, out=dxf)) + np.sum(np.square(dyf, out=dyf)))
+        self.l2, self.h1_fwd = energies
+        # a plain product: an out= buffer would reorder this sum for a v that is not C-ordered
+        self.vol = h * h * float(np.sum(v * w))
+        self.h1 = _dirichlet_sum(ux, uy, h)
         self.E_fwd = 0.5 * self.h1_fwd + (2.0 / 3.0) * H * self.vol
         self.D = self.h1 + 2.0 * H * self.vol
 
@@ -330,7 +323,7 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
         if status is not None:
             break
 
-        new_state = _State(w, H, ws)
+        new_state = _State(w, H, ws, ws.energies)
         ut_sq = h2 * inc_sq / (dt_step * dt_step)
         cum_residual += abs(dt_step * ut_sq + new_state.E_fwd - state.E_fwd)
         f += 0.5 * dt_step * (state.l2 + new_state.l2)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import VectorField, _dirichlet_sum, derivs, l2_norm_sq
+from .grid import VectorField, _dirichlet_sum, _scratch_for, derivs, l2_norm_sq
 
 # constant of the isoperimetric inequality for H_0^1(Omega; R^3)
 ISOPERIMETRIC_CONST = (32.0 * math.pi) ** (1.0 / 3.0)
@@ -45,21 +45,12 @@ def _check_delta(delta: float, closed_right: bool = False):
         raise ValueError(f"delta = {delta} outside {rng}")
 
 
-def _dirichlet_and_volume(u: VectorField, dirichlet=_dirichlet_sum) -> tuple[float, float]:
-    """(dirichlet, integral u . u_x ^ u_y) from one derivative pass.
-
-    `dirichlet` reduces (u_x, u_y, h) to the Dirichlet integral; `report`
-    passes its node-wise sum, which rounds differently from the default.
-    """
+def _dirichlet_and_volume(u: VectorField) -> tuple[float, float]:
+    """(dirichlet, integral u . u_x ^ u_y) from one derivative pass in the grid's kept scratch."""
     h = u.grid.h
-    ux, uy, w = derivs(u.values, h)
-    return dirichlet(ux, uy, h), h ** 2 * float(np.sum(np.sum(u.values * w, axis=0)))
-
-
-def _dirichlet_by_node(ux: np.ndarray, uy: np.ndarray, h: float) -> float:
-    """h^2 sum |u_x|^2 + h^2 sum |u_y|^2 of fresh arrays, each summed over the components first."""
-    ux2, uy2 = np.square(ux, out=ux), np.square(uy, out=uy)
-    return h ** 2 * float(np.sum(np.sum(ux2, axis=0))) + h ** 2 * float(np.sum(np.sum(uy2, axis=0)))
+    ux, uy, w = derivs(u.values, h, out=_scratch_for(u.values.shape))
+    dirichlet = _dirichlet_sum(ux, uy, h)
+    return dirichlet, h ** 2 * float(np.sum(np.sum(np.multiply(u.values, w, out=ux), axis=0)))
 
 
 def volume_integral(u: VectorField) -> float:
@@ -114,7 +105,7 @@ def report(u: VectorField, H: float, deltas=()) -> FunctionalReport:
     """All functionals in one pass over the field."""
     for d in deltas:
         _check_delta(d)
-    dirichlet, vol_int = _dirichlet_and_volume(u, _dirichlet_by_node)
+    dirichlet, vol_int = _dirichlet_and_volume(u)
     volume = (2.0 / 3.0) * H * vol_int
     return FunctionalReport(
         dirichlet=dirichlet,

@@ -11,7 +11,8 @@ Two evaluation paths are provided:
 * the interior path (`derivs`, `laplacian`, `integrate`, ...) used by the
   functionals and the time integrator, second-order accurate for smooth
   fields whose relevant integrands vanish on the boundary; every central
-  difference of this path goes through the one kernel `derivs`;
+  difference of this path goes through the one kernel `derivs` (its
+  first half `_differences` where no wedge is needed);
 * a boundary-inclusive lattice path (`sample_on_lattice`,
   `lattice_gradient`, `lattice_integrate`) that keeps the true boundary
   values and integrates with trapezoid weights.  It is the oracle used to
@@ -26,6 +27,7 @@ compatibility pairing used by the energy-identity monitor in `flow`.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,21 +134,19 @@ def _check_same_grid(a, b):
         raise ValueError(f"grid mismatch: {a.grid} vs {b.grid}")
 
 
-def _pad(v: np.ndarray) -> np.ndarray:
-    """Copy of v inside a ring of zeros on the last two axes (the boundary nodes)."""
-    p = np.zeros(v.shape[:-2] + (v.shape[-2] + 2, v.shape[-1] + 2), dtype=v.dtype)
-    p[..., 1:-1, 1:-1] = v
-    return p
+_scratch = threading.local()  # per thread: three buffers for the last shape asked for
 
 
-def derivs(values: np.ndarray, h: float, out=None):
-    """Central-difference (u_x, u_y, u_x ^ u_y) of a raw (3, nx, ny) array, zero boundary.
+def _scratch_for(shape: tuple) -> tuple:
+    """This thread's three kept buffers of the given shape, for passes whose results are floats only."""
+    bufs = getattr(_scratch, "bufs", None)
+    if bufs is None or bufs[0].shape != shape:
+        bufs = _scratch.bufs = tuple(np.empty(shape) for _ in range(3))
+    return bufs
 
-    The one derivative kernel of the interior path; no padded copy is made.
-    `out` is an optional triple of C-contiguous (3, nx, ny) arrays to write
-    the three results into; without it they are allocated fresh.
-    """
-    ux, uy, w = (np.empty(values.shape) for _ in range(3)) if out is None else out
+
+def _differences(values: np.ndarray, h: float, ux: np.ndarray, uy: np.ndarray) -> None:
+    """Central differences u_x, u_y of a raw (3, nx, ny) array, zero boundary, into C-contiguous ux, uy."""
     ny = values.shape[2]
     flat = values.reshape(-1)
     # differences along the flattened array; a node next to the boundary picks up a
@@ -162,6 +162,16 @@ def derivs(values: np.ndarray, h: float, out=None):
             d[:, 0] = 0.0
     ux /= 2.0 * h
     uy /= 2.0 * h
+
+
+def derivs(values: np.ndarray, h: float, out=None):
+    """Central-difference (u_x, u_y, u_x ^ u_y) of a raw (3, nx, ny) array, zero boundary.
+
+    The one derivative kernel of the interior path.  `out` is an optional triple
+    of C-contiguous (3, nx, ny) arrays to write into; without it they are fresh.
+    """
+    ux, uy, w = (np.empty(values.shape) for _ in range(3)) if out is None else out
+    _differences(values, h, ux, uy)
     tmp = np.empty(values.shape[1:])
     for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
         np.multiply(ux[i], uy[j], out=w[k])
@@ -170,22 +180,35 @@ def derivs(values: np.ndarray, h: float, out=None):
 
 
 def _dirichlet_sum(ux: np.ndarray, uy: np.ndarray, h: float) -> float:
-    """h^2 (sum u_x^2 + sum u_y^2) of fresh difference arrays, which it squares in place."""
+    """h^2 (sum u_x^2 + sum u_y^2) of spent difference arrays, which it squares in place."""
     return h ** 2 * float(np.sum(np.square(ux, out=ux)) + np.sum(np.square(uy, out=uy)))
 
 
 def gradient(u: VectorField):
     """Central-difference gradient, zero boundary: returns (u_x, u_y)."""
-    ux, uy, _ = derivs(u.values, u.grid.h)
+    ux, uy = np.empty(u.values.shape), np.empty(u.values.shape)
+    _differences(u.values, u.grid.h, ux, uy)
     return VectorField(u.grid, ux), VectorField(u.grid, uy)
 
 
 def laplacian_stencil(values: np.ndarray, h: float) -> np.ndarray:
-    """5-point Laplacian with zero boundary, acting on a raw (3, n, n) array."""
-    p = _pad(values)
-    out = p[:, 2:, 1:-1] + p[:, :-2, 1:-1]
-    out += p[:, 1:-1, 2:]
-    out += p[:, 1:-1, :-2]
+    """5-point Laplacian with zero boundary on a raw (3, nx, ny) array, with the bits of the zero-padded sum."""
+    out = np.empty(values.shape)
+    if values.shape[1] > 1:
+        np.add(values[:, 2:], values[:, :-2], out=out[:, 1:-1])
+        np.add(values[:, 1], 0.0, out=out[:, 0])
+        np.add(0.0, values[:, -2], out=out[:, -1])
+    else:
+        out[:] = 0.0
+    # neighbours in the order x+1, x-1, y+1, y-1, a boundary one adding 0.0; along the flattened
+    # array the last (first) column picks up a node of another row and is put back to sum + 0.0
+    flat, o = np.ascontiguousarray(values).reshape(-1), out.reshape(-1)
+    last = np.add(out[:, :, -1], 0.0)
+    o[:-1] += flat[1:]
+    out[:, :, -1] = last
+    first = np.add(out[:, :, 0], 0.0)
+    o[1:] += flat[:-1]
+    out[:, :, 0] = first
     out -= 4.0 * values
     out /= h * h
     return out
@@ -198,15 +221,7 @@ def laplacian(u: VectorField) -> VectorField:
 def wedge(a: VectorField, b: VectorField) -> VectorField:
     """Pointwise R^3 cross product."""
     _check_same_grid(a, b)
-    av, bv = a.values, b.values
-    out = np.stack(
-        [
-            av[1] * bv[2] - av[2] * bv[1],
-            av[2] * bv[0] - av[0] * bv[2],
-            av[0] * bv[1] - av[1] * bv[0],
-        ]
-    )
-    return VectorField(a.grid, out)
+    return VectorField(a.grid, lattice_wedge(a.values, b.values))
 
 
 def dot(u: VectorField, v: VectorField) -> ScalarField:
@@ -225,7 +240,8 @@ def l2_norm_sq(u: VectorField) -> float:
 
 def h1_seminorm_sq(u: VectorField) -> float:
     """Central-difference Dirichlet integral; this is the norm ||u||^2."""
-    ux, uy, _ = derivs(u.values, u.grid.h)
+    ux, uy, _ = _scratch_for(u.values.shape)
+    _differences(u.values, u.grid.h, ux, uy)
     return _dirichlet_sum(ux, uy, u.grid.h)
 
 
@@ -235,10 +251,9 @@ def h1_forward_sq(u: VectorField) -> float:
     Pairs exactly with the 5-point Laplacian:
     integrate(dot(laplacian(u), u)) == -h1_forward_sq(u).
     """
-    h = u.grid.h
-    p = _pad(u.values)
-    dx = (p[:, 1:, 1:-1] - p[:, :-1, 1:-1]) / h
-    dy = (p[:, 1:-1, 1:] - p[:, 1:-1, :-1]) / h
+    h, v = u.grid.h, np.ascontiguousarray(u.values)  # C-ordered differences sum in a fixed order
+    dx = np.diff(v, axis=1, prepend=0.0, append=0.0) / h
+    dy = np.diff(v, axis=2, prepend=0.0, append=0.0) / h
     return h * h * float(np.sum(dx * dx) + np.sum(dy * dy))
 
 

@@ -229,10 +229,9 @@ def golden_section_peak(u: VectorField, H: float, lo: float, hi: float, tol: flo
 
 
 def default_lambda_sampler(g: GridSpec, H: float, seed: int, count: int = 200, kmax: int = 6):
-    """Band-limited random directions plus the bubble family."""
-    fields = [random_bandlimited(g, seed + i, kmax=kmax) for i in range(count)]
-    fields.extend(u for _, u in bubble_family(g, H))
-    return fields
+    """Band-limited random directions, then the default bubble family: a generator, one at a time."""
+    yield from (random_bandlimited(g, seed + i, kmax=kmax) for i in range(count))
+    yield from (bubble_direction(g, H, eps=float(e)) for e in default_eps_grid(g))
 
 
 def sample_lambda_Lambda(alpha: float, d: float, H: float, sampler):
@@ -242,6 +241,7 @@ def sample_lambda_Lambda(alpha: float, d: float, H: float, sampler):
     lambda*; projections with ||.||^2 < 6 alpha are kept and the min/max of
     their L^2 norms returned.  These are an upper estimate of the infimum
     and a lower estimate of the supremum (sampling, not optimization).
+    `sampler` is any iterable of directions, read once.
     """
     if alpha <= d:
         raise ValueError(f"need alpha > d, got alpha={alpha}, d={d}")

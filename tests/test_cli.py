@@ -397,7 +397,9 @@ def test_sweep_solve_residual_miss_records_error(tmp_path):
 
 
 def test_simulate_bytes_independent_of_blas_threads(tmp_path):
-    # the solve must not route through BLAS, whose threaded kernels change bits at n >= 127
+    # neither the solve nor the band-limited synthesis of the lemma corpus may route
+    # through BLAS, whose threaded kernels change bits at n >= 127
+    lemmas = write_config(tmp_path / "l.json", grid={"n": 127}, corpus={"count": 8, "kmax": 6}, seed=17)
     cfg = write_config(
         tmp_path / "c.json",
         grid={"n": 127},
@@ -419,12 +421,14 @@ def test_simulate_bytes_independent_of_blas_threads(tmp_path):
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
         out = tmp_path / f"threads-{threads}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "hflow.cli", "simulate", "--config", str(cfg), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == EXIT_OK, proc.stderr
-        outputs.append([(out / name).read_bytes() for name in ("trajectory.csv", "verdict.json")])
+        for command, config in (("simulate", cfg), ("verify-lemmas", lemmas)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hflow.cli", command, "--config", str(config), "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+        names = ("trajectory.csv", "verdict.json", "lemma_report.json")
+        outputs.append([(out / name).read_bytes() for name in names])
     assert outputs[0] == outputs[1]
 
 

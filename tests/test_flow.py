@@ -95,6 +95,29 @@ def test_state_matches_reference_functionals(n):
         assert s.E_fwd == pytest.approx(0.5 * h1_forward_sq(u) + volume_VH(u, H), abs=1e-12 * scale)
 
 
+@pytest.mark.parametrize(
+    "g", [make_grid(15), make_grid(31), make_grid(63), make_grid(127), GridSpec(15, 9, 1.0 / 16)], ids=str
+)
+def test_state_spectral_energies_match_field_sums(g):
+    # |u|_2^2 and the forward form are read off the sine spectrum: of the solve that made the
+    # state, or of one forward transform for a state without one
+    rng = np.random.default_rng(g.nx * g.ny)
+    ws = _Workspace(g)
+    h2 = g.h * g.h
+    for k in range(4):
+        H = float(rng.uniform(0.1, 10.0))
+        dt = 10.0 ** rng.uniform(-6.0, -1.0)
+        if k % 2:
+            rhs = VectorField(g, rng.standard_normal((3, g.nx, g.ny)))
+        else:
+            rhs = random_bandlimited(g, int(rng.integers(1 << 20)), int(rng.integers(1, 12)))
+        w = solve_helmholtz(rhs, dt, 1e-10, _workspace=ws)
+        for s in (_State(w, H, ws, ws.energies), _State(w, H, ws), _State(rhs, H, ws)):
+            v = s.u.values
+            assert s.l2 == pytest.approx(h2 * float(np.sum(v * v)), rel=1e-13, abs=0.0)
+            assert s.h1_fwd == pytest.approx(h1_forward_sq(s.u), rel=1e-13, abs=0.0)
+
+
 def test_solve_helmholtz_zero_rhs(g31):
     w = solve_helmholtz(VectorField.zeros(g31), dt=0.1, cg_tol=1e-10)
     assert not w.values.any()

@@ -281,3 +281,19 @@ def test_norm_convergence_for_vanishing_smooth_field():
 
     e1, e2 = h1_err(63), h1_err(127)
     assert 3.2 <= e1 / e2 <= 4.8
+
+
+@pytest.mark.parametrize(
+    "g", [make_grid(15), make_grid(63), make_grid(127), make_grid(255), GridSpec(15, 9, 1.0 / 16)], ids=str
+)
+def test_random_bandlimited_matches_three_operand_synthesis(g):
+    for seed, kmax in ((1, 1), (7, 6), (123, 11)):
+        rng = np.random.default_rng(seed)
+        coeffs = rng.standard_normal((3, kmax, kmax))
+        k = np.arange(1, kmax + 1)
+        coeffs /= k[:, None] ** 2 + k[None, :] ** 2
+        sx = np.sin(np.pi * np.outer(k, g.h * np.arange(1, g.nx + 1)))
+        sy = np.sin(np.pi * np.outer(k, g.h * np.arange(1, g.ny + 1)))
+        ref = np.einsum("ckl,ki,lj->cij", coeffs, sx, sy)
+        got = random_bandlimited(g, seed, kmax).values
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

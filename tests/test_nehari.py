@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hflow.nehari import (
     FiberingCoefficients,
     NoMaximizerError,
     bubble_direction,
+    bubble_family,
     d_of_delta,
     default_eps_grid,
+    default_lambda_sampler,
     delta_roots,
     estimate_d,
     fiber_peak_energy,
@@ -254,6 +257,31 @@ def test_sample_lambda_Lambda_bubble_sampler(g63):
     # enlarging alpha with the same sampler widens the bracket
     lo2, hi2 = sample_lambda_Lambda(2.20 * wp.d, wp.d, H, sampler)
     assert lo2 <= lo and hi2 >= hi
+
+
+def test_default_lambda_sampler_streams_the_list_it_replaced(g31, g63):
+    H, seed, count = 1.0, 5, 40
+    sampler = default_lambda_sampler(g31, H, seed, count=count)
+    assert iter(sampler) is sampler
+    listed = [random_bandlimited(g31, seed + i, kmax=6) for i in range(count)]
+    listed += [u for _, u in bubble_family(g31, H)]
+    got = list(sampler)
+    assert len(got) == len(listed)
+    assert all(a.values.tobytes() == b.values.tobytes() for a, b in zip(got, listed))
+    wp = estimate_d(H, g31)
+    for alpha in (1.1 * wp.d, 100.0 * wp.d):
+        streamed = sample_lambda_Lambda(alpha, wp.d, H, default_lambda_sampler(g31, H, seed, count=count))
+        assert streamed == sample_lambda_Lambda(alpha, wp.d, H, listed)
+    # one direction at a time: the peak stays far below the 200 fields of a list
+    wp = estimate_d(H, g63)
+    field_bytes = 3 * 63 * 63 * 8
+    tracemalloc.start()
+    try:
+        sample_lambda_Lambda(100.0 * wp.d, wp.d, H, default_lambda_sampler(g63, H, seed))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * field_bytes
 
 
 def test_sample_lambda_Lambda_errors(g63):
