@@ -40,7 +40,7 @@ class ConfigError(ValueError):
 
 
 class NonFiniteError(RuntimeError):
-    """A functional of the initial datum overflowed to inf or NaN."""
+    """A functional of the initial datum, or a number bound for an artifact, is inf or NaN."""
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +146,12 @@ def _jsonable(obj):
 
 
 def write_json(path: Path, obj) -> None:
+    """Strict JSON: a NaN or an infinity anywhere raises NonFiniteError and writes nothing."""
+    try:
+        text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(f"{path.name} would hold a non-finite number: {exc}") from exc
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2)
     path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
@@ -437,8 +441,10 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
         """The sign of u whose B is not positive (scaled when used, so no copy is kept)."""
         return u if c.B < 0.0 else u.scaled(-1.0)
 
-    # (c, cw) of each corpus member: its coefficients and those of its direction when A > 0
-    coeffs = [nehari.fibering_coeffs(u, H) for u in corpus + probe]
+    # one derivative pass per member gives its (dirichlet, volume), hence its coefficients and its
+    # isoperimetric gap; (c, cw) of each corpus member: its coefficients and those of its direction when A > 0
+    pairs = [functionals._dirichlet_and_volume(u) for u in corpus + probe]
+    coeffs = [nehari.FiberingCoefficients(A=a, B=H * v) for a, v in pairs]
     fibers = [
         (c, nehari.fibering_coeffs(direction(u, c), H) if c.A > 0.0 else None) for u, c in zip(corpus, coeffs)
     ]
@@ -446,9 +452,8 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
     # isoperimetric inequality with discretization slack
     worst = math.inf
     violations = []
-    for i, (u, c) in enumerate(zip(corpus + probe, coeffs)):
-        a = c.A
-        gap = functionals.isoperimetric_gap(u)
+    for i, (a, v) in enumerate(pairs):
+        gap = functionals.isoperimetric_gap_of(a, v)
         rel = gap / a if a > 0 else 0.0
         worst = min(worst, rel)
         if gap < -1e-3 * a:
@@ -490,8 +495,8 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
 
     # well-depth curve shape against the fiber algebra and the radius bound
     wp = _well_parameters(cfg, g, H)
-    best_eps, best = nehari.optimal_bubble(g, H, _eps_grid(cfg, g), tuple(cfg["well"]["center"]))
-    cbest = nehari.fibering_coeffs(best, H)
+    best_eps, cbest = nehari.family_minimizer(wp, _eps_grid(cfg, g))
+    best = nehari.bubble_direction(g, H, tuple(cfg["well"]["center"]), best_eps)
     curve_rows = []
     curve_ok = True
     for delta in DELTA_TABLE:
@@ -516,7 +521,7 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
         "maximum_at_delta_1": peak_at_one,
     }
 
-    # fiber map: closed-form stationary scale vs direct golden-section search,
+    # fiber map: closed-form stationary scale vs direct search (Brent's method),
     # sign change of D across lambda*, peak dominance, negative far energy
     fiber_ok = True
     fiber_worst = 0.0

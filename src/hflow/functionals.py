@@ -97,8 +97,12 @@ def isoperimetric_gap(u: VectorField) -> float:
 
     Nonnegative for resolved fields, up to discretization slack.
     """
-    a, v = _dirichlet_and_volume(u)
-    return a - ISOPERIMETRIC_CONST * abs(v) ** (2.0 / 3.0)
+    return isoperimetric_gap_of(*_dirichlet_and_volume(u))
+
+
+def isoperimetric_gap_of(dirichlet: float, volume: float) -> float:
+    """The isoperimetric gap from a field's (dirichlet, integral u . u_x ^ u_y)."""
+    return dirichlet - ISOPERIMETRIC_CONST * abs(volume) ** (2.0 / 3.0)
 
 
 def report(u: VectorField, H: float, deltas=()) -> FunctionalReport:

@@ -154,11 +154,18 @@ def estimate_d(H: float, g: GridSpec, family=None, eps_grid=None, center=(0.5, 0
     return WellParameters(H=H, d=min(usable), provenance=provenance, family_table=table)
 
 
+def family_minimizer(wp: WellParameters, eps_grid) -> tuple[float, FiberingCoefficients]:
+    """(eps, coefficients) of the first minimal row of a bubble-family table over `eps_grid`."""
+    i = [row["fiber_energy"] for row in wp.family_table].index(wp.d)
+    return float(eps_grid[i]), FiberingCoefficients(A=wp.family_table[i]["A"], B=wp.family_table[i]["B"])
+
+
 def optimal_bubble(g: GridSpec, H: float, eps_grid=None, center=(0.5, 0.5)):
     """(eps, field) minimizing the fiber peak energy over the scale grid."""
-    fam = bubble_family(g, H, eps_grid, center)
-    best = min(fam, key=lambda item: fiber_peak_energy(fibering_coeffs(item[1], H)))
-    return best
+    if eps_grid is None:
+        eps_grid = default_eps_grid(g)
+    eps, _ = family_minimizer(estimate_d(H, g, eps_grid=eps_grid, center=center), eps_grid)
+    return eps, bubble_direction(g, H, center, eps)
 
 
 def d_of_delta(delta: float, d: float) -> float:
@@ -205,27 +212,58 @@ def delta_roots(e: float, d: float, tol: float = 1e-12):
 
 
 def golden_section_peak(u: VectorField, H: float, lo: float, hi: float, tol: float = 1e-9) -> float:
-    """argmax of lambda -> E(lambda u) on [lo, hi] by golden-section search.
+    """argmax of lambda -> E(lambda u) on [lo, hi] by Brent's method.
 
-    Evaluates the energy functional directly on scaled fields; serves as the
+    Golden-section steps plus parabolic interpolation through the three best
+    points so far; a golden step is taken whenever the parabola leaves the
+    bracket or stops shrinking it (R. P. Brent, Algorithms for Minimization
+    without Derivatives, 1973, ch. 5).  Returns the best point once the
+    bracket is no wider than `tol`.  Evaluates the energy functional
+    directly on scaled fields and never reads (A, B); serves as the
     independent cross-check of lambda_star.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    golden = (3.0 - math.sqrt(5.0)) / 2.0
+    step_min = 0.25 * tol  # no two evaluations closer; the bracket closes to 4 step_min around x
+
+    def f(lam):  # minimised
+        return -functionals.energy_E(u.scaled(lam), H)
+
     a, b = lo, hi
-    c1 = b - invphi * (b - a)
-    c2 = a + invphi * (b - a)
-    f1 = functionals.energy_E(u.scaled(c1), H)
-    f2 = functionals.energy_E(u.scaled(c2), H)
+    x = w = v = a + golden * (b - a)  # best, second best, previous second best
+    fx = fw = fv = f(x)
+    d = e = 0.0  # last step and the one before it
     while b - a > tol:
-        if f1 > f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - invphi * (b - a)
-            f1 = functionals.energy_E(u.scaled(c1), H)
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > step_min:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # accept only a step inside the bracket and under half the step before last
+            parabolic = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
+        if parabolic:
+            e, d = d, p / q
+            if x + d - a < 2.0 * step_min or b - (x + d) < 2.0 * step_min:
+                d = step_min if x < mid else -step_min
         else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + invphi * (b - a)
-            f2 = functionals.energy_E(u.scaled(c2), H)
-    return 0.5 * (a + b)
+            e = (b if x < mid else a) - x
+            d = golden * e
+        z = x + (d if abs(d) >= step_min else math.copysign(step_min, d))
+        fz = f(z)
+        if fz <= fx:  # z is the new best; x bounds the bracket on the far side
+            a, b = (a, x) if z < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, z, fz
+        else:
+            a, b = (z, b) if z < x else (a, z)
+            if fz <= fw or w == x:
+                v, fv, w, fw = w, fw, z, fz
+            elif fz <= fv or v == x or v == w:
+                v, fv = z, fz
+    return x
 
 
 def default_lambda_sampler(g: GridSpec, H: float, seed: int, count: int = 200, kmax: int = 6):

@@ -9,18 +9,23 @@ import numpy as np
 import pytest
 
 import hflow
+from hflow import cli
 from hflow.cli import (
     EXIT_CONFIG,
     EXIT_LEMMA,
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
+    NonFiniteError,
     build_initial_condition,
     load_config,
     main,
     trajectory_columns,
+    write_json,
 )
+from hflow.functionals import energy_E, isoperimetric_gap
 from hflow.grid import make_grid
+from hflow.nehari import bubble_family, fiber_peak_energy, fibering_coeffs, project_nehari_delta
 
 
 def write_config(path, **overrides):
@@ -129,6 +134,24 @@ def test_non_finite_initial_datum_exits_numeric(tmp_path, capsys, command):
     assert "non-finite" in err and "l2_sq = inf" in err and "dirichlet = inf" in err
     assert not (out / "verdict.json").exists()
     assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")], ids=repr)
+def test_write_json_rejects_non_finite(tmp_path, bad):
+    path = tmp_path / "a.json"
+    with pytest.raises(NonFiniteError):
+        write_json(path, {"rows": [{"x": 1.0}, {"x": bad}]})
+    assert not path.exists()
+
+
+def test_non_finite_artifact_value_exits_numeric(tmp_path, monkeypatch, capsys):
+    # a number bound for an artifact that is NaN is a numeric failure, never a bare NaN token
+    cfg = write_config(tmp_path / "c.json")
+    monkeypatch.setattr("hflow.functionals.a_of_delta", lambda delta: math.nan)
+    out = tmp_path / "o"
+    assert main(["compute-well-depth", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "well_depth.json").exists()
 
 
 def _no_constants(token):
@@ -313,6 +336,39 @@ def test_verify_lemmas_saturation_probe_fails_on_fine_grid(tmp_path):
     assert art["all_passed"] is False
     assert art["checks"]["isoperimetric"]["passed"] is False
     assert art["checks"]["isoperimetric"]["violations"]
+
+
+def _not_called(*args, **kwargs):
+    raise AssertionError("verify-lemmas makes this pass already")
+
+
+def test_verify_lemmas_reuses_its_passes_with_the_same_bits(tmp_path, monkeypatch):
+    # the isoperimetric gaps come from the members' (dirichlet, volume) pass and the depth
+    # curve's bubble from the family table; both read as the separate passes did
+    H = 1.7
+    path = write_config(
+        tmp_path / "c.json", physics={"H": H}, corpus={"count": 6, "kmax": 5, "saturation_probe": True}, seed=4
+    )
+    out = tmp_path / "o"
+    monkeypatch.setattr("hflow.functionals.isoperimetric_gap", _not_called)
+    monkeypatch.setattr("hflow.nehari.optimal_bubble", _not_called)
+    assert main(["verify-lemmas", "--config", str(path), "--out", str(out)]) in (EXIT_OK, EXIT_LEMMA)
+    monkeypatch.undo()
+    checks = json.loads((out / "lemma_report.json").read_text(encoding="utf-8"))["checks"]
+
+    cfg = load_config(path)
+    g = make_grid(31)
+    corpus, probe = cli._corpus(cfg, g, H)
+    assert probe
+    gaps = [isoperimetric_gap(u) / fibering_coeffs(u, H).A for u in corpus + probe]
+    assert checks["isoperimetric"]["worst_gap_over_dirichlet"] == min(gaps)
+    family = bubble_family(g, H, cli._eps_grid(cfg, g), tuple(cfg["well"]["center"]))
+    eps, best = min(family, key=lambda item: fiber_peak_energy(fibering_coeffs(item[1], H)))
+    assert checks["well_depth_curve"]["best_eps"] == eps
+    cbest = fibering_coeffs(best, H)
+    for row in checks["well_depth_curve"]["rows"]:
+        lam = project_nehari_delta(cbest, row["delta"])
+        assert row["measured"] == energy_E(best.scaled(lam), H)
 
 
 def test_sweep_transition_and_consistency(tmp_path):

@@ -153,6 +153,70 @@ def test_golden_section_matches_lambda_star(g63):
         assert abs(lam_gs - lam) / lam <= 1e-6
 
 
+def _ray_energy(u, energy_of_lambda, calls):
+    """A stand-in for energy_E that reads lambda back off the scaled field u and counts its calls."""
+    k = np.unravel_index(np.argmax(np.abs(u.values)), u.values.shape)
+
+    def energy(v, H):
+        calls.append(v)
+        return energy_of_lambda(v.values[k] / u.values[k])
+
+    return energy
+
+
+def _golden_section_count(lo, hi, tol):
+    """Energy evaluations of a plain golden-section search: two, then one per shrink by 1/phi."""
+    return 2 + math.ceil(math.log(tol / (hi - lo)) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
+
+
+def _no_coefficients(*args, **kwargs):
+    raise AssertionError("the search must not read the fibering coefficients")
+
+
+def test_search_reads_only_the_energy(g31, monkeypatch):
+    u = _negative_direction(g31, 7)
+    lam = lambda_star(fibering_coeffs(u, 1.0))
+    peak = 2.3 * lam  # a cubic ray energy peaked away from lambda*
+    calls = []
+    monkeypatch.setattr("hflow.functionals.energy_E", _ray_energy(u, lambda s: s * s * (3.0 * peak - 2.0 * s), calls))
+    monkeypatch.setattr("hflow.nehari.fibering_coeffs", _no_coefficients)
+    monkeypatch.setattr("hflow.nehari.lambda_star", _no_coefficients)
+    tol = 1e-6 * peak
+    assert abs(golden_section_peak(u, 1.0, 0.0, 4.0 * lam, tol=tol) - peak) <= tol
+    assert calls
+
+
+@pytest.mark.parametrize("where", [0.05, 0.3819660112501051, 0.5, 0.7318, 0.999])
+def test_search_converges_on_a_tent(g31, monkeypatch, where):
+    # E = -|lambda - lambda0| has no parabola to follow: golden steps must carry the search
+    u = random_bandlimited(g31, seed=5)
+    lo, hi, tol = 0.0, 3.0, 3e-9
+    peak = lo + where * (hi - lo)
+    calls = []
+    monkeypatch.setattr("hflow.functionals.energy_E", _ray_energy(u, lambda s: -abs(s - peak), calls))
+    assert abs(golden_section_peak(u, 1.0, lo, hi, tol=tol) - peak) <= tol
+    assert len(calls) <= 2 * _golden_section_count(lo, hi, tol)
+
+
+def test_search_evaluation_budget(g63, monkeypatch):
+    # the directions of test_golden_section_matches_lambda_star; golden section alone takes 48
+    H = 1.0
+    calls = []
+
+    def energy(v, H):
+        calls.append(v)
+        return energy_E(v, H)
+
+    monkeypatch.setattr("hflow.functionals.energy_E", energy)
+    for seed in range(5):
+        u = _negative_direction(g63, seed + 100)
+        lam = lambda_star(fibering_coeffs(u, H))
+        del calls[:]
+        golden_section_peak(u, H, 0.0, 4.0 * lam, tol=1e-9 * lam)
+        assert len(calls) <= 26, seed
+    assert _golden_section_count(0.0, 4.0, 1e-9) == 48
+
+
 def test_estimate_d_single_direction(g63):
     u = bubble_direction(g63, 1.0, eps=0.25)
     wp = estimate_d(1.0, g63, family=[u])
