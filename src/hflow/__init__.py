@@ -47,18 +47,12 @@ from .functionals import (
 )
 from .grid import (
     GridSpec,
-    ScalarField,
     VectorField,
-    dot,
-    gradient,
     h1_forward_sq,
     h1_seminorm_sq,
-    integrate,
     l2_norm_sq,
-    laplacian,
     make_grid,
     sample,
-    wedge,
 )
 from .nehari import (
     EstimationError,

@@ -311,19 +311,19 @@ def cmd_compute_well_depth(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _require_finite_functionals(u0: VectorField, H: float) -> None:
+def _require_finite_functionals(u0: VectorField, H: float) -> functionals.FunctionalReport:
     with np.errstate(over="ignore", invalid="ignore"):
         rep = functionals.report(u0, H)
     bad = [f"{k} = {v}" for k, v in vars(rep).items() if isinstance(v, float) and not math.isfinite(v)]
     if bad:
         raise NonFiniteError(f"initial datum has non-finite functionals: {', '.join(bad)}")
+    return rep
 
 
 def _verdict_for(cfg, g, H, u0, wp) -> classify.Verdict:
-    _require_finite_functionals(u0, H)
+    energy = _require_finite_functionals(u0, H).energy
     tol_d = float(cfg["monitors"]["tol_d"])
     bounds = None
-    energy = functionals.energy_E(u0, H)
     if energy > wp.d * (1.0 + tol_d):
         seed = cfg.get("seed", 0) or 0
         sampler = nehari.default_lambda_sampler(g, H, int(seed))
@@ -437,16 +437,16 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
     if not corpus:
         warning = "empty corpus: field checks pass vacuously"
 
-    def direction(u, c):
-        """The sign of u whose B is not positive (scaled when used, so no copy is kept)."""
-        return u if c.B < 0.0 else u.scaled(-1.0)
-
     # one derivative pass per member gives its (dirichlet, volume), hence its coefficients and its
-    # isoperimetric gap; (c, cw) of each corpus member: its coefficients and those of its direction when A > 0
+    # isoperimetric gap; (index, member, flip, coefficients) of each direction, the sign of a corpus
+    # member with A > 0 and B != 0 whose B is negative (flipped when used, so no copy is kept): the
+    # flip negates B exactly, so the flipped coefficients are (A, -B) without a second pass
     pairs = [functionals._dirichlet_and_volume(u) for u in corpus + probe]
     coeffs = [nehari.FiberingCoefficients(A=a, B=H * v) for a, v in pairs]
-    fibers = [
-        (c, nehari.fibering_coeffs(direction(u, c), H) if c.A > 0.0 else None) for u, c in zip(corpus, coeffs)
+    directions = [
+        (i, u, False, c) if c.B < 0.0 else (i, u, True, nehari.FiberingCoefficients(A=c.A, B=-c.B))
+        for i, (u, c) in enumerate(zip(corpus, coeffs))
+        if c.A > 0.0 and c.B != 0.0
     ]
 
     # isoperimetric inequality with discretization slack
@@ -468,10 +468,8 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
     # vanishing D_delta pins the norm near the radius r(delta)
     small_ok, neg_ok, zero_ok = True, True, True
     worst_zero = math.inf
-    for u, (c, cw) in zip(corpus, fibers):
-        if cw is None or cw.B >= 0.0:
-            continue
-        w = direction(u, c)
+    for _, u, flip, cw in directions:
+        w = u.scaled(-1.0) if flip else u
         for delta in (0.5, 1.0, 1.25):
             r = functionals.r_of_delta(delta, H)
             s = 0.9 * r / math.sqrt(cw.A)
@@ -526,28 +524,26 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
     fiber_ok = True
     fiber_worst = 0.0
     tested = 0
-    for u, (c, cw) in zip(corpus[:20], fibers):
-        if cw is None or cw.B >= 0.0:
-            continue
-        w = direction(u, c)
+    for i, u, flip, cw in directions:
+        if i >= 20:
+            break
+        w = u.scaled(-1.0) if flip else u
         tested += 1
         lam = nehari.lambda_star(cw)
-        lam_gs = nehari.golden_section_peak(w, H, 0.0, 4.0 * lam, tol=1e-9 * lam)
+        lam_gs = nehari.golden_section_peak(w, H, 0.0, 4.0 * lam, tol=1e-7 * lam)
         rel = abs(lam_gs - lam) / lam
         fiber_worst = max(fiber_worst, rel)
-        peak = functionals.energy_E(w.scaled(lam), H)
         if rel > 1e-6:
             fiber_ok = False
+        # E and D at (0.25, 0.5, 1, 2, 4) lambda*, one pass each
+        at = [functionals.report(w.scaled(s * lam), H) for s in (0.25, 0.5, 1.0, 2.0, 4.0)]
         if not (
-            functionals.nehari_D(w.scaled(0.5 * lam), H) > 0.0
-            and abs(functionals.nehari_D(w.scaled(lam), H)) <= 1e-8 * cw.A * lam * lam
-            and functionals.nehari_D(w.scaled(2.0 * lam), H) < 0.0
-            and functionals.energy_E(w.scaled(4.0 * lam), H) < 0.0
-        ):
+            at[1].nehari > 0.0
+            and abs(at[2].nehari) <= 1e-8 * cw.A * lam * lam
+            and at[3].nehari < 0.0
+            and at[4].energy < 0.0
+        ) or any(r.energy > at[2].energy for r in at):
             fiber_ok = False
-        for s in (0.25, 0.5, 2.0, 4.0):
-            if functionals.energy_E(w.scaled(s * lam), H) > peak:
-                fiber_ok = False
     checks["fiber_map"] = {"passed": fiber_ok, "directions": tested, "worst_lambda_rel_err": fiber_worst}
 
     # projected members with fiber energy below d stay inside the 6d ball

@@ -16,7 +16,7 @@ throughout the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class FunctionalReport:
     energy: float
     nehari: float
     l2_sq: float
-    d_delta: dict = field(default_factory=dict)
 
 
 def _check_delta(delta: float, closed_right: bool = False):
@@ -105,10 +104,8 @@ def isoperimetric_gap_of(dirichlet: float, volume: float) -> float:
     return dirichlet - ISOPERIMETRIC_CONST * abs(volume) ** (2.0 / 3.0)
 
 
-def report(u: VectorField, H: float, deltas=()) -> FunctionalReport:
+def report(u: VectorField, H: float) -> FunctionalReport:
     """All functionals in one pass over the field."""
-    for d in deltas:
-        _check_delta(d)
     dirichlet, vol_int = _dirichlet_and_volume(u)
     volume = (2.0 / 3.0) * H * vol_int
     return FunctionalReport(
@@ -117,5 +114,4 @@ def report(u: VectorField, H: float, deltas=()) -> FunctionalReport:
         energy=0.5 * dirichlet + volume,
         nehari=dirichlet + 2.0 * H * vol_int,
         l2_sq=l2_norm_sq(u),
-        d_delta={d: d * dirichlet + 2.0 * H * vol_int for d in deltas},
     )

@@ -8,21 +8,23 @@ clipped (documented behaviour of `sample`).
 
 Two evaluation paths are provided:
 
-* the interior path (`derivs`, `laplacian`, `integrate`, ...) used by the
-  functionals and the time integrator, second-order accurate for smooth
-  fields whose relevant integrands vanish on the boundary; every central
-  difference of this path goes through the one kernel `derivs` (its
-  first half `_differences` where no wedge is needed);
+* the interior path (`derivs`, `laplacian_stencil`, `h1_seminorm_sq`,
+  `l2_norm_sq`) used by the functionals and the time integrator, with
+  midpoint quadrature h^2 * sum; second-order accurate for smooth fields
+  whose relevant integrands vanish on the boundary.  Every central
+  difference of this path goes through the one kernel `derivs` (its first
+  half `_differences` where no wedge is needed);
 * a boundary-inclusive lattice path (`sample_on_lattice`,
-  `lattice_gradient`, `lattice_integrate`) that keeps the true boundary
-  values and integrates with trapezoid weights.  It is the oracle used to
-  verify operators and quadrature against closed-form integrals of
-  expressions that do not vanish on the boundary.
+  `lattice_gradient`, `lattice_integrate`, `lattice_wedge`) that keeps the
+  true boundary values and integrates with trapezoid weights.  It is the
+  oracle used to verify operators and quadrature against closed-form
+  integrals of expressions that do not vanish on the boundary.
 
 `h1_forward_sq` is the one-sided (forward-difference) Dirichlet form on the
 zero-padded lattice.  It satisfies the exact summation-by-parts identity
-integrate(dot(laplacian(u), u)) == -h1_forward_sq(u), which is the
-compatibility pairing used by the energy-identity monitor in `flow`.
+h^2 * sum(laplacian_stencil(v, h) * v) == -h1_forward_sq(u) for u with
+values v, which is the compatibility pairing used by the energy-identity
+monitor in `flow`.
 """
 
 from __future__ import annotations
@@ -64,14 +66,6 @@ class VectorField:
     @staticmethod
     def zeros(g: GridSpec) -> "VectorField":
         return VectorField(g, np.zeros((3, g.nx, g.ny)))
-
-
-@dataclass
-class ScalarField:
-    """Scalar lattice on the interior nodes (holds pointwise integrands)."""
-
-    grid: GridSpec
-    values: np.ndarray  # shape (nx, ny)
 
 
 def make_grid(n: int) -> GridSpec:
@@ -129,11 +123,6 @@ def sample_on_lattice(expr, g: GridSpec) -> np.ndarray:
     return vals
 
 
-def _check_same_grid(a, b):
-    if a.grid != b.grid:
-        raise ValueError(f"grid mismatch: {a.grid} vs {b.grid}")
-
-
 _scratch = threading.local()  # per thread: three buffers for the last shape asked for
 
 
@@ -184,13 +173,6 @@ def _dirichlet_sum(ux: np.ndarray, uy: np.ndarray, h: float) -> float:
     return h ** 2 * float(np.sum(np.square(ux, out=ux)) + np.sum(np.square(uy, out=uy)))
 
 
-def gradient(u: VectorField):
-    """Central-difference gradient, zero boundary: returns (u_x, u_y)."""
-    ux, uy = np.empty(u.values.shape), np.empty(u.values.shape)
-    _differences(u.values, u.grid.h, ux, uy)
-    return VectorField(u.grid, ux), VectorField(u.grid, uy)
-
-
 def laplacian_stencil(values: np.ndarray, h: float) -> np.ndarray:
     """5-point Laplacian with zero boundary on a raw (3, nx, ny) array, with the bits of the zero-padded sum."""
     out = np.empty(values.shape)
@@ -214,26 +196,6 @@ def laplacian_stencil(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def laplacian(u: VectorField) -> VectorField:
-    return VectorField(u.grid, laplacian_stencil(u.values, u.grid.h))
-
-
-def wedge(a: VectorField, b: VectorField) -> VectorField:
-    """Pointwise R^3 cross product."""
-    _check_same_grid(a, b)
-    return VectorField(a.grid, lattice_wedge(a.values, b.values))
-
-
-def dot(u: VectorField, v: VectorField) -> ScalarField:
-    _check_same_grid(u, v)
-    return ScalarField(u.grid, np.sum(u.values * v.values, axis=0))
-
-
-def integrate(s: ScalarField) -> float:
-    """Interior midpoint sum: h^2 * sum of interior values."""
-    return s.grid.h ** 2 * float(np.sum(s.values))
-
-
 def l2_norm_sq(u: VectorField) -> float:
     return u.grid.h ** 2 * float(np.sum(u.values * u.values))
 
@@ -249,7 +211,7 @@ def h1_forward_sq(u: VectorField) -> float:
     """Forward-difference Dirichlet form on the zero-padded lattice.
 
     Pairs exactly with the 5-point Laplacian:
-    integrate(dot(laplacian(u), u)) == -h1_forward_sq(u).
+    h^2 * sum(laplacian_stencil(u.values, h) * u.values) == -h1_forward_sq(u).
     """
     h, v = u.grid.h, np.ascontiguousarray(u.values)  # C-ordered differences sum in a fixed order
     dx = np.diff(v, axis=1, prepend=0.0, append=0.0) / h

@@ -128,17 +128,18 @@ def estimate_d(H: float, g: GridSpec, family=None, eps_grid=None, center=(0.5, 0
     """
     if family is not None:
         labelled = [(f"member {i}", u) for i, u in enumerate(family)]
-        provenance = f"user family of {len(labelled)} directions, n={g.nx}, H={H}"
     else:
         if eps_grid is None:
             eps_grid = default_eps_grid(g)
         labelled = [(f"eps={e:.6g}", u) for e, u in bubble_family(g, H, eps_grid, center)]
-        provenance = (
-            f"cutoff pole-shifted stereographic bubbles, center={tuple(center)}, "
-            f"eps in [{eps_grid[0]:.6g}, {eps_grid[-1]:.6g}] ({len(labelled)} scales), n={g.nx}, H={H}"
-        )
     if not labelled:
         raise EstimationError("empty direction family")
+    provenance = (
+        f"user family of {len(labelled)} directions, n={g.nx}, H={H}"
+        if family is not None
+        else f"cutoff pole-shifted stereographic bubbles, center={tuple(center)}, "
+        f"eps in [{eps_grid[0]:.6g}, {eps_grid[-1]:.6g}] ({len(labelled)} scales), n={g.nx}, H={H}"
+    )
     table = []
     for label, u in labelled:
         c = fibering_coeffs(u, H)

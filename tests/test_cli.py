@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hflow
-from hflow import cli
+from hflow import cli, functionals, nehari
 from hflow.cli import (
     EXIT_CONFIG,
     EXIT_LEMMA,
@@ -369,6 +369,52 @@ def test_verify_lemmas_reuses_its_passes_with_the_same_bits(tmp_path, monkeypatc
     for row in checks["well_depth_curve"]["rows"]:
         lam = project_nehari_delta(cbest, row["delta"])
         assert row["measured"] == energy_E(best.scaled(lam), H)
+
+
+def test_verify_lemmas_takes_one_pass_per_member_and_scale(tmp_path, monkeypatch):
+    # a direction's coefficients come from its member's by the sign flip, so fibering_coeffs runs
+    # only inside estimate_d; each fiber-map direction reads E and D at its five scales off one report each
+    inside = {"estimate_d": 0, "search": 0}
+    calls = {"fibering_coeffs": [], "report": 0, "energy_E": 0, "nehari_D": 0}
+
+    def scope(name, real):
+        def f(*args, **kwargs):
+            inside[name] += 1
+            try:
+                return real(*args, **kwargs)
+            finally:
+                inside[name] -= 1
+
+        return f
+
+    def counting(name, real):
+        def f(*args, **kwargs):
+            if name == "fibering_coeffs":
+                calls[name].append(inside["estimate_d"] > 0)
+            elif not inside["search"]:
+                calls[name] += 1
+            return real(*args, **kwargs)
+
+        return f
+
+    monkeypatch.setattr(nehari, "estimate_d", scope("estimate_d", nehari.estimate_d))
+    monkeypatch.setattr(nehari, "golden_section_peak", scope("search", nehari.golden_section_peak))
+    monkeypatch.setattr(nehari, "fibering_coeffs", counting("fibering_coeffs", nehari.fibering_coeffs))
+    for name in ("report", "energy_E", "nehari_D"):
+        monkeypatch.setattr(functionals, name, counting(name, getattr(functionals, name)))
+    count = 8
+    cfg = write_config(tmp_path / "c.json", grid={"n": 15}, corpus={"count": count, "kmax": 5}, seed=7)
+    assert main(["verify-lemmas", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    art = json.loads((tmp_path / "o" / "lemma_report.json").read_text(encoding="utf-8"))
+    directions = art["checks"]["fiber_map"]["directions"]
+    assert directions > 0
+    eps_count = load_config(cfg)["well"]["eps_count"]
+    assert calls["fibering_coeffs"] == [True] * eps_count
+    # outside the search: one report per member (energy split identity) and five per direction,
+    # and the energies of the well-depth curve rows
+    assert calls["report"] == count + 5 * directions
+    assert calls["energy_E"] == len(cli.DELTA_TABLE)
+    assert calls["nehari_D"] == 0
 
 
 def test_sweep_transition_and_consistency(tmp_path):

@@ -28,7 +28,6 @@ from hflow.grid import (
     GridSpec,
     VectorField,
     derivs,
-    gradient,
     h1_forward_sq,
     h1_seminorm_sq,
     laplacian_stencil,
@@ -140,9 +139,6 @@ def test_routed_functions_match_padded_compositions_bitwise(g, kind):
     kx, ky, kw = derivs(v, h)
     for got, want in ((kx, ux), (ky, uy), (kw, w)):
         _same(got, want)
-    gx, gy = gradient(u)
-    _same(gx.values, ux)
-    _same(gy.values, uy)
     _same(h1_seminorm_sq(u), h1)
     _same(volume_integral(u), vol)
     _same(energy_E(u, H), 0.5 * h1 + (2.0 / 3.0) * H * vol)
@@ -156,7 +152,7 @@ def test_routed_functions_match_padded_compositions_bitwise(g, kind):
     _same(h1_forward_sq(u), _ref_h1_forward(v, h))
 
     # report reduces the Dirichlet integral in the one order energy_E uses
-    rep = report(u, H, deltas=(0.25, 1.25))
+    rep = report(u, H)
     volume = (2.0 / 3.0) * H * vol
     _same(rep.dirichlet, h1)
     _same(rep.volume, volume)
@@ -164,7 +160,6 @@ def test_routed_functions_match_padded_compositions_bitwise(g, kind):
     _same(rep.energy, energy_E(u, H))
     _same(rep.nehari, h1 + 2.0 * H * vol)
     _same(rep.l2_sq, h**2 * float(np.sum(v * v)))
-    _same(list(rep.d_delta.values()), [d * h1 + 2.0 * H * vol for d in (0.25, 1.25)])
 
     # _State: |u|_2^2 and the forward form from the sine spectrum, the rest from the kernel
     s = _State(u, H, _Workspace(g))
@@ -184,12 +179,12 @@ def test_zero_field_gives_positive_zeros(g):
     u = VectorField.zeros(g)
     arrays = list(derivs(u.values, g.h)) + [_State(u, 2.0, _Workspace(g)).wedge]
     assert not any(np.signbit(a).any() for a in arrays)
-    rep = report(u, 2.0, deltas=(0.5,))
+    rep = report(u, 2.0)
     c = fibering_coeffs(u, 2.0)
     scalars = [
         h1_seminorm_sq(u), volume_integral(u), energy_E(u, 2.0), nehari_D(u, 2.0),
         nehari_D_delta(u, 2.0, 0.5), isoperimetric_gap(u), c.A, c.B,
-        rep.dirichlet, rep.volume, rep.energy, rep.nehari, rep.l2_sq, *rep.d_delta.values(),
+        rep.dirichlet, rep.volume, rep.energy, rep.nehari, rep.l2_sq,
     ]  # fmt: skip
     assert all(x == 0.0 and math.copysign(1.0, x) == 1.0 for x in scalars)
 
@@ -230,9 +225,8 @@ def test_each_entry_point_takes_one_derivative_pass(monkeypatch):
         "isoperimetric_gap": lambda: isoperimetric_gap(u),
         "volume_integral": lambda: volume_integral(u),
         "fibering_coeffs": lambda: fibering_coeffs(u, 1.0),
-        "report": lambda: report(u, 1.0, deltas=(0.5, 1.0)),
+        "report": lambda: report(u, 1.0),
         "_State": lambda: _State(u, 1.0, ws),
-        "gradient": lambda: gradient(u),
         "h1_seminorm_sq": lambda: h1_seminorm_sq(u),
     }
     counts = {}
@@ -241,8 +235,7 @@ def test_each_entry_point_takes_one_derivative_pass(monkeypatch):
             c.clear()
         f()
         counts[name] = (len(calls["_differences"]), len(calls["derivs"]))
-    no_wedge = ("gradient", "h1_seminorm_sq")
-    assert counts == {name: (1, 0 if name in no_wedge else 1) for name in entries}
+    assert counts == {name: (1, 0 if name == "h1_seminorm_sq" else 1) for name in entries}
 
 
 # the kept per-thread scratch of the float-valued functions
@@ -250,11 +243,10 @@ def test_each_entry_point_takes_one_derivative_pass(monkeypatch):
 
 def _scalars(u, H):
     c = fibering_coeffs(u, H)
-    rep = report(u, H, deltas=(0.5,))
+    rep = report(u, H)
     return [
         h1_seminorm_sq(u), volume_integral(u), energy_E(u, H), nehari_D(u, H), nehari_D_delta(u, H, 0.5),
         isoperimetric_gap(u), c.A, c.B, rep.dirichlet, rep.volume, rep.energy, rep.nehari, rep.l2_sq,
-        *rep.d_delta.values(),
     ]  # fmt: skip
 
 
@@ -267,7 +259,6 @@ def _ref_scalars(v, g, H):
         h1, vol, 0.5 * h1 + volume, h1 + 2.0 * H * vol, 0.5 * h1 + 2.0 * H * vol,
         h1 - ISOPERIMETRIC_CONST * abs(vol) ** (2.0 / 3.0), h1, H * vol,
         h1, volume, 0.5 * h1 + volume, h1 + 2.0 * H * vol, g.h**2 * float(np.sum(v * v)),
-        0.5 * h1 + 2.0 * H * vol,
     ]  # fmt: skip
 
 
@@ -291,7 +282,7 @@ def test_no_result_aliases_the_scratch():
     energy_E(u, 1.0)
     scratch = grid._scratch.bufs
     arrays = [
-        *derivs(u.values, g.h), *(f.values for f in gradient(u)), laplacian_stencil(u.values, g.h),
+        *derivs(u.values, g.h), laplacian_stencil(u.values, g.h),
         _State(u, 1.0, _Workspace(g)).wedge, solve_helmholtz(u, 0.01, 1e-10).values,
     ]  # fmt: skip
     assert not any(np.shares_memory(a, b) for a in arrays for b in scratch)

@@ -19,16 +19,16 @@ from hflow.flow import (
     run,
     solve_helmholtz,
 )
-from hflow.functionals import report, volume_integral, volume_VH
+from hflow.functionals import nehari_D_delta, report, volume_integral, volume_VH
 from hflow.grid import (
     GridSpec,
     VectorField,
-    gradient,
+    derivs,
     h1_forward_sq,
     l2_norm_sq,
-    laplacian,
+    laplacian_stencil,
+    lattice_wedge,
     make_grid,
-    wedge,
 )
 from hflow.nehari import bubble_direction, fibering_coeffs, lambda_star
 
@@ -86,7 +86,7 @@ def test_state_matches_reference_functionals(n):
         # a sum with cancellation is compared on the scale of its terms
         scale = rep.dirichlet + 2.0 * H * abs(vol)
         assert s.u is u
-        assert np.array_equal(s.wedge, wedge(*gradient(u)).values)
+        assert np.array_equal(s.wedge, lattice_wedge(*derivs(u.values, g.h)[:2]))
         assert s.l2 == pytest.approx(l2_norm_sq(u), rel=1e-12)
         assert s.h1 == pytest.approx(rep.dirichlet, rel=1e-12)
         assert s.h1_fwd == pytest.approx(h1_forward_sq(u), rel=1e-12)
@@ -137,7 +137,7 @@ def test_solve_helmholtz_residual_bound(g31):
     dt = 0.05
     tol = 1e-8
     w = solve_helmholtz(rhs, dt, cg_tol=tol)
-    resid = (w.values - dt * laplacian(w).values) - rhs.values
+    resid = (w.values - dt * laplacian_stencil(w.values, w.grid.h)) - rhs.values
     for k in range(3):
         assert np.linalg.norm(resid[k]) <= tol * np.linalg.norm(rhs.values[k]) * (1.0 + 1e-12)
 
@@ -150,7 +150,7 @@ def test_solve_helmholtz_random_residual(n):
         dt = 10.0 ** rng.uniform(-6.0, -1.0)
         rhs = VectorField(g, rng.standard_normal((3, n, n)))
         w = solve_helmholtz(rhs, dt, cg_tol=1e-12)
-        resid = (w.values - dt * laplacian(w).values) - rhs.values
+        resid = (w.values - dt * laplacian_stencil(w.values, w.grid.h)) - rhs.values
         for k in range(3):
             assert np.linalg.norm(resid[k]) <= 1e-12 * np.linalg.norm(rhs.values[k])
 
@@ -164,7 +164,7 @@ def test_solve_helmholtz_residual_off_unit_square(g):
     for dt in (1e-4, 1e-2):
         rhs = VectorField(g, rng.standard_normal((3, g.nx, g.ny)))
         w = solve_helmholtz(rhs, dt, cg_tol=1e-12)
-        resid = (w.values - dt * laplacian(w).values) - rhs.values
+        resid = (w.values - dt * laplacian_stencil(w.values, w.grid.h)) - rhs.values
         for k in range(3):
             assert np.linalg.norm(resid[k]) <= 1e-12 * np.linalg.norm(rhs.values[k])
 
@@ -177,7 +177,7 @@ def _run_with_public_solve(u0, p):
     while p.t_end - t > 1e-12 * max(p.t_end, 1.0):
         dt_step = min(dt, p.t_end - t)
         base = math.sqrt(h2 * float(np.sum(u * u)))
-        wedge_u = wedge(*gradient(VectorField(g, u))).values
+        wedge_u = lattice_wedge(*derivs(u, g.h)[:2])
         while True:
             rhs = VectorField(g, u - 2.0 * dt_step * p.H * wedge_u)
             w = solve_helmholtz(rhs, dt_step, p.cg_tol).values
@@ -286,12 +286,12 @@ def test_run_records_consistent_series(g31):
     assert np.array_equal(tr.fsecond, -2.0 * tr.D)
     assert np.allclose(tr.concavity, tr.f * tr.fsecond - 1.5 * tr.fprime**2, rtol=1e-13)
     # sample 0 reproduces the functionals of the initial datum
-    rep = report(u0, 1.0, deltas=(0.5, 1.25))
+    rep = report(u0, 1.0)
     assert tr.l2_sq[0] == pytest.approx(rep.l2_sq, rel=1e-13)
     assert tr.h1_sq[0] == pytest.approx(rep.dirichlet, rel=1e-13)
     assert tr.D[0] == pytest.approx(rep.nehari, rel=1e-13)
-    assert tr.D_delta[0, 0] == pytest.approx(rep.d_delta[0.5], rel=1e-13)
-    assert tr.D_delta[0, 1] == pytest.approx(rep.d_delta[1.25], rel=1e-13)
+    assert tr.D_delta[0, 0] == pytest.approx(nehari_D_delta(u0, 1.0, 0.5), rel=1e-13)
+    assert tr.D_delta[0, 1] == pytest.approx(nehari_D_delta(u0, 1.0, 1.25), rel=1e-13)
     # the recorded energy is the scheme-compatible one
     assert tr.E[0] == pytest.approx(0.5 * h1_forward_sq(u0) + volume_VH(u0, 1.0), rel=1e-12)
 

@@ -70,14 +70,14 @@ def test_clipped_path_matches_lattice_for_h01_fields(g63):
 def test_report_consistency_identities(g31):
     for seed in range(4):
         u = random_bandlimited(g31, seed=seed)
-        rep = report(u, H=1.3, deltas=(0.5, 1.0, 1.25))
+        rep = report(u, H=1.3)
         assert rep.nehari == pytest.approx(rep.dirichlet + 3.0 * rep.volume, rel=1e-12)
         assert rep.energy == pytest.approx(rep.dirichlet / 6.0 + rep.nehari / 3.0, rel=1e-12)
-        assert rep.d_delta[1.0] == pytest.approx(rep.nehari, rel=1e-12)
         # report values match the standalone operations
         assert rep.dirichlet == pytest.approx(h1_seminorm_sq(u), rel=1e-13)
         assert rep.energy == pytest.approx(energy_E(u, 1.3), rel=1e-12)
-        assert rep.d_delta[0.5] == pytest.approx(nehari_D_delta(u, 1.3, 0.5), rel=1e-12)
+        assert nehari_D_delta(u, 1.3, 1.0) == pytest.approx(rep.nehari, rel=1e-12)
+        assert nehari_D_delta(u, 1.3, 0.5) == pytest.approx(0.5 * rep.dirichlet + 3.0 * rep.volume, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [15, 31, 63])

@@ -4,22 +4,18 @@ import pytest
 from hflow.fields import discrete_laplacian_eigenvalue, eigenmode, random_bandlimited
 from hflow.grid import (
     GridSpec,
-    ScalarField,
     VectorField,
-    dot,
-    gradient,
+    derivs,
     h1_forward_sq,
     h1_seminorm_sq,
-    integrate,
     l2_norm_sq,
-    laplacian,
+    laplacian_stencil,
     lattice_gradient,
     lattice_integrate,
     lattice_wedge,
     make_grid,
     sample,
     sample_on_lattice,
-    wedge,
 )
 from conftest import poly_xyxy
 
@@ -59,23 +55,23 @@ def test_sample_rejects_nonfinite(g31):
 
 def test_gradient_zero_and_polynomial(g63):
     z = VectorField.zeros(g63)
-    zx, zy = gradient(z)
-    assert not zx.values.any() and not zy.values.any()
+    zx, zy = derivs(z.values, g63.h)[:2]
+    assert not zx.any() and not zy.any()
     # central differences are exact for (x, y, xy) away from the clipped boundary
     u = sample(poly_xyxy, g63)
-    ux, uy = gradient(u)
+    ux, uy = derivs(u.values, g63.h)[:2]
     X, Y = np.meshgrid(g63.h * np.arange(1, 64), g63.h * np.arange(1, 64), indexing="ij")
     inner = (slice(2, -2), slice(2, -2))
-    assert np.allclose(ux.values[0][inner], 1.0, atol=1e-12)
-    assert np.allclose(ux.values[1][inner], 0.0, atol=1e-12)
-    assert np.allclose(ux.values[2][inner], Y[inner], atol=1e-12)
-    assert np.allclose(uy.values[2][inner], X[inner], atol=1e-12)
+    assert np.allclose(ux[0][inner], 1.0, atol=1e-12)
+    assert np.allclose(ux[1][inner], 0.0, atol=1e-12)
+    assert np.allclose(ux[2][inner], Y[inner], atol=1e-12)
+    assert np.allclose(uy[2][inner], X[inner], atol=1e-12)
 
 
 def test_gradient_constant_in_x_slice(g31):
     u = sample(lambda X, Y: np.stack([np.sin(np.pi * Y), 0 * X, 0 * X]), g31)
-    ux, _ = gradient(u)
-    assert np.allclose(ux.values[0][2:-2, :], 0.0, atol=1e-13)
+    ux = derivs(u.values, g31.h)[0]
+    assert np.allclose(ux[0][2:-2, :], 0.0, atol=1e-13)
 
 
 def _gradient_max_error(n):
@@ -90,7 +86,7 @@ def _gradient_max_error(n):
         ),
         g,
     )
-    ux, uy = gradient(u)
+    ux, uy = derivs(u.values, g.h)[:2]
     X, Y = np.meshgrid(g.h * np.arange(1, n + 1), g.h * np.arange(1, n + 1), indexing="ij")
     exact_x = np.stack(
         [
@@ -106,7 +102,7 @@ def _gradient_max_error(n):
             2 * np.pi * np.sin(np.pi * X) * np.cos(2 * np.pi * Y),
         ]
     )
-    return max(np.abs(ux.values - exact_x).max(), np.abs(uy.values - exact_y).max())
+    return max(np.abs(ux - exact_x).max(), np.abs(uy - exact_y).max())
 
 
 def test_gradient_second_order_convergence():
@@ -117,8 +113,8 @@ def test_gradient_second_order_convergence():
 def test_laplacian_eigenmode_identity(g63):
     u = eigenmode(g63, kx=2, ky=3, component=1, amplitude=0.7)
     mu = discrete_laplacian_eigenvalue(g63, 2, 3)
-    lap = laplacian(u)
-    assert np.allclose(lap.values, -mu * u.values, rtol=1e-12, atol=1e-12)
+    lap = laplacian_stencil(u.values, g63.h)
+    assert np.allclose(lap, -mu * u.values, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("g", [GridSpec(15, 9, 1.0 / 16), GridSpec(7, 7, 0.05)], ids=str)
@@ -130,7 +126,7 @@ def test_laplacian_sine_mode_identity_off_unit_square(g):
         mode = np.sin(kx * np.pi * i / (g.nx + 1)) * np.sin(ky * np.pi * j / (g.ny + 1))
         u = VectorField(g, np.stack([mode, 0.0 * mode, -mode]))
         mu = discrete_laplacian_eigenvalue(g, kx, ky)
-        assert np.allclose(laplacian(u).values, -mu * u.values, rtol=1e-12, atol=1e-12 * mu)
+        assert np.allclose(laplacian_stencil(u.values, g.h), -mu * u.values, rtol=1e-12, atol=1e-12 * mu)
 
 
 def test_laplacian_continuum_limit_second_order():
@@ -144,49 +140,41 @@ def test_laplacian_single_node_stencil_oracle():
     # n = 1 is below the grid precondition; construct the spec directly
     g = GridSpec(nx=1, ny=1, h=0.5)
     u = VectorField(g, np.full((3, 1, 1), 2.0))
-    lap = laplacian(u)
-    assert np.allclose(lap.values, -4.0 * 2.0 / 0.25)  # -4 v / h^2
+    lap = laplacian_stencil(u.values, g.h)
+    assert np.allclose(lap, -4.0 * 2.0 / 0.25)  # -4 v / h^2
 
 
 def test_wedge_unit_vectors_and_antisymmetry(g31):
     e1 = sample(lambda X, Y: np.stack([np.ones_like(X), 0 * X, 0 * X]), g31)
     e2 = sample(lambda X, Y: np.stack([0 * X, np.ones_like(X), 0 * X]), g31)
-    w = wedge(e1, e2)
-    assert np.allclose(w.values[2], 1.0) and not w.values[:2].any()
-    a = random_bandlimited(g31, seed=5)
-    b = random_bandlimited(g31, seed=6)
-    assert np.allclose(wedge(a, b).values, -wedge(b, a).values, atol=0)
-    assert np.allclose(wedge(a, a).values, 0.0, atol=1e-14)
-
-
-def test_wedge_grid_mismatch(g31, g63):
-    with pytest.raises(ValueError, match="mismatch"):
-        wedge(VectorField.zeros(g31), VectorField.zeros(g63))
+    w = lattice_wedge(e1.values, e2.values)
+    assert np.allclose(w[2], 1.0) and not w[:2].any()
+    a = random_bandlimited(g31, seed=5).values
+    b = random_bandlimited(g31, seed=6).values
+    assert np.allclose(lattice_wedge(a, b), -lattice_wedge(b, a), atol=0)
+    assert np.allclose(lattice_wedge(a, a), 0.0, atol=1e-14)
 
 
 def test_wedge_of_polynomial_gradients(g63):
     # for u = (x, y, xy): u_x ^ u_y = (-y, -x, 1)
     u = sample(poly_xyxy, g63)
-    ux, uy = gradient(u)
-    w = wedge(ux, uy)
+    w = lattice_wedge(*derivs(u.values, g63.h)[:2])
     X, Y = np.meshgrid(g63.h * np.arange(1, 64), g63.h * np.arange(1, 64), indexing="ij")
     inner = (slice(2, -2), slice(2, -2))
-    assert np.allclose(w.values[0][inner], -Y[inner], atol=1e-12)
-    assert np.allclose(w.values[1][inner], -X[inner], atol=1e-12)
-    assert np.allclose(w.values[2][inner], 1.0, atol=1e-12)
+    assert np.allclose(w[0][inner], -Y[inner], atol=1e-12)
+    assert np.allclose(w[1][inner], -X[inner], atol=1e-12)
+    assert np.allclose(w[2][inner], 1.0, atol=1e-12)
 
 
 def test_integrate_constant_and_zero(g63):
-    ones = ScalarField(g63, np.ones((63, 63)))
-    assert integrate(ones) == pytest.approx(1.0, rel=0.05)
-    assert integrate(ScalarField(g63, np.zeros((63, 63)))) == 0.0
+    assert g63.h**2 * np.sum(np.ones((63, 63))) == pytest.approx(1.0, rel=0.05)
+    assert g63.h**2 * np.sum(np.zeros((63, 63))) == 0.0
 
 
 def _integrate_sine_error(n):
     g = make_grid(n)
     X, Y = np.meshgrid(g.h * np.arange(1, n + 1), g.h * np.arange(1, n + 1), indexing="ij")
-    s = ScalarField(g, np.sin(np.pi * X) * np.sin(np.pi * Y))
-    return abs(integrate(s) - 4.0 / np.pi**2)
+    return abs(g.h**2 * np.sum(np.sin(np.pi * X) * np.sin(np.pi * Y)) - 4.0 / np.pi**2)
 
 
 def test_integrate_sine_product_second_order():
@@ -231,7 +219,7 @@ def test_integration_by_parts_pairing(g31):
     # quadratic-form compatibility: (Lap u, u) = -h1_forward_sq(u), exactly
     for seed in (0, 1, 2):
         u = random_bandlimited(g31, seed=seed)
-        lhs = integrate(dot(laplacian(u), u))
+        lhs = g31.h**2 * np.sum(laplacian_stencil(u.values, g31.h) * u.values)
         assert lhs == pytest.approx(-h1_forward_sq(u), rel=1e-12)
 
 
@@ -242,7 +230,7 @@ def test_integration_by_parts_pairing_random_fields(n):
     g = make_grid(n)
     for _ in range(4):
         u = VectorField(g, rng.uniform(0.1, 10.0) * rng.standard_normal((3, n, n)))
-        lhs = g.h ** 2 * float(np.sum(laplacian(u).values * u.values))
+        lhs = g.h ** 2 * float(np.sum(laplacian_stencil(u.values, g.h) * u.values))
         assert lhs == pytest.approx(-h1_forward_sq(u), rel=1e-12)
 
 
@@ -250,18 +238,16 @@ def test_operator_linearity(g31):
     a = random_bandlimited(g31, seed=10)
     b = random_bandlimited(g31, seed=11)
     combo = VectorField(g31, 2.0 * a.values - 3.0 * b.values)
-    lx, _ = gradient(combo)
-    ax, _ = gradient(a)
-    bx, _ = gradient(b)
-    assert np.allclose(lx.values, 2.0 * ax.values - 3.0 * bx.values, atol=1e-13)
+    h = g31.h
+    lx, ax, bx = (derivs(f.values, h)[0] for f in (combo, a, b))
+    assert np.allclose(lx, 2.0 * ax - 3.0 * bx, atol=1e-13)
     assert np.allclose(
-        laplacian(combo).values,
-        2.0 * laplacian(a).values - 3.0 * laplacian(b).values,
+        laplacian_stencil(combo.values, h),
+        2.0 * laplacian_stencil(a.values, h) - 3.0 * laplacian_stencil(b.values, h),
         atol=1e-9,
     )
-    s = ScalarField(g31, a.values[0] + 4.0 * b.values[1])
-    assert integrate(s) == pytest.approx(
-        integrate(ScalarField(g31, a.values[0])) + 4.0 * integrate(ScalarField(g31, b.values[1])),
+    assert h**2 * np.sum(a.values[0] + 4.0 * b.values[1]) == pytest.approx(
+        h**2 * np.sum(a.values[0]) + 4.0 * h**2 * np.sum(b.values[1]),
         rel=1e-12, abs=1e-15,
     )
 

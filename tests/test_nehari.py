@@ -249,6 +249,15 @@ def test_estimate_d_error_cases(g63):
         estimate_d(1.0, g63, family=[flat.scaled(0.0)])
 
 
+@pytest.mark.parametrize("eps_grid", [[], np.array([])], ids=["list", "array"])
+def test_empty_scale_grid_is_an_estimation_error(g15, eps_grid):
+    # the empty family is reported as such, not as an IndexError from the provenance string
+    with pytest.raises(EstimationError, match="empty direction family"):
+        estimate_d(1.0, g15, eps_grid=eps_grid)
+    with pytest.raises(EstimationError, match="empty direction family"):
+        optimal_bubble(g15, 1.0, eps_grid=eps_grid)
+
+
 def test_optimal_bubble_matches_family_min(g63):
     wp = estimate_d(1.0, g63)
     eps, u = optimal_bubble(g63, 1.0)

@@ -1,5 +1,6 @@
 """Randomised property tests (hypothesis) of the structural identities."""
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")  # declared in the test extra
@@ -7,19 +8,20 @@ pytest.importorskip("hypothesis")  # declared in the test extra
 from hypothesis import assume, given, settings, strategies as st
 
 from hflow.fields import random_bandlimited
-from hflow.grid import make_grid
+from hflow.functionals import report
+from hflow.grid import h1_forward_sq, laplacian_stencil, make_grid
 from hflow.nehari import fibering_coeffs, golden_section_peak, lambda_star
 
 GRIDS = {n: make_grid(n) for n in (15, 31)}
-
-
-@settings(max_examples=40, deadline=None)
-@given(
+FIELDS = dict(
     n=st.sampled_from(sorted(GRIDS)),
     seed=st.integers(0, (1 << 20) - 1),
     amplitude=st.floats(1e-2, 1e2),
-    H=st.floats(0.1, 10.0),
 )
+
+
+@settings(max_examples=40, deadline=None)
+@given(**FIELDS, H=st.floats(0.1, 10.0))
 def test_search_finds_lambda_star(n, seed, amplitude, H):
     # the direct search of the fiber-map check meets the closed-form scale within criterion 08's bound
     u = random_bandlimited(GRIDS[n], seed).scaled(amplitude)
@@ -31,3 +33,32 @@ def test_search_finds_lambda_star(n, seed, amplitude, H):
     lam = lambda_star(c)
     lam_search = golden_section_peak(u, H, 0.0, 4.0 * lam, tol=1e-9 * lam)
     assert abs(lam_search - lam) / lam <= 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(**FIELDS)
+def test_summation_by_parts(n, seed, amplitude):
+    # h^2 sum Lap(u).u == -h1_forward_sq(u); H does not enter the pairing, the amplitude does
+    g = GRIDS[n]
+    u = random_bandlimited(g, seed).scaled(amplitude)
+    lhs = g.h**2 * float(np.sum(laplacian_stencil(u.values, g.h) * u.values))
+    assert lhs == pytest.approx(-h1_forward_sq(u), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**FIELDS, H=st.floats(0.1, 10.0))
+def test_energy_nehari_split(n, seed, amplitude, H):
+    # E = dirichlet/6 + D/3, compared on the scale of the terms of the sum with cancellation
+    rep = report(random_bandlimited(GRIDS[n], seed).scaled(amplitude), H)
+    scale = rep.dirichlet + 3.0 * abs(rep.volume)
+    assert rep.energy == pytest.approx(rep.dirichlet / 6.0 + rep.nehari / 3.0, abs=1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**FIELDS, H=st.floats(0.1, 10.0))
+def test_sign_flip_negates_B_bitwise(n, seed, amplitude, H):
+    # verify-lemmas takes a flipped direction's coefficients as (A, -B) instead of a second pass
+    u = random_bandlimited(GRIDS[n], seed).scaled(amplitude)
+    c, flipped = fibering_coeffs(u, H), fibering_coeffs(u.scaled(-1.0), H)
+    assume(c.B != 0.0)  # an exact cancellation to +0.0 has no sign to flip
+    assert (flipped.A.hex(), flipped.B.hex()) == (c.A.hex(), (-c.B).hex())
