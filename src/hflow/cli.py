@@ -33,6 +33,7 @@ EXIT_NUMERIC = 2
 EXIT_LEMMA = 3
 
 DELTA_TABLE = (0.25, 0.5, 0.75, 1.0, 1.25, 1.45)
+NEHARI_DELTAS = (0.5, 1.0, 1.25)  # the deltas of verify-lemmas' Nehari sign checks
 
 
 class ConfigError(ValueError):
@@ -129,10 +130,6 @@ def _eps_grid(cfg, g: GridSpec) -> np.ndarray:
 # serialization
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
@@ -164,16 +161,16 @@ def trajectory_columns(delta_list) -> list[str]:
 
 
 def write_trajectory_csv(path: Path, tr: flow.TrajectoryRecord) -> None:
+    columns = trajectory_columns(tr.delta_list)
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"  # the bytes of format(v, ".17g")
+    cols = (tr.t, tr.dt, tr.l2_sq, tr.h1_sq, tr.E, tr.D, *tr.D_delta.T)
+    cols += (tr.f, tr.fprime, tr.fsecond, tr.concavity, tr.energy_residual)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(trajectory_columns(tr.delta_list)) + "\n")
-        for k in range(len(tr)):
-            row = (
-                [tr.t[k], tr.dt[k], tr.l2_sq[k], tr.h1_sq[k], tr.E[k], tr.D[k]]
-                + list(tr.D_delta[k])
-                + [tr.f[k], tr.fprime[k], tr.fsecond[k], tr.concavity[k], tr.energy_residual[k]]
-            )
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        # blocks of rows, so that a long run's floats never all exist as Python objects at once
+        for k in range(0, len(tr), 256):
+            fh.writelines(row_format % row for row in zip(*(col[k : k + 256].tolist() for col in cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -409,173 +406,173 @@ def cmd_classify(cfg: dict, out: Path, seed_override=None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# lemma verification
+# lemma verification: the corpus is a stream, each member made, checked and dropped in turn;
+# each check folds one member into its own block of lemma_report.json
 
 
 def _corpus(cfg, g: GridSpec, H: float):
+    """(members, probe): lazy streams of fields; the probe is empty unless corpus.saturation_probe."""
     cc = cfg["corpus"]
     seed = cfg.get("seed", cc.get("seed"))
     if seed is None:
         raise ConfigError("verify-lemmas needs a corpus seed (top-level seed or corpus.seed)")
-    members = [
-        fields.random_bandlimited(g, int(seed) + i, int(cc["kmax"])) for i in range(int(cc["count"]))
-    ]
-    probe = []
+    members = (fields.random_bandlimited(g, int(seed) + i, int(cc["kmax"])) for i in range(int(cc["count"])))
+    probe = ()
     if cc.get("saturation_probe"):
         # near-extremal directions that saturate the isoperimetric inequality;
         # their discrete gap exposes the resolution limit of the grid
-        probe = [u for _, u in nehari.bubble_family(g, H, _eps_grid(cfg, g))]
+        probe = (u for _, u in nehari.bubble_family(g, H, _eps_grid(cfg, g)))
     return members, probe
 
 
-def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
-    g = _grid_of(cfg)
-    H = float(cfg["physics"]["H"])
-    corpus, probe = _corpus(cfg, g, H)
-    checks: dict[str, dict] = {}
-    warning = None
-    if not corpus:
-        warning = "empty corpus: field checks pass vacuously"
+def _check_isoperimetric(block: dict, i: int, a: float, v: float) -> None:
+    """Isoperimetric inequality with discretization slack, from member i's (dirichlet, volume)."""
+    gap = functionals.isoperimetric_gap_of(a, v)
+    rel = gap / a if a > 0 else 0.0
+    block["worst_gap_over_dirichlet"] = min(block["worst_gap_over_dirichlet"], rel)
+    if gap < -1e-3 * a:
+        block["violations"].append({"member": i, "gap_over_dirichlet": rel})
+        block["passed"] = False
 
-    # one derivative pass per member gives its (dirichlet, volume), hence its coefficients and its
-    # isoperimetric gap; (index, member, flip, coefficients) of each direction, the sign of a corpus
-    # member with A > 0 and B != 0 whose B is negative (flipped when used, so no copy is kept): the
-    # flip negates B exactly, so the flipped coefficients are (A, -B) without a second pass
-    pairs = [functionals._dirichlet_and_volume(u) for u in corpus + probe]
-    coeffs = [nehari.FiberingCoefficients(A=a, B=H * v) for a, v in pairs]
-    directions = [
-        (i, u, False, c) if c.B < 0.0 else (i, u, True, nehari.FiberingCoefficients(A=c.A, B=-c.B))
-        for i, (u, c) in enumerate(zip(corpus, coeffs))
-        if c.A > 0.0 and c.B != 0.0
-    ]
 
-    # isoperimetric inequality with discretization slack
-    worst = math.inf
-    violations = []
-    for i, (a, v) in enumerate(pairs):
-        gap = functionals.isoperimetric_gap_of(a, v)
-        rel = gap / a if a > 0 else 0.0
-        worst = min(worst, rel)
-        if gap < -1e-3 * a:
-            violations.append({"member": i, "gap_over_dirichlet": rel})
-    checks["isoperimetric"] = {
-        "passed": not violations,
-        "worst_gap_over_dirichlet": None if worst is math.inf else worst,
-        "violations": violations,
-    }
+def _check_projected_norm_cap(block: dict, c: nehari.FiberingCoefficients, d: float) -> None:
+    """A member projected with fiber energy at most d stays inside the 6d ball."""
+    if c.A > 0.0 and c.B < 0.0 and nehari.fiber_peak_energy(c) <= d:
+        lam = nehari.lambda_star(c)
+        if lam * lam * c.A > 6.0 * d * (1.0 + 1e-9):
+            block["passed"] = False
 
-    # small norm forces positive D_delta; negative D_delta forces large norm;
-    # vanishing D_delta pins the norm near the radius r(delta)
-    small_ok, neg_ok, zero_ok = True, True, True
-    worst_zero = math.inf
-    for _, u, flip, cw in directions:
-        w = u.scaled(-1.0) if flip else u
-        for delta in (0.5, 1.0, 1.25):
-            r = functionals.r_of_delta(delta, H)
-            s = 0.9 * r / math.sqrt(cw.A)
-            if functionals.nehari_D_delta(w.scaled(s), H, delta) <= 0.0:
-                small_ok = False
-            c_zero = nehari.project_nehari_delta(cw, delta)
-            c_neg = 1.5 * c_zero
-            if functionals.nehari_D_delta(w.scaled(c_neg), H, delta) < 0.0:
-                if c_neg * math.sqrt(cw.A) <= r:
-                    neg_ok = False
-            norm_zero = c_zero * math.sqrt(cw.A)
-            worst_zero = min(worst_zero, norm_zero / r)
-            if norm_zero < r * 0.98:
-                zero_ok = False
-    checks["nehari_sign_small_norm"] = {"passed": small_ok}
-    checks["nehari_sign_negative_implies_large"] = {"passed": neg_ok}
-    checks["nehari_zero_norm_bound"] = {
-        "passed": zero_ok,
-        "worst_norm_over_radius": None if worst_zero is math.inf else worst_zero,
-    }
 
-    # well-depth curve shape against the fiber algebra and the radius bound
-    wp = _well_parameters(cfg, g, H)
+def _check_energy_split(block: dict, a: float, v: float, H: float) -> None:
+    """E + (1/3) H int(...) = D/2 to near machine precision, in report's and check_e54's expressions."""
+    volume = (2.0 / 3.0) * H * v
+    energy, nehari_d = 0.5 * a + volume, a + 2.0 * H * v
+    b_coeff = 0.5 * (nehari_d - a)
+    resid = energy + b_coeff / 3.0 - 0.5 * nehari_d
+    scale = max(abs(energy), abs(b_coeff) / 3.0, abs(nehari_d) / 2.0, 1e-300)
+    block["worst_rel_residual"] = max(block["worst_rel_residual"], abs(resid) / scale)
+    block["passed"] = block["worst_rel_residual"] <= 1e-12
+
+
+def _check_small_norm(block: dict, w: VectorField, cw: nehari.FiberingCoefficients, H: float) -> None:
+    """Small norm forces positive D_delta."""
+    for delta in NEHARI_DELTAS:
+        s = 0.9 * functionals.r_of_delta(delta, H) / math.sqrt(cw.A)
+        if functionals.nehari_D_delta(w.scaled(s), H, delta) <= 0.0:
+            block["passed"] = False
+
+
+def _check_negative_implies_large(block: dict, w: VectorField, cw: nehari.FiberingCoefficients, H: float) -> None:
+    """Negative D_delta forces a norm above the radius r(delta)."""
+    for delta in NEHARI_DELTAS:
+        c_neg = 1.5 * nehari.project_nehari_delta(cw, delta)
+        if functionals.nehari_D_delta(w.scaled(c_neg), H, delta) < 0.0:
+            if c_neg * math.sqrt(cw.A) <= functionals.r_of_delta(delta, H):
+                block["passed"] = False
+
+
+def _check_zero_norm_bound(block: dict, cw: nehari.FiberingCoefficients, H: float) -> None:
+    """Vanishing D_delta pins the norm near the radius r(delta)."""
+    for delta in NEHARI_DELTAS:
+        r = functionals.r_of_delta(delta, H)
+        norm_zero = nehari.project_nehari_delta(cw, delta) * math.sqrt(cw.A)
+        block["worst_norm_over_radius"] = min(block["worst_norm_over_radius"], norm_zero / r)
+        if norm_zero < r * 0.98:
+            block["passed"] = False
+
+
+def _check_fiber_map(block: dict, w: VectorField, cw: nehari.FiberingCoefficients, H: float) -> None:
+    """Closed-form stationary scale vs direct search (Brent's method), sign change of D across
+    lambda*, peak dominance, negative far energy."""
+    block["directions"] += 1
+    lam = nehari.lambda_star(cw)
+    rel = abs(nehari.golden_section_peak(w, H, 0.0, 4.0 * lam, tol=1e-7 * lam) - lam) / lam
+    block["worst_lambda_rel_err"] = max(block["worst_lambda_rel_err"], rel)
+    # E and D at (0.25, 0.5, 1, 2, 4) lambda*, one pass each
+    at = [functionals.report(w.scaled(s * lam), H) for s in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    if rel > 1e-6 or not (
+        at[1].nehari > 0.0
+        and abs(at[2].nehari) <= 1e-8 * cw.A * lam * lam
+        and at[3].nehari < 0.0
+        and at[4].energy < 0.0
+    ) or any(r.energy > at[2].energy for r in at):
+        block["passed"] = False
+
+
+def _check_well_depth_curve(cfg, g: GridSpec, H: float, wp: nehari.WellParameters) -> dict:
+    """Well-depth curve shape against the fiber algebra and the radius bound, on the family's best bubble."""
     best_eps, cbest = nehari.family_minimizer(wp, _eps_grid(cfg, g))
     best = nehari.bubble_direction(g, H, tuple(cfg["well"]["center"]), best_eps)
-    curve_rows = []
-    curve_ok = True
+    rows = []
     for delta in DELTA_TABLE:
         lam = nehari.project_nehari_delta(cbest, delta)
         measured = functionals.energy_E(best.scaled(lam), H)
         expected = nehari.d_of_delta(delta, wp.d)
         lower = functionals.a_of_delta(delta) * functionals.r_of_delta(delta, H) ** 2
-        row_ok = (
-            abs(measured - expected) <= 0.02 * expected
-            and measured >= lower * 0.98
-        )
-        curve_ok &= row_ok
-        curve_rows.append(
-            {"delta": delta, "measured": measured, "expected": expected, "lower_bound": lower, "ok": row_ok}
-        )
-    peak_at_one = max(curve_rows, key=lambda r: r["measured"])["delta"] == 1.0
-    checks["well_depth_curve"] = {
-        "passed": bool(curve_ok and peak_at_one),
+        ok = abs(measured - expected) <= 0.02 * expected and measured >= lower * 0.98
+        rows.append({"delta": delta, "measured": measured, "expected": expected, "lower_bound": lower, "ok": ok})
+    peak_at_one = max(rows, key=lambda r: r["measured"])["delta"] == 1.0
+    return {
+        "passed": all(r["ok"] for r in rows) and peak_at_one,
         "d": wp.d,
         "best_eps": best_eps,
-        "rows": curve_rows,
+        "rows": rows,
         "maximum_at_delta_1": peak_at_one,
     }
 
-    # fiber map: closed-form stationary scale vs direct search (Brent's method),
-    # sign change of D across lambda*, peak dominance, negative far energy
-    fiber_ok = True
-    fiber_worst = 0.0
-    tested = 0
-    for i, u, flip, cw in directions:
-        if i >= 20:
-            break
-        w = u.scaled(-1.0) if flip else u
-        tested += 1
-        lam = nehari.lambda_star(cw)
-        lam_gs = nehari.golden_section_peak(w, H, 0.0, 4.0 * lam, tol=1e-7 * lam)
-        rel = abs(lam_gs - lam) / lam
-        fiber_worst = max(fiber_worst, rel)
-        if rel > 1e-6:
-            fiber_ok = False
-        # E and D at (0.25, 0.5, 1, 2, 4) lambda*, one pass each
-        at = [functionals.report(w.scaled(s * lam), H) for s in (0.25, 0.5, 1.0, 2.0, 4.0)]
-        if not (
-            at[1].nehari > 0.0
-            and abs(at[2].nehari) <= 1e-8 * cw.A * lam * lam
-            and at[3].nehari < 0.0
-            and at[4].energy < 0.0
-        ) or any(r.energy > at[2].energy for r in at):
-            fiber_ok = False
-    checks["fiber_map"] = {"passed": fiber_ok, "directions": tested, "worst_lambda_rel_err": fiber_worst}
 
-    # projected members with fiber energy below d stay inside the 6d ball
-    cap_ok = True
-    for c in coeffs[: len(corpus)]:
-        if c.A <= 0.0 or c.B >= 0.0:
-            continue
-        peak = nehari.fiber_peak_energy(c)
-        if peak <= wp.d:
-            lam = nehari.lambda_star(c)
-            if lam * lam * c.A > 6.0 * wp.d * (1.0 + 1e-9):
-                cap_ok = False
-    checks["projected_norm_cap"] = {"passed": cap_ok}
+def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
+    g = _grid_of(cfg)
+    H = float(cfg["physics"]["H"])
+    members, probe = _corpus(cfg, g, H)
+    wp = _well_parameters(cfg, g, H)  # before the stream: the projected-norm cap reads d
+    checks = {
+        "isoperimetric": {"passed": True, "worst_gap_over_dirichlet": math.inf, "violations": []},
+        "nehari_sign_small_norm": {"passed": True},
+        "nehari_sign_negative_implies_large": {"passed": True},
+        "nehari_zero_norm_bound": {"passed": True, "worst_norm_over_radius": math.inf},
+        "well_depth_curve": _check_well_depth_curve(cfg, g, H, wp),
+        "fiber_map": {"passed": True, "directions": 0, "worst_lambda_rel_err": 0.0},
+        "projected_norm_cap": {"passed": True},
+        "energy_split_identity": {"passed": True, "worst_rel_residual": 0.0},
+    }
 
-    # split identity E + (1/3) H int(...) = D/2 to near machine precision
-    ident_worst = 0.0
-    for u in corpus:
-        _, meas = classify.check_e54(u, H)
-        ident_worst = max(ident_worst, meas["identity_residual_rel"])
-    checks["energy_split_identity"] = {"passed": ident_worst <= 1e-12, "worst_rel_residual": ident_worst}
+    # one derivative pass per member gives its (dirichlet, volume), hence its coefficients, its
+    # isoperimetric gap and its split identity; its direction (members with A > 0 and B != 0) is
+    # its sign with B < 0: the flip negates B exactly, so the flipped coefficients are (A, -B)
+    corpus_size = 0
+    for i, u in enumerate(members):
+        corpus_size += 1
+        a, v = functionals._dirichlet_and_volume(u)
+        c = nehari.FiberingCoefficients(A=a, B=H * v)
+        _check_isoperimetric(checks["isoperimetric"], i, a, v)
+        _check_projected_norm_cap(checks["projected_norm_cap"], c, wp.d)
+        _check_energy_split(checks["energy_split_identity"], a, v, H)
+        if c.A > 0.0 and c.B != 0.0:
+            w, cw = (u, c) if c.B < 0.0 else (u.scaled(-1.0), nehari.FiberingCoefficients(A=c.A, B=-c.B))
+            _check_small_norm(checks["nehari_sign_small_norm"], w, cw, H)
+            _check_negative_implies_large(checks["nehari_sign_negative_implies_large"], w, cw, H)
+            _check_zero_norm_bound(checks["nehari_zero_norm_bound"], cw, H)
+            if i < 20:
+                _check_fiber_map(checks["fiber_map"], w, cw, H)
+    probe_size = 0
+    for j, u in enumerate(probe):
+        probe_size += 1
+        _check_isoperimetric(checks["isoperimetric"], corpus_size + j, *functionals._dirichlet_and_volume(u))
+    for block in checks.values():  # a worst value no member reached
+        block.update({key: None for key, val in block.items() if val is math.inf})
 
     all_passed = all(c["passed"] for c in checks.values())
     artifact = {
         "n": g.nx,
         "H": H,
-        "corpus_size": len(corpus),
-        "probe_size": len(probe),
+        "corpus_size": corpus_size,
+        "probe_size": probe_size,
         "checks": checks,
         "all_passed": all_passed,
     }
-    if warning:
-        artifact["warning"] = warning
+    if not corpus_size:
+        artifact["warning"] = "empty corpus: field checks pass vacuously"
     write_json(out / "lemma_report.json", artifact)
     if not all_passed:
         failed = sorted(name for name, c in checks.items() if not c["passed"])

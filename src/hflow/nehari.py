@@ -113,33 +113,34 @@ def default_eps_grid(g: GridSpec, count: int = 12, eps_max: float = 0.35) -> np.
 
 
 def bubble_family(g: GridSpec, H: float, eps_grid=None, center=(0.5, 0.5)):
-    """[(eps, field), ...] over the scale grid."""
+    """(eps, field) over the scale grid: a generator, one bubble at a time."""
     if eps_grid is None:
         eps_grid = default_eps_grid(g)
-    return [(float(e), bubble_direction(g, H, center, float(e))) for e in eps_grid]
+    for e in eps_grid:
+        yield float(e), bubble_direction(g, H, center, float(e))
 
 
 def estimate_d(H: float, g: GridSpec, family=None, eps_grid=None, center=(0.5, 0.5)) -> WellParameters:
     """Estimate the well depth as the family minimum of fiber peak energies.
 
     `family` is an explicit list of direction fields; by default the cutoff
-    bubble family over `eps_grid` is used.  Members whose fiber energy has
-    no interior maximum (B >= 0) are skipped.
+    bubble family over `eps_grid` is used, one bubble at a time.  Members
+    whose fiber energy has no interior maximum (B >= 0) are skipped.
     """
-    if family is not None:
-        labelled = [(f"member {i}", u) for i, u in enumerate(family)]
-    else:
-        if eps_grid is None:
-            eps_grid = default_eps_grid(g)
-        labelled = [(f"eps={e:.6g}", u) for e, u in bubble_family(g, H, eps_grid, center)]
-    if not labelled:
+    if family is None and eps_grid is None:
+        eps_grid = default_eps_grid(g)
+    size = len(family if family is not None else eps_grid)
+    if not size:
         raise EstimationError("empty direction family")
-    provenance = (
-        f"user family of {len(labelled)} directions, n={g.nx}, H={H}"
-        if family is not None
-        else f"cutoff pole-shifted stereographic bubbles, center={tuple(center)}, "
-        f"eps in [{eps_grid[0]:.6g}, {eps_grid[-1]:.6g}] ({len(labelled)} scales), n={g.nx}, H={H}"
-    )
+    if family is not None:
+        labelled = ((f"member {i}", u) for i, u in enumerate(family))
+        provenance = f"user family of {size} directions, n={g.nx}, H={H}"
+    else:
+        labelled = ((f"eps={e:.6g}", u) for e, u in bubble_family(g, H, eps_grid, center))
+        provenance = (
+            f"cutoff pole-shifted stereographic bubbles, center={tuple(center)}, "
+            f"eps in [{eps_grid[0]:.6g}, {eps_grid[-1]:.6g}] ({size} scales), n={g.nx}, H={H}"
+        )
     table = []
     for label, u in labelled:
         c = fibering_coeffs(u, H)
@@ -270,7 +271,7 @@ def golden_section_peak(u: VectorField, H: float, lo: float, hi: float, tol: flo
 def default_lambda_sampler(g: GridSpec, H: float, seed: int, count: int = 200, kmax: int = 6):
     """Band-limited random directions, then the default bubble family: a generator, one at a time."""
     yield from (random_bandlimited(g, seed + i, kmax=kmax) for i in range(count))
-    yield from (bubble_direction(g, H, eps=float(e)) for e in default_eps_grid(g))
+    yield from (u for _, u in bubble_family(g, H))
 
 
 def sample_lambda_Lambda(alpha: float, d: float, H: float, sampler):

@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hflow
-from hflow import cli, functionals, nehari
+from hflow import cli, fields, flow, functionals, nehari
 from hflow.cli import (
     EXIT_CONFIG,
     EXIT_LEMMA,
@@ -22,6 +23,7 @@ from hflow.cli import (
     main,
     trajectory_columns,
     write_json,
+    write_trajectory_csv,
 )
 from hflow.functionals import energy_E, isoperimetric_gap
 from hflow.grid import make_grid
@@ -358,7 +360,7 @@ def test_verify_lemmas_reuses_its_passes_with_the_same_bits(tmp_path, monkeypatc
 
     cfg = load_config(path)
     g = make_grid(31)
-    corpus, probe = cli._corpus(cfg, g, H)
+    corpus, probe = map(list, cli._corpus(cfg, g, H))
     assert probe
     gaps = [isoperimetric_gap(u) / fibering_coeffs(u, H).A for u in corpus + probe]
     assert checks["isoperimetric"]["worst_gap_over_dirichlet"] == min(gaps)
@@ -410,11 +412,81 @@ def test_verify_lemmas_takes_one_pass_per_member_and_scale(tmp_path, monkeypatch
     assert directions > 0
     eps_count = load_config(cfg)["well"]["eps_count"]
     assert calls["fibering_coeffs"] == [True] * eps_count
-    # outside the search: one report per member (energy split identity) and five per direction,
-    # and the energies of the well-depth curve rows
-    assert calls["report"] == count + 5 * directions
+    # outside the search: five reports per direction (the split identity reads each member's own
+    # pass), and the energies of the well-depth curve rows
+    assert calls["report"] == 5 * directions
     assert calls["energy_E"] == len(cli.DELTA_TABLE)
     assert calls["nehari_D"] == 0
+
+
+def _one_alive_at_a_time(monkeypatch, module, name):
+    """Wrap module.name so that each call asserts that at most one earlier result is still alive."""
+    real = getattr(module, name)
+    made = []
+
+    def f(*args, **kwargs):
+        alive = sum(ref() is not None for ref in made)
+        assert alive <= 1, f"{name}: {alive} earlier results alive at call {len(made)}"
+        out = real(*args, **kwargs)
+        made.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(module, name, f)
+    return made
+
+
+def test_verify_lemmas_holds_one_member_at_a_time(tmp_path, monkeypatch):
+    # corpus members, the bubble family of estimate_d and the saturation probe are streams:
+    # each member is dropped before the one after the next is made
+    members = _one_alive_at_a_time(monkeypatch, fields, "random_bandlimited")
+    bubbles = _one_alive_at_a_time(monkeypatch, nehari, "bubble_direction")
+    count = 6
+    path = write_config(
+        tmp_path / "c.json", grid={"n": 15}, corpus={"count": count, "kmax": 5, "saturation_probe": True}, seed=2
+    )
+    assert main(["verify-lemmas", "--config", str(path), "--out", str(tmp_path / "o")]) in (EXIT_OK, EXIT_LEMMA)
+    art = json.loads((tmp_path / "o" / "lemma_report.json").read_text(encoding="utf-8"))
+    assert len(members) == art["corpus_size"] == count
+    eps_count = load_config(path)["well"]["eps_count"]
+    # estimate_d's family, the depth curve's best bubble, then the probe
+    assert len(bubbles) == eps_count + 1 + art["probe_size"] and art["probe_size"] == eps_count
+
+
+def test_trajectory_csv_fields_are_17_significant_digits(tmp_path):
+    values = np.array([0.1, 1.0 / 3.0, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 2.0**-1074 * 3])
+    delta_list = (0.25, 1.25)
+    cols = [np.roll(values, j) for j in range(len(trajectory_columns(delta_list)))]
+    tr = flow.TrajectoryRecord(
+        params=flow.FlowParams(H=1.0, dt0=1e-3, t_end=1.0),
+        delta_list=delta_list,
+        t=cols[0],
+        dt=cols[1],
+        l2_sq=cols[2],
+        h1_sq=cols[3],
+        E=cols[4],
+        D=cols[5],
+        D_delta=np.stack(cols[6:8], axis=1),
+        f=cols[8],
+        fprime=cols[9],
+        fsecond=cols[10],
+        concavity=cols[11],
+        energy_residual=cols[12],
+        status="reached-horizon",
+    )
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, tr)
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert lines[0].split(",") == trajectory_columns(delta_list) and lines[-1] == ""
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert len(rows) == len(values)
+    for k, row in enumerate(rows):
+        assert len(row) == len(cols)
+        for col, token in zip(cols, row):
+            v = float(col[k])
+            assert token == format(v, ".17g")
+            if math.isfinite(v):
+                back = float(token)
+                assert back == v and math.copysign(1.0, back) == math.copysign(1.0, v)
 
 
 def test_sweep_transition_and_consistency(tmp_path):
