@@ -70,6 +70,30 @@ class DecayFit:
     n_fit: int
 
 
+def split_identity_residual(energy: float, dirichlet: float, nehari: float) -> float:
+    """Relative residual of the split identity E + (1/3) H int(u . u_x ^ u_y) - D/2, which vanishes identically."""
+    b_coeff = 0.5 * (nehari - dirichlet)  # = H int u . u_x ^ u_y
+    resid = energy + b_coeff / 3.0 - 0.5 * nehari
+    scale = max(abs(energy), abs(b_coeff) / 3.0, abs(nehari) / 2.0, 1e-300)
+    return abs(resid) / scale
+
+
+def _e54_of(rep: functionals.FunctionalReport):
+    """check_e54 evaluated on the datum's report."""
+    b_coeff = 0.5 * (rep.nehari - rep.dirichlet)  # = H int u . u_x ^ u_y
+    l2_norm = math.sqrt(rep.l2_sq)
+    volume_bound = -b_coeff / 3.0
+    satisfied = (rep.energy <= l2_norm) and (l2_norm < volume_bound)
+    meas = {
+        "energy": rep.energy,
+        "l2_norm": l2_norm,
+        "volume_bound": volume_bound,
+        "nehari": rep.nehari,
+        "identity_residual_rel": split_identity_residual(rep.energy, rep.dirichlet, rep.nehari),
+    }
+    return satisfied, meas
+
+
 def check_e54(u0: VectorField, H: float):
     """High-energy blow-up inequality E(u0) <= |u0|_2 < -(1/3) H int u0 . u0x ^ u0y.
 
@@ -77,21 +101,7 @@ def check_e54(u0: VectorField, H: float):
     identity E + (1/3) H int(...) - D/2, which vanishes identically; when
     the inequality holds it forces D(u0) < 0.
     """
-    rep = functionals.report(u0, H)
-    b_coeff = 0.5 * (rep.nehari - rep.dirichlet)  # = H int u . u_x ^ u_y
-    l2_norm = math.sqrt(rep.l2_sq)
-    volume_bound = -b_coeff / 3.0
-    satisfied = (rep.energy <= l2_norm) and (l2_norm < volume_bound)
-    resid = rep.energy + b_coeff / 3.0 - 0.5 * rep.nehari
-    scale = max(abs(rep.energy), abs(b_coeff) / 3.0, abs(rep.nehari) / 2.0, 1e-300)
-    meas = {
-        "energy": rep.energy,
-        "l2_norm": l2_norm,
-        "volume_bound": volume_bound,
-        "nehari": rep.nehari,
-        "identity_residual_rel": abs(resid) / scale,
-    }
-    return satisfied, meas
+    return _e54_of(functionals.report(u0, H))
 
 
 def delta_window(u0: VectorField, wp: WellParameters):
@@ -153,7 +163,7 @@ def classify_initial(
         return Verdict("critical", "boundary", "t32", BLOWUP, details=details)
 
     # high energy
-    e54_ok, e54_meas = check_e54(u0, wp.H)
+    e54_ok, e54_meas = _e54_of(rep)
     details["e54"] = e54_meas
     if e54_ok:
         return Verdict("high", "outside", "t52", BLOWUP, details=details)

@@ -113,17 +113,19 @@ def _eps_grid(cfg, g: GridSpec) -> np.ndarray:
     count = int(well["eps_count"])
     if count < 1:
         raise nehari.EstimationError("empty bubble family (well.eps_count < 1)")
-    lo = 4.0 * g.h if well["eps_min"] == "4h" else float(well["eps_min"])
-    hi = float(well["eps_max"])
-    if well["eps_min"] == "4h" and 0.0 < hi < lo:
-        raise ConfigError(
-            f"grid n = {g.nx} is too coarse for the bubble family: eps_min = 4h = {lo:g} exceeds "
-            f"well.eps_max = {hi:g}; this range needs n >= {math.ceil(4.0 / hi - 1.0)}, "
-            "or set well.eps_min explicitly"
-        )
-    if not (0.0 < lo <= hi):
+    lo, hi = well["eps_min"], float(well["eps_max"])
+    if lo == "4h" and hi > 0.0:
+        eps = nehari.default_eps_grid(g, count, hi)
+        if eps[0] > hi:
+            raise ConfigError(
+                f"grid n = {g.nx} is too coarse for the bubble family: eps_min = 4h = {eps[0]:g} exceeds "
+                f"well.eps_max = {hi:g}; this range needs n >= {math.ceil(4.0 / hi - 1.0)}, "
+                "or set well.eps_min explicitly"
+            )
+        return eps
+    if lo == "4h" or not (0.0 < float(lo) <= hi):
         raise ConfigError(f"bad eps range [{lo}, {hi}]")
-    return np.geomspace(lo, hi, count)
+    return np.geomspace(float(lo), hi, count)
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +179,15 @@ def write_trajectory_csv(path: Path, tr: flow.TrajectoryRecord) -> None:
 # initial-condition library
 
 
-def _resolve_direction(dir_cfg: dict, g: GridSpec, H: float):
+def _resolve_direction(dir_cfg: dict, g: GridSpec, H: float, well):
+    """The direction's bubble; an eps of "optimal" is the scale of the minimizer of `well()`'s family."""
     kind = dir_cfg.get("type", "bubble")
     if kind != "bubble":
         raise ConfigError(f"unsupported direction type {kind!r}")
     center = tuple(dir_cfg.get("center", (0.5, 0.5)))
     eps = dir_cfg.get("eps", 0.25)
-    if eps == "optimal":
-        eps, w = nehari.optimal_bubble(g, H, center=center)
-    else:
-        eps = float(eps)
-        w = nehari.bubble_direction(g, H, center, eps)
+    eps = nehari.family_minimizer(well())[0] if eps == "optimal" else float(eps)
+    w = nehari.bubble_direction(g, H, center, eps)
     return w, {"type": "bubble", "center": list(center), "eps": eps}
 
 
@@ -220,7 +220,17 @@ def _amplitude_for_energy_level(coeffs, level_energy: float, branch: str) -> flo
 
 
 def build_initial_condition(cfg: dict, g: GridSpec, H: float, seed_override=None, wp=None):
-    """Construct u0 from the config's ic block; returns (field, description)."""
+    """Construct u0 from the config's ic block; returns (field, description).
+
+    `wp` is the command's well; without it the config's well is estimated, once and only if the IC reads it.
+    """
+
+    def well() -> nehari.WellParameters:
+        nonlocal wp
+        if wp is None:
+            wp = _well_parameters(cfg, g, H)
+        return wp
+
     ic = cfg.get("ic")
     if not isinstance(ic, dict) or "type" not in ic:
         raise ConfigError("config needs an ic block with a type")
@@ -250,7 +260,7 @@ def build_initial_condition(cfg: dict, g: GridSpec, H: float, seed_override=None
         u0 = fields.random_bandlimited(g, int(seed), kmax, None if h1_norm is None else float(h1_norm))
         return u0, {"type": kind, "seed": int(seed), "kmax": kmax, "h1_norm": h1_norm}
     if kind == "scaled-direction":
-        w, dir_desc = _resolve_direction(params.get("direction", {}), g, H)
+        w, dir_desc = _resolve_direction(params.get("direction", {}), g, H, well)
         coeffs = nehari.fibering_coeffs(w, H)
         lam = nehari.lambda_star(coeffs)
         if "lambda_multiple" in params:
@@ -262,9 +272,7 @@ def build_initial_condition(cfg: dict, g: GridSpec, H: float, seed_override=None
             if branch not in ("below-peak", "above-peak"):
                 raise ConfigError(f"branch must be below-peak or above-peak, got {branch!r}")
             level = float(params["energy_level"])
-            if wp is None:
-                wp = nehari.estimate_d(H, g, eps_grid=_eps_grid(cfg, g))
-            amp = _amplitude_for_energy_level(coeffs, level * wp.d, branch)
+            amp = _amplitude_for_energy_level(coeffs, level * well().d, branch)
             desc = {"type": kind, "direction": dir_desc, "energy_level": level, "branch": branch}
         elif "e54_margin" in params:
             margin = float(params["e54_margin"])
@@ -410,19 +418,13 @@ def cmd_classify(cfg: dict, out: Path, seed_override=None) -> int:
 # each check folds one member into its own block of lemma_report.json
 
 
-def _corpus(cfg, g: GridSpec, H: float):
-    """(members, probe): lazy streams of fields; the probe is empty unless corpus.saturation_probe."""
+def _corpus(cfg, g: GridSpec):
+    """The corpus members, a lazy stream of fields."""
     cc = cfg["corpus"]
     seed = cfg.get("seed", cc.get("seed"))
     if seed is None:
         raise ConfigError("verify-lemmas needs a corpus seed (top-level seed or corpus.seed)")
-    members = (fields.random_bandlimited(g, int(seed) + i, int(cc["kmax"])) for i in range(int(cc["count"])))
-    probe = ()
-    if cc.get("saturation_probe"):
-        # near-extremal directions that saturate the isoperimetric inequality;
-        # their discrete gap exposes the resolution limit of the grid
-        probe = (u for _, u in nehari.bubble_family(g, H, _eps_grid(cfg, g)))
-    return members, probe
+    return (fields.random_bandlimited(g, int(seed) + i, int(cc["kmax"])) for i in range(int(cc["count"])))
 
 
 def _check_isoperimetric(block: dict, i: int, a: float, v: float) -> None:
@@ -444,13 +446,9 @@ def _check_projected_norm_cap(block: dict, c: nehari.FiberingCoefficients, d: fl
 
 
 def _check_energy_split(block: dict, a: float, v: float, H: float) -> None:
-    """E + (1/3) H int(...) = D/2 to near machine precision, in report's and check_e54's expressions."""
-    volume = (2.0 / 3.0) * H * v
-    energy, nehari_d = 0.5 * a + volume, a + 2.0 * H * v
-    b_coeff = 0.5 * (nehari_d - a)
-    resid = energy + b_coeff / 3.0 - 0.5 * nehari_d
-    scale = max(abs(energy), abs(b_coeff) / 3.0, abs(nehari_d) / 2.0, 1e-300)
-    block["worst_rel_residual"] = max(block["worst_rel_residual"], abs(resid) / scale)
+    """E + (1/3) H int(...) = D/2 to near machine precision, with E and D in report's expressions."""
+    rel = classify.split_identity_residual(0.5 * a + (2.0 / 3.0) * H * v, a, a + 2.0 * H * v)
+    block["worst_rel_residual"] = max(block["worst_rel_residual"], rel)
     block["passed"] = block["worst_rel_residual"] <= 1e-12
 
 
@@ -499,10 +497,10 @@ def _check_fiber_map(block: dict, w: VectorField, cw: nehari.FiberingCoefficient
         block["passed"] = False
 
 
-def _check_well_depth_curve(cfg, g: GridSpec, H: float, wp: nehari.WellParameters) -> dict:
+def _check_well_depth_curve(g: GridSpec, H: float, wp: nehari.WellParameters) -> dict:
     """Well-depth curve shape against the fiber algebra and the radius bound, on the family's best bubble."""
-    best_eps, cbest = nehari.family_minimizer(wp, _eps_grid(cfg, g))
-    best = nehari.bubble_direction(g, H, tuple(cfg["well"]["center"]), best_eps)
+    best_eps, cbest = nehari.family_minimizer(wp)
+    best = nehari.bubble_direction(g, H, wp.center, best_eps)
     rows = []
     for delta in DELTA_TABLE:
         lam = nehari.project_nehari_delta(cbest, delta)
@@ -524,14 +522,14 @@ def _check_well_depth_curve(cfg, g: GridSpec, H: float, wp: nehari.WellParameter
 def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
     g = _grid_of(cfg)
     H = float(cfg["physics"]["H"])
-    members, probe = _corpus(cfg, g, H)
+    members = _corpus(cfg, g)
     wp = _well_parameters(cfg, g, H)  # before the stream: the projected-norm cap reads d
     checks = {
         "isoperimetric": {"passed": True, "worst_gap_over_dirichlet": math.inf, "violations": []},
         "nehari_sign_small_norm": {"passed": True},
         "nehari_sign_negative_implies_large": {"passed": True},
         "nehari_zero_norm_bound": {"passed": True, "worst_norm_over_radius": math.inf},
-        "well_depth_curve": _check_well_depth_curve(cfg, g, H, wp),
+        "well_depth_curve": _check_well_depth_curve(g, H, wp),
         "fiber_map": {"passed": True, "directions": 0, "worst_lambda_rel_err": 0.0},
         "projected_norm_cap": {"passed": True},
         "energy_split_identity": {"passed": True, "worst_rel_residual": 0.0},
@@ -555,10 +553,13 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
             _check_zero_norm_bound(checks["nehari_zero_norm_bound"], cw, H)
             if i < 20:
                 _check_fiber_map(checks["fiber_map"], w, cw, H)
+    # the saturation probe is the well's own family: near-extremal directions that saturate the
+    # isoperimetric inequality, whose discrete gap exposes the resolution limit of the grid
     probe_size = 0
-    for j, u in enumerate(probe):
-        probe_size += 1
-        _check_isoperimetric(checks["isoperimetric"], corpus_size + j, *functionals._dirichlet_and_volume(u))
+    if cfg["corpus"].get("saturation_probe"):
+        for j, (_, u) in enumerate(nehari.bubble_family(g, H, wp.eps_grid, wp.center)):
+            probe_size += 1
+            _check_isoperimetric(checks["isoperimetric"], corpus_size + j, *functionals._dirichlet_and_volume(u))
     for block in checks.values():  # a worst value no member reached
         block.update({key: None for key, val in block.items() if val is math.inf})
 

@@ -261,24 +261,12 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
     dt = p.dt0
     f = 0.0
     cum_residual = 0.0
-    rows = []
+    rows = []  # one flat row per sample, in the CSV's column order
 
     def record(dt_used: float, s: _State):
         rows.append(
-            (
-                t,
-                dt_used,
-                s.l2,
-                s.h1,
-                s.E_fwd,
-                s.D,
-                tuple(d * s.h1 + 2.0 * H * s.vol for d in delta_list),
-                f,
-                s.l2,
-                -2.0 * s.D,
-                f * (-2.0 * s.D) - 1.5 * s.l2 * s.l2,
-                cum_residual,
-            )
+            (t, dt_used, s.l2, s.h1, s.E_fwd, s.D, *(d * s.h1 + 2.0 * H * s.vol for d in delta_list))
+            + (f, s.l2, -2.0 * s.D, f * (-2.0 * s.D) - 1.5 * s.l2 * s.l2, cum_residual)
         )
 
     record(p.dt0, state)
@@ -345,22 +333,14 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
     if t != last_recorded_t or not rows:
         record(dt_step, state)
 
-    cols = list(zip(*rows))
+    cols = np.array(rows).T.copy()  # one contiguous series per column
+    k = len(delta_list)
     return TrajectoryRecord(
         params=p,
         delta_list=delta_list,
-        t=np.array(cols[0]),
-        dt=np.array(cols[1]),
-        l2_sq=np.array(cols[2]),
-        h1_sq=np.array(cols[3]),
-        E=np.array(cols[4]),
-        D=np.array(cols[5]),
-        D_delta=np.array([list(r) for r in cols[6]]).reshape(len(rows), len(delta_list)),
-        f=np.array(cols[7]),
-        fprime=np.array(cols[8]),
-        fsecond=np.array(cols[9]),
-        concavity=np.array(cols[10]),
-        energy_residual=np.array(cols[11]),
+        **dict(zip(("t", "dt", "l2_sq", "h1_sq", "E", "D"), cols[:6])),
+        D_delta=cols[6 : 6 + k].T,
+        **dict(zip(("f", "fprime", "fsecond", "concavity", "energy_residual"), cols[6 + k :])),
         status=status,
         stop_reason=stop_reason,
         final_state=state.u,

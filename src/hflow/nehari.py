@@ -52,9 +52,9 @@ class WellParameters:
     H: float
     d: float
     provenance: str
-    delta1: float | None = None
-    delta2: float | None = None
     family_table: list = field(default_factory=list)  # rows: {"label", "A", "B", "fiber_energy"}
+    eps_grid: tuple = ()  # the family's scales, one per family_table row
+    center: tuple = (0.5, 0.5)  # the family's bubble center
 
 
 def fibering_coeffs(u: VectorField, H: float) -> FiberingCoefficients:
@@ -120,31 +120,21 @@ def bubble_family(g: GridSpec, H: float, eps_grid=None, center=(0.5, 0.5)):
         yield float(e), bubble_direction(g, H, center, float(e))
 
 
-def estimate_d(H: float, g: GridSpec, family=None, eps_grid=None, center=(0.5, 0.5)) -> WellParameters:
+def estimate_d(H: float, g: GridSpec, eps_grid=None, center=(0.5, 0.5)) -> WellParameters:
     """Estimate the well depth as the family minimum of fiber peak energies.
 
-    `family` is an explicit list of direction fields; by default the cutoff
-    bubble family over `eps_grid` is used, one bubble at a time.  Members
-    whose fiber energy has no interior maximum (B >= 0) are skipped.
+    The family is the cutoff bubble family at `center` over `eps_grid`
+    (`default_eps_grid` when None), made one bubble at a time; the returned
+    parameters record both.  Members whose fiber energy has no interior
+    maximum (B >= 0) are skipped.
     """
-    if family is None and eps_grid is None:
-        eps_grid = default_eps_grid(g)
-    size = len(family if family is not None else eps_grid)
-    if not size:
+    eps_grid = tuple(float(e) for e in (default_eps_grid(g) if eps_grid is None else eps_grid))
+    if not eps_grid:
         raise EstimationError("empty direction family")
-    if family is not None:
-        labelled = ((f"member {i}", u) for i, u in enumerate(family))
-        provenance = f"user family of {size} directions, n={g.nx}, H={H}"
-    else:
-        labelled = ((f"eps={e:.6g}", u) for e, u in bubble_family(g, H, eps_grid, center))
-        provenance = (
-            f"cutoff pole-shifted stereographic bubbles, center={tuple(center)}, "
-            f"eps in [{eps_grid[0]:.6g}, {eps_grid[-1]:.6g}] ({size} scales), n={g.nx}, H={H}"
-        )
     table = []
-    for label, u in labelled:
+    for e, u in bubble_family(g, H, eps_grid, center):
         c = fibering_coeffs(u, H)
-        row = {"label": label, "A": c.A, "B": c.B}
+        row = {"label": f"eps={e:.6g}", "A": c.A, "B": c.B}
         try:
             row["fiber_energy"] = fiber_peak_energy(c)
         except NoMaximizerError:
@@ -153,20 +143,24 @@ def estimate_d(H: float, g: GridSpec, family=None, eps_grid=None, center=(0.5, 0
     usable = [r["fiber_energy"] for r in table if r["fiber_energy"] is not None]
     if not usable:
         raise EstimationError("no family member has a fiber maximum (all B >= 0)")
-    return WellParameters(H=H, d=min(usable), provenance=provenance, family_table=table)
+    provenance = (
+        f"cutoff pole-shifted stereographic bubbles, center={tuple(center)}, "
+        f"eps in [{eps_grid[0]:.6g}, {eps_grid[-1]:.6g}] ({len(eps_grid)} scales), n={g.nx}, H={H}"
+    )
+    return WellParameters(
+        H=H, d=min(usable), provenance=provenance, family_table=table, eps_grid=eps_grid, center=tuple(center)
+    )
 
 
-def family_minimizer(wp: WellParameters, eps_grid) -> tuple[float, FiberingCoefficients]:
-    """(eps, coefficients) of the first minimal row of a bubble-family table over `eps_grid`."""
+def family_minimizer(wp: WellParameters) -> tuple[float, FiberingCoefficients]:
+    """(eps, coefficients) of the first minimal row of wp's bubble-family table."""
     i = [row["fiber_energy"] for row in wp.family_table].index(wp.d)
-    return float(eps_grid[i]), FiberingCoefficients(A=wp.family_table[i]["A"], B=wp.family_table[i]["B"])
+    return wp.eps_grid[i], FiberingCoefficients(A=wp.family_table[i]["A"], B=wp.family_table[i]["B"])
 
 
 def optimal_bubble(g: GridSpec, H: float, eps_grid=None, center=(0.5, 0.5)):
     """(eps, field) minimizing the fiber peak energy over the scale grid."""
-    if eps_grid is None:
-        eps_grid = default_eps_grid(g)
-    eps, _ = family_minimizer(estimate_d(H, g, eps_grid=eps_grid, center=center), eps_grid)
+    eps, _ = family_minimizer(estimate_d(H, g, eps_grid, center))
     return eps, bubble_direction(g, H, center, eps)
 
 

@@ -360,11 +360,10 @@ def test_verify_lemmas_reuses_its_passes_with_the_same_bits(tmp_path, monkeypatc
 
     cfg = load_config(path)
     g = make_grid(31)
-    corpus, probe = map(list, cli._corpus(cfg, g, H))
-    assert probe
-    gaps = [isoperimetric_gap(u) / fibering_coeffs(u, H).A for u in corpus + probe]
+    family = list(bubble_family(g, H, cli._eps_grid(cfg, g), tuple(cfg["well"]["center"])))
+    probe = [u for _, u in family]
+    gaps = [isoperimetric_gap(u) / fibering_coeffs(u, H).A for u in list(cli._corpus(cfg, g)) + probe]
     assert checks["isoperimetric"]["worst_gap_over_dirichlet"] == min(gaps)
-    family = bubble_family(g, H, cli._eps_grid(cfg, g), tuple(cfg["well"]["center"]))
     eps, best = min(family, key=lambda item: fiber_peak_energy(fibering_coeffs(item[1], H)))
     assert checks["well_depth_curve"]["best_eps"] == eps
     cbest = fibering_coeffs(best, H)
@@ -450,6 +449,29 @@ def test_verify_lemmas_holds_one_member_at_a_time(tmp_path, monkeypatch):
     eps_count = load_config(path)["well"]["eps_count"]
     # estimate_d's family, the depth curve's best bubble, then the probe
     assert len(bubbles) == eps_count + 1 + art["probe_size"] and art["probe_size"] == eps_count
+
+
+def test_saturation_probe_is_the_wells_family(tmp_path, monkeypatch):
+    # the probe bubbles, like estimate_d's family and the depth curve's bubble, sit at well.center
+    centers = []
+    real = nehari.bubble_direction
+
+    def recording(g, H, center, eps):
+        centers.append(tuple(center))
+        return real(g, H, center, eps)
+
+    monkeypatch.setattr(nehari, "bubble_direction", recording)
+    path = write_config(
+        tmp_path / "c.json",
+        grid={"n": 15},
+        well={"center": [0.4, 0.55]},
+        corpus={"count": 2, "kmax": 4, "saturation_probe": True},
+        seed=3,
+    )
+    assert main(["verify-lemmas", "--config", str(path), "--out", str(tmp_path / "o")]) in (EXIT_OK, EXIT_LEMMA)
+    art = json.loads((tmp_path / "o" / "lemma_report.json").read_text(encoding="utf-8"))
+    assert art["probe_size"] == load_config(path)["well"]["eps_count"]
+    assert len(centers) == 2 * art["probe_size"] + 1 and set(centers) == {(0.4, 0.55)}
 
 
 def test_trajectory_csv_fields_are_17_significant_digits(tmp_path):
@@ -632,6 +654,48 @@ def test_scaled_direction_optimal_eps(tmp_path):
     u0, desc = build_initial_condition(cfg, g, 1.0)
     assert desc["direction"]["eps"] == pytest.approx(4.0 * g.h)
     assert desc["amplitude"] == pytest.approx(desc["lambda_star"])
+
+
+def test_optimal_eps_follows_the_configured_well(tmp_path):
+    # "optimal" is the minimizer's scale in the command's own family, not in nehari's default grid
+    ic = {
+        "type": "scaled-direction",
+        "params": {"direction": {"type": "bubble", "eps": "optimal"}, "lambda_multiple": 1.0},
+    }
+    well = {"eps_min": 0.08, "eps_max": 0.3, "eps_count": 7}
+    cfg = load_config(write_config(tmp_path / "c.json", grid={"n": 63}, ic=ic, well=well))
+    g = make_grid(63)
+    _, desc = build_initial_condition(cfg, g, 1.0)
+    assert desc["direction"]["eps"] == 0.08
+    assert build_initial_condition(cfg, g, 1.0, wp=cli._well_parameters(cfg, g, 1.0))[1] == desc
+
+
+def test_energy_level_without_wp_reads_the_configured_well(tmp_path):
+    # the t31 preset's datum under an off-center well: the IC's own estimate is the command's
+    cfg = json.loads(Path("presets/t31.json").read_text(encoding="utf-8"))
+    cfg["well"] = {"center": [0.3, 0.6]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    cfg = load_config(path)
+    g = make_grid(63)
+    u0, desc = build_initial_condition(cfg, g, 1.0)
+    u0_cmd, desc_cmd = build_initial_condition(cfg, g, 1.0, wp=cli._well_parameters(cfg, g, 1.0))
+    assert desc == desc_cmd and np.array_equal(u0.values, u0_cmd.values)
+    assert desc["amplitude"] == pytest.approx(1.1098, abs=1e-4)
+
+
+def test_optimal_energy_level_on_the_peak_above_it_classifies_t32(tmp_path):
+    # the optimal direction's fiber peak is d itself, so the level sits on the peak; the
+    # above-peak amplitude still leaves D < 0
+    cfg = json.loads(Path("presets/t32.json").read_text(encoding="utf-8"))
+    cfg["ic"]["params"]["direction"]["eps"] = "optimal"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["classify", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    verdict = json.loads((out / "verdict.json").read_text(encoding="utf-8"))["verdict"]
+    assert verdict["applicable_theorem"] == "t32"
+    assert verdict["details"]["nehari"] < 0.0
 
 
 def test_preset_configs_parse():

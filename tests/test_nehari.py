@@ -219,9 +219,10 @@ def test_search_evaluation_budget(g63, monkeypatch):
 
 def test_estimate_d_single_direction(g63):
     u = bubble_direction(g63, 1.0, eps=0.25)
-    wp = estimate_d(1.0, g63, family=[u])
-    assert wp.d == pytest.approx(fiber_peak_energy(fibering_coeffs(u, 1.0)), rel=1e-13)
-    assert "1 direction" in wp.provenance
+    wp = estimate_d(1.0, g63, eps_grid=[0.25])
+    assert wp.d == fiber_peak_energy(fibering_coeffs(u, 1.0))
+    assert (wp.eps_grid, wp.center) == ((0.25,), (0.5, 0.5))
+    assert "(1 scales)" in wp.provenance
 
 
 def test_estimate_d_bubble_family_band(g63):
@@ -240,13 +241,11 @@ def test_estimate_d_scales_inversely_with_H_squared(g63):
     assert d2 == pytest.approx(d1 / 4.0, rel=1e-10)
 
 
-def test_estimate_d_error_cases(g63):
-    with pytest.raises(EstimationError):
-        estimate_d(1.0, g63, family=[])
-    # single-component fields have B = 0: no fiber maximum anywhere
-    flat = VectorField(g63, np.ones((3, 63, 63)))
-    with pytest.raises(EstimationError):
-        estimate_d(1.0, g63, family=[flat.scaled(0.0)])
+def test_estimate_d_error_cases(g63, monkeypatch):
+    # zero-field bubbles have A = B = 0: no fiber maximum anywhere
+    monkeypatch.setattr("hflow.nehari.bubble_direction", lambda g, *args: VectorField.zeros(g))
+    with pytest.raises(EstimationError, match="no family member has a fiber maximum"):
+        estimate_d(1.0, g63)
 
 
 @pytest.mark.parametrize("eps_grid", [[], np.array([])], ids=["list", "array"])
