@@ -17,6 +17,7 @@ configs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import sys
@@ -61,7 +62,7 @@ def _merge(defaults: dict, given: dict) -> dict:
 CONFIG_DEFAULTS = {
     "grid": {"n": 63},
     "physics": {"H": 1.0},
-    "time": {"dt0": 5e-4, "t_end": 1.0, "dt_min": 1e-10, "cg_tol": 1e-10},
+    "time": {"dt0": 5e-4, "t_end": 1.0, "dt_min": 1e-10},
     "monitors": {
         "delta_list": [0.25, 0.75, 1.25],
         "record_every": 5,
@@ -95,7 +96,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    cfg = _merge(CONFIG_DEFAULTS, raw)
+    cfg = _merge(copy.deepcopy(CONFIG_DEFAULTS), raw)  # no loaded config shares a block of the defaults
     if cfg["physics"]["H"] <= 0.0:
         raise ConfigError(f"physics.H must be > 0, got {cfg['physics']['H']}")
     return cfg
@@ -192,31 +193,15 @@ def _resolve_direction(dir_cfg: dict, g: GridSpec, H: float, well):
 
 
 def _amplitude_for_energy_level(coeffs, level_energy: float, branch: str) -> float:
-    """Scale m * lambda* so that E(m lambda* w) equals level_energy.
+    """Scale m * lambda* so that E(m lambda* w) = (3 - 2m) m^2 * peak equals level_energy.
 
-    Along a fiber E(m lambda* w) = (3 m^2 - 2 m^3) * peak; the cubic is
-    monotone on each side of its maximum at m = 1, so bisection on the
-    requested branch (below-peak: m in (0, 1], D > 0; above-peak:
-    m in [1, 3/2), D < 0) pins the energy level.
+    below-peak takes m in (0, 1], where D > 0; above-peak takes m in [1, 3/2), where D < 0.
     """
     peak = nehari.fiber_peak_energy(coeffs)
     ratio = level_energy / peak
     if not (0.0 < ratio <= 1.0):
-        raise ConfigError(
-            f"energy level {level_energy} unreachable on this fiber (peak {peak})"
-        )
-    lo, hi = (1e-9, 1.0) if branch == "below-peak" else (1.0, 1.5 - 1e-9)
-    rising = branch == "below-peak"
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = (3.0 - 2.0 * mid) * mid * mid
-        if (val < ratio) == rising:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13:
-            break
-    return 0.5 * (lo + hi) * nehari.lambda_star(coeffs)
+        raise ConfigError(f"energy level {level_energy} unreachable on this fiber (peak {peak})")
+    return nehari.fiber_multiple(ratio, branch == "above-peak", tol=1e-13) * nehari.lambda_star(coeffs)
 
 
 def build_initial_condition(cfg: dict, g: GridSpec, H: float, seed_override=None, wp=None):
@@ -325,18 +310,25 @@ def _require_finite_functionals(u0: VectorField, H: float) -> functionals.Functi
     return rep
 
 
-def _verdict_for(cfg, g, H, u0, wp) -> classify.Verdict:
+def _classified_datum(cfg: dict, seed_override=None):
+    """(u0, ic description, the command's one well estimate, verdict) of the config's initial datum.
+
+    The lambda/Lambda bounds are sampled only for an energy above the critical band.
+    """
+    g = _grid_of(cfg)
+    H = float(cfg["physics"]["H"])
+    wp = _well_parameters(cfg, g, H)
+    u0, ic_desc = build_initial_condition(cfg, g, H, seed_override, wp)
     energy = _require_finite_functionals(u0, H).energy
     tol_d = float(cfg["monitors"]["tol_d"])
     bounds = None
     if energy > wp.d * (1.0 + tol_d):
-        seed = cfg.get("seed", 0) or 0
-        sampler = nehari.default_lambda_sampler(g, H, int(seed))
+        sampler = nehari.default_lambda_sampler(g, H, int(cfg.get("seed", 0) or 0))
         try:
             bounds = nehari.sample_lambda_Lambda(energy, wp.d, H, sampler)
         except nehari.EstimationError:
             bounds = None
-    return classify.classify_initial(u0, wp, tol_d, bounds)
+    return u0, ic_desc, wp, classify.classify_initial(u0, wp, tol_d, bounds)
 
 
 def _verdict_artifact(verdict, ic_desc, wp, extra=None) -> dict:
@@ -358,19 +350,13 @@ def _verdict_artifact(verdict, ic_desc, wp, extra=None) -> dict:
 
 
 def _simulate_into(cfg: dict, out: Path, seed_override=None) -> dict:
-    g = _grid_of(cfg)
-    H = float(cfg["physics"]["H"])
-    wp = _well_parameters(cfg, g, H)
-    u0, ic_desc = build_initial_condition(cfg, g, H, seed_override, wp)
-    verdict = _verdict_for(cfg, g, H, u0, wp)
-
+    u0, ic_desc, wp, verdict = _classified_datum(cfg, seed_override)
     tcfg, mon = cfg["time"], cfg["monitors"]
     params = flow.FlowParams(
-        H=H,
+        H=wp.H,
         dt0=float(tcfg["dt0"]),
         t_end=float(tcfg["t_end"]),
         dt_min=float(tcfg["dt_min"]),
-        cg_tol=float(tcfg["cg_tol"]),
         record_every=int(mon["record_every"]),
         blowup_gradient_factor=float(mon["blowup_gradient_factor"]),
         decay_l2_floor=float(mon["decay_l2_floor"]),
@@ -404,11 +390,7 @@ def cmd_simulate(cfg: dict, out: Path, seed_override=None) -> int:
 
 
 def cmd_classify(cfg: dict, out: Path, seed_override=None) -> int:
-    g = _grid_of(cfg)
-    H = float(cfg["physics"]["H"])
-    wp = _well_parameters(cfg, g, H)
-    u0, ic_desc = build_initial_condition(cfg, g, H, seed_override, wp)
-    verdict = _verdict_for(cfg, g, H, u0, wp)
+    u0, ic_desc, wp, verdict = _classified_datum(cfg, seed_override)
     write_json(out / "verdict.json", _verdict_artifact(verdict, ic_desc, wp))
     return EXIT_OK
 

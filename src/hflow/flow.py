@@ -44,10 +44,11 @@ BLOWUP_SUSPECTED = "blowup-suspected"
 DECAYED_TO_ZERO = "decayed-to-zero"
 
 RELATIVE_INCREMENT_CAP = 0.1
+SOLVE_RESIDUAL_BOUND = 1e-10  # relative residual per component that every solve must meet
 
 
 class SolverError(RuntimeError):
-    """The linear solve left a residual above the requested bound."""
+    """The linear solve left a residual above SOLVE_RESIDUAL_BOUND."""
 
 
 @dataclass
@@ -56,7 +57,6 @@ class FlowParams:
     dt0: float
     t_end: float
     dt_min: float = 1e-10
-    cg_tol: float = 1e-10
     record_every: int = 1
     blowup_gradient_factor: float = 1e4
     decay_l2_floor: float = 1e-16
@@ -69,8 +69,6 @@ class FlowParams:
             raise ValueError(f"need H >= 0, got {self.H}")
         if not (0.0 < self.dt_min < self.dt0):
             raise ValueError(f"need 0 < dt_min < dt0, got dt_min={self.dt_min}, dt0={self.dt0}")
-        if not (0.0 < self.cg_tol <= 1e-6):
-            raise ValueError(f"cg_tol must lie in (0, 1e-6], got {self.cg_tol}")
         if self.t_end <= 0.0:
             raise ValueError(f"need t_end > 0, got {self.t_end}")
         if self.record_every < 1:
@@ -171,7 +169,7 @@ class _Workspace:
         sq *= self.mu
         return l2, h2 * float(np.sum(sq))
 
-    def solve(self, b: np.ndarray, dt: float, cg_tol: float) -> np.ndarray:
+    def solve(self, b: np.ndarray, dt: float) -> np.ndarray:
         """Fresh solution w of (I - dt Lap_h) w = b; see `solve_helmholtz`."""
         if dt != self.dt:
             np.multiply(self.mu, dt, out=self.den)
@@ -187,29 +185,27 @@ class _Workspace:
         r = np.subtract(w, r, out=self.mid)
         r -= b
         resid = np.sqrt(np.sum(np.square(r, out=r), axis=(1, 2)))
-        bound = cg_tol * np.sqrt(np.sum(np.multiply(b, b, out=self.spec), axis=(1, 2)))
+        bound = SOLVE_RESIDUAL_BOUND * np.sqrt(np.sum(np.multiply(b, b, out=self.spec), axis=(1, 2)))
         if not np.all(resid <= bound):
-            raise SolverError(f"solve residual {resid} exceeds cg_tol * |rhs| = {bound} per component")
+            raise SolverError(f"solve residual {resid} exceeds the residual bound {bound} per component")
         return w
 
 
-def solve_helmholtz(
-    rhs: VectorField, dt: float, cg_tol: float, *, _workspace: _Workspace | None = None
-) -> VectorField:
+def solve_helmholtz(rhs: VectorField, dt: float, *, _workspace: _Workspace | None = None) -> VectorField:
     """Direct solve of (I - dt Lap_h) w = rhs per component.
 
     On the grid the operator is diagonal in the sine basis with eigenvalues
     1 + dt mu_kl, so w is the sine transform of rhs divided by them and
     transformed back (fast direct Poisson solver).  One stencil apply then
-    checks the relative residual of each component against cg_tol and raises
-    SolverError above it, which also catches non-finite input.  `run` passes
-    its own scratch buffers as `_workspace`; without them the solve uses a
-    one-off set.
+    checks the relative residual of each component against the fixed
+    SOLVE_RESIDUAL_BOUND and raises SolverError above it, which also catches
+    non-finite input.  `run` passes its own scratch buffers as `_workspace`;
+    without them the solve uses a one-off set.
     """
     if dt <= 0.0:
         raise ValueError(f"need dt > 0, got {dt}")
     ws = _Workspace(rhs.grid) if _workspace is None else _workspace
-    return VectorField(rhs.grid, ws.solve(rhs.values, dt, cg_tol))
+    return VectorField(rhs.grid, ws.solve(rhs.values, dt))
 
 
 class _State:
@@ -287,7 +283,7 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
             b = np.multiply(state.wedge, 2.0 * dt_step * H, out=ws.rhs)
             rhs = VectorField(u0.grid, np.subtract(state.u.values, b, out=b))
             try:
-                cand = solve_helmholtz(rhs, dt_step, p.cg_tol, _workspace=ws)
+                cand = solve_helmholtz(rhs, dt_step, _workspace=ws)
                 ok = bool(np.all(np.isfinite(cand.values)))
             except SolverError:
                 if np.all(np.isfinite(rhs.values)):

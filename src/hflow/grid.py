@@ -60,9 +60,6 @@ class VectorField:
     def scaled(self, c: float) -> "VectorField":
         return VectorField(self.grid, c * self.values)
 
-    def copy(self) -> "VectorField":
-        return VectorField(self.grid, self.values.copy())
-
     @staticmethod
     def zeros(g: GridSpec) -> "VectorField":
         return VectorField(g, np.zeros((3, g.nx, g.ny)))

@@ -40,12 +40,6 @@ class FiberingCoefficients:
     A: float  # dirichlet integral, >= 0
     B: float  # H-weighted volume integral
 
-    def energy_at(self, lam: float) -> float:
-        return 0.5 * lam**2 * self.A + (2.0 / 3.0) * lam**3 * self.B
-
-    def nehari_delta_at(self, lam: float, delta: float = 1.0) -> float:
-        return delta * lam**2 * self.A + 2.0 * lam**3 * self.B
-
 
 @dataclass
 class WellParameters:
@@ -176,35 +170,39 @@ def d_of_delta(delta: float, d: float) -> float:
     return (3.0 - 2.0 * delta) * delta**2 * d
 
 
+def fiber_multiple(ratio: float, above_peak: bool, tol: float = 1e-12) -> float:
+    """The root m of (3 - 2m) m^2 = ratio on one side of the peak m = 1, by bisection.
+
+    The one cubic of the fiber algebra: E(m lambda* u) = (3 - 2m) m^2 peak
+    along a fiber, and d(delta) = (3 - 2 delta) delta^2 d.  It rises on the
+    bracket (1e-9, 1] below the peak and falls on [1, 3/2 - 1e-9) above it;
+    returns the midpoint of the first bracket no wider than tol (200 steps at
+    most).  A root outside the bracket is clamped at its nearer end.
+    """
+    lo, hi = (1.0, 1.5 - 1e-9) if above_peak else (1e-9, 1.0)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol:
+            return mid
+        if ((3.0 - 2.0 * mid) * mid * mid < ratio) != above_peak:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def delta_roots(e: float, d: float, tol: float = 1e-12):
     """The two roots delta1 < 1 < delta2 of (3 - 2 delta) delta^2 = e/d.
 
-    Bisection on the monotone brackets (0, 1) and (1, 3/2); returns (1, 1)
-    when e == d.
+    Returns (1, 1) when e == d.  A root outside the brackets of
+    `fiber_multiple` is clamped at its end: delta1 at about 1e-9 for e/d below
+    about 3e-18, delta2 at about 3/2 - 1e-9 for e/d below about 4.5e-9.
     """
     if not (0.0 < e <= d):
         raise ValueError(f"need 0 < e <= d, got e={e}, d={d}")
     if e == d:
         return (1.0, 1.0)
-    ratio = e / d
-
-    def curve(x):
-        return (3.0 - 2.0 * x) * x * x - ratio
-
-    def bisect(lo, hi):
-        flo = curve(lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = curve(mid)
-            if hi - lo <= tol:
-                return mid
-            if (flo < 0.0) == (fm < 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    return (bisect(1e-9, 1.0), bisect(1.0, 1.5 - 1e-9))
+    return (fiber_multiple(e / d, False, tol), fiber_multiple(e / d, True, tol))
 
 
 def golden_section_peak(u: VectorField, H: float, lo: float, hi: float, tol: float = 1e-9) -> float:

@@ -41,7 +41,7 @@ def write_config(path, **overrides):
                 "lambda_multiple": 0.05,
             },
         },
-        "time": {"dt0": 1e-3, "t_end": 0.05, "dt_min": 1e-10, "cg_tol": 1e-10},
+        "time": {"dt0": 1e-3, "t_end": 0.05, "dt_min": 1e-10},
         "monitors": {"delta_list": [0.25, 0.75, 1.25], "record_every": 5},
         "well": {"eps_count": 8},
     }
@@ -101,19 +101,51 @@ def test_grid_at_bubble_family_minimum_runs(tmp_path):
     assert (out / "verdict.json").exists()
 
 
-def test_solve_residual_miss_exits_numeric(tmp_path, capsys):
-    # no solve meets cg_tol = 1e-17: a numeric fault, never blow-up evidence
+def test_solve_residual_miss_exits_numeric(tmp_path, capsys, monkeypatch):
+    # no solve meets a residual bound of 1e-17: a numeric fault, never blow-up evidence
+    monkeypatch.setattr(flow, "SOLVE_RESIDUAL_BOUND", 1e-17)
     cfg = write_config(
         tmp_path / "c.json",
         grid={"n": 15},
         ic={"type": "eigenmode", "params": {"kx": 1, "ky": 1}},
-        time={"cg_tol": 1e-17},
     )
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
     assert "solve residual" in capsys.readouterr().err
     assert not (out / "verdict.json").exists()
     assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("cg_tol", [1e-10, 1e-17])
+def test_config_cg_tol_is_ignored(tmp_path, cg_tol):
+    # the solve's residual bound is fixed; a config that still sets time.cg_tol runs as one without it
+    outputs = []
+    for name, time in (("plain", {}), ("tol", {"cg_tol": cg_tol})):
+        out = tmp_path / name
+        cfg = write_config(tmp_path / f"{name}.json", time=time)
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        outputs.append([(out / f).read_bytes() for f in ("trajectory.csv", "verdict.json")])
+    assert outputs[0] == outputs[1]
+
+
+def test_loaded_configs_share_no_default_block():
+    # the preset has no well block: every well key of the loaded config comes from the defaults
+    cfg = load_config("presets/t21.json")
+    cfg["well"]["center"][0] = 0.3
+    cfg["well"]["eps_count"] = 3
+    later = load_config("presets/t21.json")["well"]
+    assert later["center"] == [0.5, 0.5] and later["eps_count"] == 12
+
+
+def test_tiny_energy_verdict_clamps_delta1_at_the_floor(tmp_path):
+    # E = 2.4e-18 against d = 4.44: delta1 lies under the bisection floor 1e-9 and is clamped there
+    ic = {"type": "eigenmode", "params": {"amplitude": 1e-9}}
+    cfg = write_config(tmp_path / "c.json", grid={"n": 63}, ic=ic)
+    out = tmp_path / "o"
+    assert main(["classify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    details = json.loads((out / "verdict.json").read_text(encoding="utf-8"))["verdict"]["details"]
+    assert 1e-9 < details["delta1"] < 1.001e-9
+    assert 1.4999 < details["delta2"] < 1.5
 
 
 @pytest.mark.parametrize("command", ["simulate", "classify"])
@@ -579,12 +611,9 @@ def test_sweep_failed_cells_exit_numeric(tmp_path):
         assert cell["error"].startswith("EstimationError: empty bubble family")
 
 
-def test_sweep_solve_residual_miss_records_error(tmp_path):
-    cfg = write_config(
-        tmp_path / "c.json",
-        time={"cg_tol": 1e-17},
-        sweep={"lambda_multiples": [0.2], "max_workers": 1},
-    )
+def test_sweep_solve_residual_miss_records_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(flow, "SOLVE_RESIDUAL_BOUND", 1e-17)  # one worker: the cell runs in this process
+    cfg = write_config(tmp_path / "c.json", sweep={"lambda_multiples": [0.2], "max_workers": 1})
     out = tmp_path / "o"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
     cell = json.loads((out / "index.json").read_text(encoding="utf-8"))["cells"]["lambda_multiple=0.2"]

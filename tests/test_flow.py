@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hflow import flow
 from hflow.fields import discrete_laplacian_eigenvalue, eigenmode, random_bandlimited
 from hflow.flow import (
     BLOWUP_SUSPECTED,
@@ -10,6 +11,7 @@ from hflow.flow import (
     REACHED_HORIZON,
     FlowParams,
     RELATIVE_INCREMENT_CAP,
+    SOLVE_RESIDUAL_BOUND,
     SolverError,
     TrajectoryRecord,
     _State,
@@ -37,8 +39,6 @@ def test_flow_params_validation():
     FlowParams(H=1.0, dt0=1e-3, t_end=1.0)
     with pytest.raises(ValueError):
         FlowParams(H=1.0, dt0=1e-3, t_end=1.0, dt_min=1e-2)
-    with pytest.raises(ValueError):
-        FlowParams(H=1.0, dt0=1e-3, t_end=1.0, cg_tol=1e-3)
     with pytest.raises(ValueError):
         FlowParams(H=-1.0, dt0=1e-3, t_end=1.0)
     with pytest.raises(ValueError):
@@ -111,7 +111,7 @@ def test_state_spectral_energies_match_field_sums(g):
             rhs = VectorField(g, rng.standard_normal((3, g.nx, g.ny)))
         else:
             rhs = random_bandlimited(g, int(rng.integers(1 << 20)), int(rng.integers(1, 12)))
-        w = solve_helmholtz(rhs, dt, 1e-10, _workspace=ws)
+        w = solve_helmholtz(rhs, dt, _workspace=ws)
         for s in (_State(w, H, ws, ws.energies), _State(w, H, ws), _State(rhs, H, ws)):
             v = s.u.values
             assert s.l2 == pytest.approx(h2 * float(np.sum(v * v)), rel=1e-13, abs=0.0)
@@ -119,7 +119,7 @@ def test_state_spectral_energies_match_field_sums(g):
 
 
 def test_solve_helmholtz_zero_rhs(g31):
-    w = solve_helmholtz(VectorField.zeros(g31), dt=0.1, cg_tol=1e-10)
+    w = solve_helmholtz(VectorField.zeros(g31), dt=0.1)
     assert not w.values.any()
 
 
@@ -127,7 +127,7 @@ def test_solve_helmholtz_eigenmode(g31):
     dt = 0.1
     u = eigenmode(g31, kx=2, ky=1, component=2, amplitude=0.9)
     mu = discrete_laplacian_eigenvalue(g31, 2, 1)
-    w = solve_helmholtz(u, dt, cg_tol=1e-12)
+    w = solve_helmholtz(u, dt)
     assert np.allclose(w.values, u.values / (1.0 + dt * mu), rtol=1e-9)
 
 
@@ -135,11 +135,10 @@ def test_solve_helmholtz_residual_bound(g31):
     rng = np.random.default_rng(0)
     rhs = VectorField(g31, rng.standard_normal((3, 31, 31)))
     dt = 0.05
-    tol = 1e-8
-    w = solve_helmholtz(rhs, dt, cg_tol=tol)
+    w = solve_helmholtz(rhs, dt)
     resid = (w.values - dt * laplacian_stencil(w.values, w.grid.h)) - rhs.values
     for k in range(3):
-        assert np.linalg.norm(resid[k]) <= tol * np.linalg.norm(rhs.values[k]) * (1.0 + 1e-12)
+        assert np.linalg.norm(resid[k]) <= SOLVE_RESIDUAL_BOUND * np.linalg.norm(rhs.values[k]) * (1.0 + 1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 15, 31, 63, 127])
@@ -149,7 +148,7 @@ def test_solve_helmholtz_random_residual(n):
     for _ in range(4):
         dt = 10.0 ** rng.uniform(-6.0, -1.0)
         rhs = VectorField(g, rng.standard_normal((3, n, n)))
-        w = solve_helmholtz(rhs, dt, cg_tol=1e-12)
+        w = solve_helmholtz(rhs, dt)
         resid = (w.values - dt * laplacian_stencil(w.values, w.grid.h)) - rhs.values
         for k in range(3):
             assert np.linalg.norm(resid[k]) <= 1e-12 * np.linalg.norm(rhs.values[k])
@@ -163,7 +162,7 @@ def test_solve_helmholtz_residual_off_unit_square(g):
     rng = np.random.default_rng(g.nx * g.ny)
     for dt in (1e-4, 1e-2):
         rhs = VectorField(g, rng.standard_normal((3, g.nx, g.ny)))
-        w = solve_helmholtz(rhs, dt, cg_tol=1e-12)
+        w = solve_helmholtz(rhs, dt)
         resid = (w.values - dt * laplacian_stencil(w.values, w.grid.h)) - rhs.values
         for k in range(3):
             assert np.linalg.norm(resid[k]) <= 1e-12 * np.linalg.norm(rhs.values[k])
@@ -180,7 +179,7 @@ def _run_with_public_solve(u0, p):
         wedge_u = lattice_wedge(*derivs(u, g.h)[:2])
         while True:
             rhs = VectorField(g, u - 2.0 * dt_step * p.H * wedge_u)
-            w = solve_helmholtz(rhs, dt_step, p.cg_tol).values
+            w = solve_helmholtz(rhs, dt_step).values
             diff = math.sqrt(h2 * float(np.sum((w - u) ** 2)))
             if diff / base <= RELATIVE_INCREMENT_CAP:
                 break
@@ -219,13 +218,14 @@ def test_solve_helmholtz_rejects_non_finite_rhs(g15):
     rhs = eigenmode(g15)
     rhs.values[1, 3, 4] = np.nan
     with pytest.raises(SolverError):
-        solve_helmholtz(rhs, dt=1e-3, cg_tol=1e-10)
+        solve_helmholtz(rhs, dt=1e-3)
 
 
-def test_run_raises_on_solve_residual_miss(g15):
+def test_run_raises_on_solve_residual_miss(g15, monkeypatch):
     # no solve can meet 1e-17 in double precision; on a finite rhs that is a
     # numeric fault, not a rejection that halves dt down to a collapse
-    p = FlowParams(H=1.0, dt0=1e-3, t_end=0.01, cg_tol=1e-17)
+    monkeypatch.setattr(flow, "SOLVE_RESIDUAL_BOUND", 1e-17)
+    p = FlowParams(H=1.0, dt0=1e-3, t_end=0.01)
     with pytest.raises(SolverError):
         run(eigenmode(g15), p)
 
@@ -255,7 +255,7 @@ def test_solve_helmholtz_single_node_oracle():
     # relaxed-precondition grid: one interior node, h = 1/2, mu = 16
     g = GridSpec(nx=1, ny=1, h=0.5)
     u = VectorField(g, np.full((3, 1, 1), 1.0))
-    w = solve_helmholtz(u, dt=0.1, cg_tol=1e-10)
+    w = solve_helmholtz(u, dt=0.1)
     assert np.allclose(w.values, u.values / 2.6, rtol=1e-12)
 
 
@@ -263,7 +263,7 @@ def test_solve_helmholtz_heat_amplification(g31):
     dt = 2e-3
     u = eigenmode(g31, amplitude=1.3)
     mu = discrete_laplacian_eigenvalue(g31)
-    w = solve_helmholtz(u, dt, cg_tol=1e-12)
+    w = solve_helmholtz(u, dt)
     assert np.allclose(w.values, u.values / (1.0 + dt * mu), rtol=1e-9)
 
 

@@ -18,6 +18,7 @@ from hflow.nehari import (
     default_lambda_sampler,
     delta_roots,
     estimate_d,
+    fiber_multiple,
     fiber_peak_energy,
     fibering_coeffs,
     golden_section_peak,
@@ -54,9 +55,10 @@ def test_fibering_reproduces_functionals(g31):
     u = _negative_direction(g31, 7)
     c = fibering_coeffs(u, 1.0)
     for lam in (0.3, 1.0, 2.7):
-        assert c.energy_at(lam) == pytest.approx(energy_E(u.scaled(lam), 1.0), rel=1e-12)
+        energy = 0.5 * lam**2 * c.A + (2.0 / 3.0) * lam**3 * c.B
+        assert energy == pytest.approx(energy_E(u.scaled(lam), 1.0), rel=1e-12)
         for delta in (0.5, 1.0, 1.25):
-            assert c.nehari_delta_at(lam, delta) == pytest.approx(
+            assert delta * lam**2 * c.A + 2.0 * lam**3 * c.B == pytest.approx(
                 nehari_D_delta(u.scaled(lam), 1.0, delta), rel=1e-12, abs=1e-13
             )
 
@@ -313,6 +315,26 @@ def test_delta_roots_limits_and_errors():
     for e, d in ((0.0, 1.0), (-1.0, 1.0), (2.0, 1.0)):
         with pytest.raises(ValueError):
             delta_roots(e, d)
+
+
+@pytest.mark.parametrize("e", [1e-18, 3e-19, 5e-324])
+def test_delta_roots_clamps_a_tiny_energy_at_the_floor(e):
+    # the root (e/3)^(1/2) lies under the bracket floor 1e-9; delta1 stays there, not near 1
+    r1, r2 = delta_roots(e, 1.0)
+    assert 1e-9 < r1 < 1e-9 + 1e-12
+    assert 1.5 - 1e-9 - 1e-12 < r2 < 1.5
+
+
+def test_fiber_multiple_is_both_branches_of_the_cubic():
+    for ratio in (1e-6, 0.3, 0.5, 0.999):
+        below, above = fiber_multiple(ratio, False), fiber_multiple(ratio, True)
+        assert 0.0 < below < 1.0 < above < 1.5
+        for m in (below, above):  # the slope of the cubic is at most 4.5 on (0, 3/2)
+            assert (3.0 - 2.0 * m) * m * m == pytest.approx(ratio, abs=1e-11)
+        assert (below, above) == delta_roots(ratio, 1.0)
+    # on the peak the above-peak branch stays above 1, where D < 0
+    assert fiber_multiple(1.0, True, tol=1e-13) > 1.0
+    assert fiber_multiple(0.5, False, tol=0.0) == pytest.approx(0.5, abs=1e-15)  # tol 0 still ends
 
 
 def test_sample_lambda_Lambda_bubble_sampler(g63):

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hflow.fields import random_bandlimited
 from hflow.functionals import report
-from hflow.grid import h1_forward_sq, laplacian_stencil, make_grid
+from hflow.flow import solve_helmholtz
+from hflow.grid import GridSpec, VectorField, h1_forward_sq, laplacian_stencil, make_grid
 from hflow.nehari import fibering_coeffs, golden_section_peak, lambda_star
 
 GRIDS = {n: make_grid(n) for n in (15, 31)}
@@ -62,3 +63,22 @@ def test_sign_flip_negates_B_bitwise(n, seed, amplitude, H):
     c, flipped = fibering_coeffs(u, H), fibering_coeffs(u.scaled(-1.0), H)
     assume(c.B != 0.0)  # an exact cancellation to +0.0 has no sign to flip
     assert (flipped.A.hex(), flipped.B.hex()) == (c.A.hex(), (-c.B).hex())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nx=st.integers(1, 40),
+    ny=st.integers(1, 40),
+    log_dt=st.floats(-6.0, -1.0),
+    seed=st.integers(0, (1 << 20) - 1),
+    amplitude=FIELDS["amplitude"],
+)
+def test_solve_residual(nx, ny, log_dt, seed, amplitude):
+    # the direct solve meets (I - dt Lap_h) w = rhs per component far inside its fixed bound, rectangular grids too
+    g = GridSpec(nx, ny, 1.0 / (max(nx, ny) + 1))
+    dt = 10.0**log_dt
+    rhs = amplitude * np.random.default_rng(seed).standard_normal((3, nx, ny))
+    w = solve_helmholtz(VectorField(g, rhs), dt).values
+    resid = w - dt * laplacian_stencil(w, g.h) - rhs
+    for k in range(3):
+        assert np.linalg.norm(resid[k]) <= 1e-12 * np.linalg.norm(rhs[k])
