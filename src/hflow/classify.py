@@ -14,8 +14,11 @@ well depth d and reading the sign of the Nehari functional D:
 
 The codes are stable strings used in artifacts; lambda^ / Lambda^ are
 sampled estimates, so verdicts that rely on them are flagged heuristic.
-Critical-regime detection uses a relative tolerance since d itself carries
-estimation error.
+classify_initial owns the whole initial verdict: one report of the datum,
+its finiteness check and every regime threshold.  It reads the sampler only
+for a high-energy datum that the high-energy inequality does not settle.
+Critical-regime detection uses a relative tolerance tol_d >= 0 since d
+itself carries estimation error.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from . import functionals
 from .flow import BLOWUP_SUSPECTED, TrajectoryRecord
 from .grid import VectorField
-from .nehari import WellParameters, delta_roots
+from .nehari import EstimationError, WellParameters, delta_roots, sample_lambda_Lambda
 
 SIGN_TOL_FACTOR = 1e-10  # |D_delta| below this times h1_sq counts as zero
 
@@ -112,19 +115,21 @@ def delta_window(u0: VectorField, wp: WellParameters):
     return delta_roots(e, wp.d)
 
 
-def classify_initial(
-    u0: VectorField,
-    wp: WellParameters,
-    tol_d: float = 1e-3,
-    lambda_bounds: tuple[float, float] | None = None,
-) -> Verdict:
+def classify_initial(u0: VectorField, wp: WellParameters, tol_d: float = 1e-3, sampler=None) -> Verdict:
     """Verdict for an initial datum against the estimated well parameters.
 
-    tol_d is the relative width of the critical band around d.
-    lambda_bounds, when given, are sampled (lambda^, Lambda^) estimates used
-    for the high-energy membership checks (flagged heuristic).
+    tol_d >= 0 is the relative width of the critical band around d.  A
+    non-finite functional of the datum raises NonFiniteError.  sampler, an
+    iterable of directions, is read only for a high-energy datum that check_e54
+    does not settle: its (lambda^, Lambda^) bounds decide t51.1 / t51.2.
     """
-    rep = functionals.report(u0, wp.H)
+    if not tol_d >= 0.0:
+        raise ValueError(f"need tol_d >= 0, got {tol_d}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = functionals.report(u0, wp.H)
+    bad = [f"{k} = {v}" for k, v in vars(rep).items() if not math.isfinite(v)]
+    if bad:
+        raise functionals.NonFiniteError(f"initial datum has non-finite functionals: {', '.join(bad)}")
     e, dd = rep.energy, rep.nehari
     details: dict = {
         "energy": e,
@@ -143,8 +148,7 @@ def classify_initial(
     band = tol_d * wp.d
 
     if 0.0 < e <= wp.d:
-        d1, d2 = delta_roots(min(e, wp.d), wp.d)
-        details["delta1"], details["delta2"] = d1, d2
+        details["delta1"], details["delta2"] = delta_roots(e, wp.d)
     elif e <= 0.0:
         # nonpositive energy: the Nehari sign persists for every delta
         details["delta1"], details["delta2"] = 0.0, 1.5
@@ -167,8 +171,12 @@ def classify_initial(
     details["e54"] = e54_meas
     if e54_ok:
         return Verdict("high", "outside", "t52", BLOWUP, details=details)
-    if lambda_bounds is not None:
-        lam_hat, cap_hat = lambda_bounds
+    try:  # E - d > band >= 0 here, as the sampler requires
+        bounds = None if sampler is None else sample_lambda_Lambda(e, wp.d, wp.H, sampler)
+    except EstimationError:  # no sampled direction lands in the truncated Nehari set
+        bounds = None
+    if bounds is not None:
+        lam_hat, cap_hat = bounds
         details["lambda_hat"], details["Lambda_hat"] = lam_hat, cap_hat
         l2_norm = math.sqrt(rep.l2_sq)
         if dd > tau and l2_norm <= lam_hat:

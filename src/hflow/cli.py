@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import sys
@@ -26,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, fields, flow, functionals, nehari
+from .functionals import NonFiniteError
 from .grid import GridSpec, VectorField, l2_norm_sq, make_grid
 
 EXIT_OK = 0
@@ -39,10 +41,6 @@ NEHARI_DELTAS = (0.5, 1.0, 1.25)  # the deltas of verify-lemmas' Nehari sign che
 
 class ConfigError(ValueError):
     pass
-
-
-class NonFiniteError(RuntimeError):
-    """A functional of the initial datum, or a number bound for an artifact, is inf or NaN."""
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +161,17 @@ def trajectory_columns(delta_list) -> list[str]:
     )
 
 
-def write_trajectory_csv(path: Path, tr: flow.TrajectoryRecord) -> None:
-    columns = trajectory_columns(tr.delta_list)
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"  # the bytes of format(v, ".17g")
+def trajectory_series(tr: flow.TrajectoryRecord) -> list[tuple[str, np.ndarray]]:
+    """(column name, recorded series) pairs in the CSV's column order."""
     cols = (tr.t, tr.dt, tr.l2_sq, tr.h1_sq, tr.E, tr.D, *tr.D_delta.T)
     cols += (tr.f, tr.fprime, tr.fsecond, tr.concavity, tr.energy_residual)
+    return list(zip(trajectory_columns(tr.delta_list), cols))
+
+
+def write_trajectory_csv(path: Path, tr: flow.TrajectoryRecord) -> None:
+    """Every recorded series, nan and inf included, as 17-significant-digit rows."""
+    columns, cols = zip(*trajectory_series(tr))
+    row_format = ",".join(["%.17g"] * len(columns)) + "\n"  # the bytes of format(v, ".17g")
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
@@ -301,55 +305,30 @@ def cmd_compute_well_depth(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _require_finite_functionals(u0: VectorField, H: float) -> functionals.FunctionalReport:
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = functionals.report(u0, H)
-    bad = [f"{k} = {v}" for k, v in vars(rep).items() if isinstance(v, float) and not math.isfinite(v)]
-    if bad:
-        raise NonFiniteError(f"initial datum has non-finite functionals: {', '.join(bad)}")
-    return rep
-
-
 def _classified_datum(cfg: dict, seed_override=None):
     """(u0, ic description, the command's one well estimate, verdict) of the config's initial datum.
 
-    The lambda/Lambda bounds are sampled only for an energy above the critical band.
+    classify measures the datum and decides its regime; the lambda/Lambda sampler handed to it is a
+    generator, which does no work unless the verdict reads it.
     """
     g = _grid_of(cfg)
     H = float(cfg["physics"]["H"])
     wp = _well_parameters(cfg, g, H)
     u0, ic_desc = build_initial_condition(cfg, g, H, seed_override, wp)
-    energy = _require_finite_functionals(u0, H).energy
-    tol_d = float(cfg["monitors"]["tol_d"])
-    bounds = None
-    if energy > wp.d * (1.0 + tol_d):
-        sampler = nehari.default_lambda_sampler(g, H, int(cfg.get("seed", 0) or 0))
-        try:
-            bounds = nehari.sample_lambda_Lambda(energy, wp.d, H, sampler)
-        except nehari.EstimationError:
-            bounds = None
-    return u0, ic_desc, wp, classify.classify_initial(u0, wp, tol_d, bounds)
+    sampler = nehari.default_lambda_sampler(g, H, int(cfg.get("seed", 0) or 0))
+    return u0, ic_desc, wp, classify.classify_initial(u0, wp, float(cfg["monitors"]["tol_d"]), sampler)
 
 
-def _verdict_artifact(verdict, ic_desc, wp, extra=None) -> dict:
-    art = {
-        "verdict": {
-            "energy_regime": verdict.energy_regime,
-            "well": verdict.well,
-            "applicable_theorem": verdict.applicable_theorem,
-            "expected_outcome": verdict.expected_outcome,
-            "heuristic": verdict.heuristic,
-            "details": verdict.details,
-        },
+def _verdict_artifact(verdict, ic_desc, wp) -> dict:
+    return {
+        "verdict": dataclasses.asdict(verdict),
         "ic": ic_desc,
         "well_depth": {"d": wp.d, "provenance": wp.provenance},
     }
-    if extra:
-        art.update(extra)
-    return art
 
 
 def _simulate_into(cfg: dict, out: Path, seed_override=None) -> dict:
+    """Classify, integrate, then write trajectory.csv and verdict.json; a non-finite series writes neither."""
     u0, ic_desc, wp, verdict = _classified_datum(cfg, seed_override)
     tcfg, mon = cfg["time"], cfg["monitors"]
     params = flow.FlowParams(
@@ -362,24 +341,22 @@ def _simulate_into(cfg: dict, out: Path, seed_override=None) -> dict:
         decay_l2_floor=float(mon["decay_l2_floor"]),
     )
     tr = flow.run(u0, params, mon["delta_list"])
+    finite = [(name, np.isfinite(series)) for name, series in trajectory_series(tr)]
+    bad = [f"{name} from t = {tr.t[~ok][0]:.17g}" for name, ok in finite if not ok.all()]
+    if bad:
+        raise NonFiniteError(f"trajectory has non-finite series: {', '.join(bad)}")
     write_trajectory_csv(out / "trajectory.csv", tr)
 
     report = classify.blowup_report(tr)
-    art = _verdict_artifact(
-        verdict,
-        ic_desc,
-        wp,
-        extra={
-            "run": {
-                "status": tr.status,
-                "stop_reason": tr.stop_reason,
-                "t_last": float(tr.t[-1]),
-                "samples": len(tr),
-                "gradient_max": report.gradient_max,
-                "concavity_positive_from": report.concavity_positive_from,
-            }
-        },
-    )
+    art = _verdict_artifact(verdict, ic_desc, wp)
+    art["run"] = {
+        "status": tr.status,
+        "stop_reason": tr.stop_reason,
+        "t_last": report.t_last,
+        "samples": len(tr),
+        "gradient_max": report.gradient_max,
+        "concavity_positive_from": report.concavity_positive_from,
+    }
     write_json(out / "verdict.json", art)
     return art
 

@@ -28,6 +28,10 @@ ISOPERIMETRIC_CONST = (32.0 * math.pi) ** (1.0 / 3.0)
 DELTA_MAX = 1.5
 
 
+class NonFiniteError(RuntimeError):
+    """A functional of the initial datum, a recorded series or a number bound for an artifact is inf or NaN."""
+
+
 @dataclass
 class FunctionalReport:
     dirichlet: float

@@ -16,7 +16,7 @@ from hflow.classify import (
 )
 from hflow.fields import discrete_laplacian_eigenvalue, eigenmode
 from hflow.flow import REACHED_HORIZON, FlowParams, TrajectoryRecord, run
-from hflow.functionals import energy_E, nehari_D
+from hflow.functionals import FunctionalReport, energy_E, nehari_D
 from hflow.grid import VectorField, h1_seminorm_sq, l2_norm_sq
 from hflow.nehari import (
     WellParameters,
@@ -110,20 +110,64 @@ def test_classify_critical_band(g31):
     assert v.well == "boundary"
 
 
-def test_classify_high_energy_heuristics(g31, setup31):
+def test_classify_high_energy_heuristics(g31, setup31, monkeypatch):
     H, _, _, wp = setup31
     # large eigenmode: volume term vanishes, so D = dirichlet > 0 and E > d
     u0 = eigenmode(g31, amplitude=30.0)
     assert energy_E(u0, H) > wp.d
     l2n = math.sqrt(l2_norm_sq(u0))
-    v = classify_initial(u0, wp, lambda_bounds=(2.0 * l2n, 4.0 * l2n))
+    monkeypatch.setattr("hflow.classify.sample_lambda_Lambda", lambda *args: (2.0 * l2n, 4.0 * l2n))
+    v = classify_initial(u0, wp, sampler=iter(()))
     assert (v.energy_regime, v.applicable_theorem) == ("high", "t51.1")
     assert v.expected_outcome == GLOBAL_DECAY and v.heuristic
-    v = classify_initial(u0, wp, lambda_bounds=(0.1 * l2n, 0.5 * l2n))
+    monkeypatch.setattr("hflow.classify.sample_lambda_Lambda", lambda *args: (0.1 * l2n, 0.5 * l2n))
+    v = classify_initial(u0, wp, sampler=iter(()))
     # D > 0 with |u|_2 above the upper estimate: no case applies
     assert v.applicable_theorem == "none" and v.expected_outcome == UNDETERMINED
     v = classify_initial(u0, wp)
     assert v.applicable_theorem == "none" and v.well == "outside"
+
+
+class _UnreadSampler:
+    def __iter__(self):
+        raise AssertionError("the lambda/Lambda sampler was read")
+
+
+def test_classify_reads_no_sampler_below_the_high_band_or_on_e54(g31):
+    # low (t21, t22), critical (t31, t32) and e54 (t52) data settle without lambda^ / Lambda^
+    H = 1.0
+    w = bubble_direction(g31, H, eps=0.25)
+    c = fibering_coeffs(w, H)
+    lam = lambda_star(c)
+    wp = WellParameters(H=H, d=fiber_peak_energy(c), provenance="single direction")
+    for mult, code in ((0.05, "t21"), (1.6, "t22"), (0.987, "t31"), (1.0129, "t32")):
+        assert classify_initial(w.scaled(mult * lam), wp, sampler=_UnreadSampler()).applicable_theorem == code
+    H8 = 8.0
+    w8 = bubble_direction(g31, H8, eps=0.25)
+    u8 = w8.scaled(1.15 * lambda_star(fibering_coeffs(w8, H8)))
+    v = classify_initial(u8, estimate_d(H8, g31), sampler=_UnreadSampler())
+    assert v.applicable_theorem == "t52"
+
+
+def test_classify_samples_bounds_at_the_high_band_edge(g31, monkeypatch):
+    # E - d exceeds the band tol_d * d by one rounding, where d * (1 + tol_d) does not:
+    # the one regime decision calls this datum high energy, so its sampler is read
+    d, e, tol_d = 8.003457162269354, 8.011460619431624, 1e-3
+    assert e - d > tol_d * d and not e > d * (1.0 + tol_d)
+    # dirichlet 1: the volume term is E - 1/2 and D = dirichlet + 3 volume
+    rep = FunctionalReport(dirichlet=1.0, volume=e - 0.5, energy=e, nehari=1.0 + 3.0 * (e - 0.5), l2_sq=1.0)
+    assert rep.nehari > rep.dirichlet  # a positive volume term: the e54 inequality fails
+    monkeypatch.setattr("hflow.functionals.report", lambda u, H: rep)
+    reads = []
+
+    def sampler():
+        reads.append(True)
+        yield from ()
+
+    v = classify_initial(eigenmode(g31), WellParameters(H=1.0, d=d, provenance="synthetic"), tol_d, sampler())
+    assert v.energy_regime == "high" and "e54" in v.details
+    assert reads == [True]
+    assert v.applicable_theorem == "none"  # no direction sampled, so no bounds
 
 
 def test_classify_e54_field_low_energy_route(setup31):

@@ -170,6 +170,70 @@ def test_non_finite_initial_datum_exits_numeric(tmp_path, capsys, command):
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the flow's own overflow warnings
+def test_non_finite_trajectory_exits_numeric(tmp_path, capsys):
+    # the datum's functionals are finite, but 1.5 l2_sq^2 overflows: concavity is -inf in row 0,
+    # a numeric failure rather than blow-up evidence, and neither artifact is written
+    cfg = write_config(
+        tmp_path / "c.json",
+        grid={"n": 15},
+        ic={
+            "type": "scaled-direction",
+            "params": {
+                "direction": {"type": "bubble", "center": [0.5, 0.5], "eps": 0.25},
+                "lambda_multiple": 1e101,
+            },
+        },
+    )
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "concavity from t = 0" in err
+    assert not (out / "verdict.json").exists()
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_negative_tol_d_exits_config(tmp_path, capsys):
+    # a negative band would empty the critical regime: t31's datum (E - d = +4e-14) would read as t21
+    cfg = json.loads(Path("presets/t31.json").read_text(encoding="utf-8"))
+    cfg["monitors"]["tol_d"] = -1e-3
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["classify", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert "need tol_d >= 0" in capsys.readouterr().err
+    assert not (out / "verdict.json").exists()
+
+
+def _counting(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_classify_t52_samples_no_bounds(tmp_path, monkeypatch):
+    # the e54 inequality settles t52, so the lambda/Lambda sampler is never run
+    calls = []
+    counted = _counting(calls, "sample_lambda_Lambda", nehari.sample_lambda_Lambda)
+    monkeypatch.setattr(nehari, "sample_lambda_Lambda", counted)
+    monkeypatch.setattr("hflow.classify.sample_lambda_Lambda", counted)
+    out = tmp_path / "o"
+    assert main(["classify", "--config", "presets/t52.json", "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "verdict.json").read_text(encoding="utf-8"))["verdict"]["applicable_theorem"] == "t52"
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "classify"])
+def test_datum_is_measured_once(tmp_path, monkeypatch, command):
+    calls = []
+    monkeypatch.setattr(functionals, "report", _counting(calls, "report", functionals.report))
+    cfg = write_config(tmp_path / "c.json")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert calls == ["report"]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")], ids=repr)
 def test_write_json_rejects_non_finite(tmp_path, bad):
     path = tmp_path / "a.json"
