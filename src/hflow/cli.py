@@ -131,22 +131,10 @@ def _eps_grid(cfg, g: GridSpec) -> np.ndarray:
 # serialization
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def write_json(path: Path, obj) -> None:
     """Strict JSON: a NaN or an infinity anywhere raises NonFiniteError and writes nothing."""
     try:
-        text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteError(f"{path.name} would hold a non-finite number: {exc}") from exc
     path.parent.mkdir(parents=True, exist_ok=True)

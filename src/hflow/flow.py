@@ -29,7 +29,6 @@ singularity.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -101,15 +100,6 @@ class TrajectoryRecord:
         return len(self.t)
 
 
-@functools.lru_cache(maxsize=8)
-def _sine_eigenvalues(g: GridSpec) -> np.ndarray:
-    """Read-only eigenvalues mu_kl of -Lap_h on the sine modes of g."""
-    kx, ky = np.arange(1, g.nx + 1)[:, None], np.arange(1, g.ny + 1)[None, :]
-    mu = discrete_laplacian_eigenvalue(g, kx, ky)
-    mu.flags.writeable = False
-    return mu
-
-
 class _Workspace:
     """Scratch buffers of the direct solve and the state pass on grid g.
 
@@ -123,7 +113,8 @@ class _Workspace:
     def __init__(self, g: GridSpec):
         nx, ny = g.nx, g.ny
         self.grid = g
-        self.mu = _sine_eigenvalues(g)
+        # eigenvalues mu_kl of -Lap_h on the sine modes
+        self.mu = discrete_laplacian_eigenvalue(g, np.arange(1, nx + 1)[:, None], np.arange(1, ny + 1)[None, :])
         # the solve's 1 + dt mu, for self.dt
         self.dt = None
         self.den = np.empty((nx, ny))
@@ -267,66 +258,51 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
 
     record(p.dt0, state)
     last_recorded_t = t
-    status = None
-    stop_reason = None
+    status = stop_reason = None
     steps = 0
-    dt_step = p.dt0
 
-    while True:
+    while status is None:  # one attempt per pass
         if p.t_end - t <= 1e-12 * max(p.t_end, 1.0):
             status = REACHED_HORIZON
-            break
+            continue
         dt_step = min(dt, p.t_end - t)
-        w = None
-        while True:
-            # rhs = u - 2 dt H (u_x ^ u_y), in the kept buffer
-            b = np.multiply(state.wedge, 2.0 * dt_step * H, out=ws.rhs)
-            rhs = VectorField(u0.grid, np.subtract(state.u.values, b, out=b))
-            try:
-                cand = solve_helmholtz(rhs, dt_step, _workspace=ws)
-                ok = bool(np.all(np.isfinite(cand.values)))
-            except SolverError:
-                if np.all(np.isfinite(rhs.values)):
-                    raise  # a residual miss on finite input is a numeric fault, not blow-up
-                ok = False
-            if ok:
+        # rhs = u - 2 dt H (u_x ^ u_y), in the kept buffer
+        b = np.multiply(state.wedge, 2.0 * dt_step * H, out=ws.rhs)
+        rhs = VectorField(u0.grid, np.subtract(state.u.values, b, out=b))
+        rel = math.nan  # a failed solve or a non-finite candidate stays NaN, which rejects
+        try:
+            cand = solve_helmholtz(rhs, dt_step, _workspace=ws)
+        except SolverError:
+            if np.all(np.isfinite(rhs.values)):
+                raise  # a residual miss on finite input is a numeric fault, not blow-up
+        else:
+            if np.all(np.isfinite(cand.values)):
                 inc = np.subtract(cand.values, state.u.values, out=ws.mid)
                 inc_sq = float(np.sum(np.square(inc, out=inc)))
-                diff = math.sqrt(h2 * inc_sq)
-                base = math.sqrt(state.l2)
+                diff, base = math.sqrt(h2 * inc_sq), math.sqrt(state.l2)
                 rel = 0.0 if diff == 0.0 else (math.inf if base == 0.0 else diff / base)
-                if rel <= RELATIVE_INCREMENT_CAP:
-                    w = cand
-                    break
+        if not rel <= RELATIVE_INCREMENT_CAP:
             dt *= 0.5
             if dt < p.dt_min:
-                status = BLOWUP_SUSPECTED
-                stop_reason = "dt-collapse"
-                break
-            dt_step = min(dt, p.t_end - t)
-        if status is not None:
-            break
+                status, stop_reason = BLOWUP_SUSPECTED, "dt-collapse"
+            continue
 
-        new_state = _State(w, H, ws, ws.energies)
+        new_state = _State(cand, H, ws, ws.energies)
         ut_sq = h2 * inc_sq / (dt_step * dt_step)
         cum_residual += abs(dt_step * ut_sq + new_state.E_fwd - state.E_fwd)
         f += 0.5 * dt_step * (state.l2 + new_state.l2)
         t += dt_step
         state = new_state
         steps += 1
-
         if l2_initial > 0.0 and state.l2 < p.decay_l2_floor:
             status = DECAYED_TO_ZERO
-            break
-        if state.h1 > grad_cap:
-            status = BLOWUP_SUSPECTED
-            stop_reason = "gradient-threshold"
-            break
-        if steps % p.record_every == 0:
+        elif state.h1 > grad_cap:
+            status, stop_reason = BLOWUP_SUSPECTED, "gradient-threshold"
+        elif steps % p.record_every == 0:
             record(dt_step, state)
             last_recorded_t = t
 
-    if t != last_recorded_t or not rows:
+    if t != last_recorded_t:  # the stop row; t moved only if a step was accepted, which set dt_step
         record(dt_step, state)
 
     cols = np.array(rows).T.copy()  # one contiguous series per column

@@ -110,10 +110,10 @@ def _ref_h1_forward(v, h):
 
 def _spectral_energies(v, g):
     """(h^2 sum s^2, h^2 sum mu s^2) of the sine spectrum s of v, in the order `_State` sums them."""
-    spec = np.empty((3, g.nx, g.ny))
-    _Workspace(g).sine_transform(v, spec)
+    ws, spec = _Workspace(g), np.empty((3, g.nx, g.ny))
+    ws.sine_transform(v, spec)
     sq = spec * spec
-    return g.h * g.h * float(np.sum(sq)), g.h * g.h * float(np.sum(sq * flow._sine_eigenvalues(g)))
+    return g.h * g.h * float(np.sum(sq)), g.h * g.h * float(np.sum(sq * ws.mu))
 
 
 def _bits(x):

@@ -16,7 +16,6 @@ from hflow.flow import (
     TrajectoryRecord,
     _State,
     _Workspace,
-    _sine_eigenvalues,
     energy_identity_residuals,
     run,
     solve_helmholtz,
@@ -191,14 +190,6 @@ def _run_with_public_solve(u0, p):
     return u, dts, halvings
 
 
-def test_sine_eigenvalues_are_cached_per_grid_and_read_only():
-    mu = _sine_eigenvalues(GridSpec(15, 9, 1.0 / 16))
-    assert mu is _sine_eigenvalues(GridSpec(15, 9, 1.0 / 16))
-    assert mu.shape == (15, 9)
-    with pytest.raises(ValueError):
-        mu[0, 0] = 0.0  # shared by every solve on the grid, so no caller may write it
-
-
 @pytest.mark.parametrize("g", [make_grid(15), GridSpec(15, 9, 1.0 / 16)], ids=str)
 @pytest.mark.parametrize("dt0, t_end, min_halvings", [(1e-3, 1e-3, 0), (0.05, 0.06, 3)])
 def test_run_matches_public_solve_bitwise(g, dt0, t_end, min_halvings):
@@ -240,6 +231,24 @@ def test_run_non_finite_rhs_is_rejected(g15):
     assert tr.status == BLOWUP_SUSPECTED
     assert tr.stop_reason == "dt-collapse"
     assert tr.t[-1] == 0.0
+
+
+def test_run_non_finite_candidate_is_rejected(g15, monkeypatch):
+    # a solve that returns a NaN field without raising: the attempt is rejected and retried with dt halved
+    real, calls = flow.solve_helmholtz, []
+
+    def solve(rhs, dt, **kwargs):
+        calls.append(dt)
+        if len(calls) == 1:
+            return VectorField(rhs.grid, np.full(rhs.values.shape, np.nan))
+        return real(rhs, dt, **kwargs)
+
+    monkeypatch.setattr(flow, "solve_helmholtz", solve)
+    p = FlowParams(H=1.0, dt0=1e-3, t_end=0.01)
+    tr = run(eigenmode(g15), p)
+    assert calls[:2] == [p.dt0, p.dt0 / 2]
+    assert tr.dt[1] == p.dt0 / 2
+    assert tr.status == REACHED_HORIZON
 
 
 def test_run_one_step_zero_fixed_point(g31):
@@ -294,6 +303,8 @@ def test_run_records_consistent_series(g31):
     assert tr.D_delta[0, 1] == pytest.approx(nehari_D_delta(u0, 1.0, 1.25), rel=1e-13)
     # the recorded energy is the scheme-compatible one
     assert tr.E[0] == pytest.approx(0.5 * h1_forward_sq(u0) + volume_VH(u0, 1.0), rel=1e-12)
+    # 50 steps leave the last one off the record_every grid: the stop row is the final state
+    assert tr.l2_sq[-1] == pytest.approx(l2_norm_sq(tr.final_state), rel=1e-13)
 
 
 def test_run_determinism(g31):
@@ -305,6 +316,9 @@ def test_run_determinism(g31):
         assert np.array_equal(getattr(tr1, name), getattr(tr2, name))
     assert np.array_equal(tr1.D_delta, tr2.D_delta)
     assert tr1.status == tr2.status
+    # 50 steps at record_every = 2 end on a recorded step, which the stop row must not repeat
+    assert np.all(np.diff(tr1.t) > 0)
+    assert tr1.l2_sq[-1] == pytest.approx(l2_norm_sq(tr1.final_state), rel=1e-13)
 
 
 def test_run_energy_dissipation_with_residual(g31):
@@ -369,6 +383,8 @@ def test_run_decay_floor(g15):
     assert tr.status == DECAYED_TO_ZERO
     assert tr.l2_sq[-1] < 1e-10
     assert tr.t[-1] < 10.0
+    assert np.all(np.diff(tr.t) > 0)
+    assert tr.l2_sq[-1] == pytest.approx(l2_norm_sq(tr.final_state), rel=1e-13)
 
 
 def test_run_gradient_threshold_blowup(g31):
@@ -381,6 +397,8 @@ def test_run_gradient_threshold_blowup(g31):
     assert tr.stop_reason == "gradient-threshold"
     assert tr.h1_sq[-1] > 100.0 * tr.h1_sq[0]
     assert tr.t[-1] < 1.0
+    assert np.all(np.diff(tr.t) > 0)
+    assert tr.l2_sq[-1] == pytest.approx(l2_norm_sq(tr.final_state), rel=1e-13)
 
 
 def test_run_dt_collapse_blowup(g31):
@@ -394,6 +412,8 @@ def test_run_dt_collapse_blowup(g31):
     tr = run(u0, p)
     assert tr.status == BLOWUP_SUSPECTED
     assert tr.stop_reason == "dt-collapse"
+    assert np.all(np.diff(tr.t) > 0)
+    assert tr.l2_sq[-1] == pytest.approx(l2_norm_sq(tr.final_state), rel=1e-13)
 
 
 def test_run_adaptive_halving_still_completes(g31):
