@@ -3,10 +3,10 @@
 One step solves (I - dt Lap_h) w = u - 2 dt H (u_x ^ u_y) componentwise: the
 stiff Laplacian is implicit (unconditionally stable), the quadratic
 nonlinearity explicit with central-difference gradients; the linear system is
-solved exactly in the sine basis.  The explicit part forces the 0.1
-relative-increment guard: a step whose L^2 increment exceeds 10% of the
-current norm is rejected and retried with dt halved.  dt never regrows, so
-runs are deterministic.
+solved exactly in the sine basis, by real FFTs of zero-padded rows.  The
+explicit part forces the 0.1 relative-increment guard: a step whose L^2
+increment exceeds 10% of the current norm is rejected and retried with dt
+halved.  dt never regrows, so runs are deterministic.
 
 The energy monitored along the run is the scheme-compatible one,
 
@@ -14,7 +14,9 @@ The energy monitored along the run is the scheme-compatible one,
 
 whose quadratic part pairs exactly with the 5-point Laplacian (summation by
 parts); it and |u|_2^2 are h^2 sum mu w_hat^2 and h^2 sum w_hat^2 of the
-solve's spectrum w_hat (an isometry).  With this pairing the per-step defect
+orthonormal spectrum w_hat of the solve (an isometry), read off its
+unnormalised one with the passes' scale folded in.  With this pairing the
+per-step defect
 
     |dt |u_t|_2^2 + E_fwd(t+dt) - E_fwd(t)|
 
@@ -106,72 +108,85 @@ class _Workspace:
     `run` builds one and reuses it in every step; `solve_helmholtz` called
     without one builds a one-off set.  No result is kept in them past a step:
     each solution, and the wedge of each state, is allocated fresh.
+
+    The solve's two 2-D sine transforms are unnormalised: each axis pass is
+    the real FFT of a zero-padded row [0, a, 0 ... 0] of length 2m + 2, whose
+    imaginary part is -sqrt((m + 1)/2) times the orthonormal DST-I of a
+    (Cooley, Lewis & Welch, J. Sound Vib. 12, 1970).  Two passes give
+    sqrt(scale) S_x S_y a with scale = (nx + 1)(ny + 1)/4, and that scale is
+    folded into the cached denominator and into the spectral energies.
     """
 
-    __slots__ = ("grid", "mu", "dt", "den", "passes", "mid", "spec", "energies", "rhs")
+    __slots__ = (
+        "grid", "mu", "scale", "dt", "den", "ypad", "yspec", "xpad", "xspec", "mid", "spec", "energies", "rhs"
+    )
 
     def __init__(self, g: GridSpec):
         nx, ny = g.nx, g.ny
         self.grid = g
         # eigenvalues mu_kl of -Lap_h on the sine modes
         self.mu = discrete_laplacian_eigenvalue(g, np.arange(1, nx + 1)[:, None], np.arange(1, ny + 1)[None, :])
-        # the solve's 1 + dt mu, for self.dt
+        # the square of the two passes' gain over the orthonormal transform
+        self.scale = (nx + 1) * (ny + 1) / 4.0
+        # the solve's scale (1 + dt mu), for self.dt
         self.dt = None
         self.den = np.empty((nx, ny))
-        # (odd extension, its real FFT) of a transform pass over k rows of length m: one pair per length
-        by_len = {
-            m: (np.zeros((3, k, 2 * m + 2)), np.empty((3, k, m + 2), dtype=complex))
-            for k, m in ((nx, ny), (ny, nx))
-        }
-        self.passes = (by_len[ny], by_len[nx])
-        # between-pass array and spectrum; after a solve they hold its residual, in a state pass u_x, u_y
+        # zero-padded rows of the y pass (along the last axis) and of the x pass (along axis 1); only
+        # the input slots [1 : m + 1] are ever written, so the padding stays zero
+        self.ypad = np.zeros((3, nx, 2 * ny + 2))
+        self.xpad = np.zeros((3, 2 * nx + 2, ny))
+        # the passes' real FFTs share one buffer: the x pass overwrites the y pass's output once it is read
+        out = np.empty(3 * max(nx * (ny + 2), (nx + 2) * ny), dtype=complex)
+        self.yspec = out[: 3 * nx * (ny + 2)].reshape(3, nx, ny + 2)
+        self.xspec = out[: 3 * (nx + 2) * ny].reshape(3, nx + 2, ny)
+        # the residual (mid) and spectrum (spec) of a solve; in a state pass u_x and u_y
         self.mid = np.empty((3, nx, ny))
         self.spec = np.empty((3, nx, ny))
         self.energies = None  # (|w|_2^2, h1_forward_sq(w)) of the last solution w
         self.rhs = np.empty((3, nx, ny))
 
+    def _transform(self, a: np.ndarray) -> np.ndarray:
+        """sqrt(scale) S_x S_y a over the last two axes, as a view into self.xspec (valid until the next call)."""
+        nx, ny = a.shape[-2:]
+        self.ypad[..., 1 : ny + 1] = a
+        np.fft.rfft(self.ypad, out=self.yspec)
+        self.xpad[:, 1 : nx + 1] = self.yspec.imag[..., 1 : ny + 1]
+        np.fft.rfft(self.xpad, axis=1, out=self.xspec)
+        return self.xspec.imag[:, 1 : nx + 1]
+
     def sine_transform(self, a: np.ndarray, out: np.ndarray) -> None:
-        """Orthonormal DST-I of a over the last two axes into the C-contiguous out (overwrites self.mid).
+        """Orthonormal DST-I of a over the last two axes into the C-contiguous out.
 
         The transform is its own inverse.  Writing into C-contiguous arrays
         makes reductions over them sum in a fixed order.
         """
-        self._dst_last_axis(a, self.mid, *self.passes[0])
-        self._dst_last_axis(self.mid.swapaxes(-1, -2), out.swapaxes(-1, -2), *self.passes[1])
+        np.divide(self._transform(a), math.sqrt(self.scale), out=out)
 
-    @staticmethod
-    def _dst_last_axis(a, out, odd, spectrum):
-        """Orthonormal DST-I along the last axis, through the real FFT of the odd extension.
+    def spectral_energies(self, spec: np.ndarray, weight: float) -> tuple[float, float]:
+        """weight (sum s^2, sum mu s^2) of a spectrum s (squared in place).
 
-        The imaginary part of the FFT of [0, a, 0, -reversed(a)] holds the sine
-        sums; the two zeros of `odd` are never written.
+        That is (|u|_2^2, h1_forward_sq(u)) for the orthonormal spectrum s of u
+        with weight h^2, or for the solve's spectrum, which is the orthonormal
+        one over sqrt(scale), with weight h^2 scale.
         """
-        n = a.shape[-1]
-        odd[..., 1 : n + 1] = a
-        np.negative(a[..., ::-1], out=odd[..., n + 2 :])
-        np.fft.rfft(odd, out=spectrum)
-        np.divide(spectrum.imag[..., 1 : n + 1], -math.sqrt(2.0 * (n + 1)), out=out)
-
-    def spectral_energies(self, spec: np.ndarray) -> tuple[float, float]:
-        """(|u|_2^2, h1_forward_sq(u)) = h^2 (sum s^2, sum mu s^2) of u with sine spectrum s (squared in place)."""
-        h2 = self.grid.h * self.grid.h
         sq = np.square(spec, out=spec)
-        l2 = h2 * float(np.sum(sq))
+        l2 = weight * float(np.sum(sq))
         sq *= self.mu
-        return l2, h2 * float(np.sum(sq))
+        return l2, weight * float(np.sum(sq))
 
     def solve(self, b: np.ndarray, dt: float) -> np.ndarray:
         """Fresh solution w of (I - dt Lap_h) w = b; see `solve_helmholtz`."""
         if dt != self.dt:
             np.multiply(self.mu, dt, out=self.den)
             self.den += 1.0
+            self.den *= self.scale
             self.dt = dt
-        self.sine_transform(b, self.spec)
-        self.spec /= self.den
-        w = np.empty(b.shape)
-        self.sine_transform(self.spec, w)
-        self.energies = self.spectral_energies(self.spec)  # before the residual check overwrites spec
-        r = laplacian_stencil(w, self.grid.h)
+        np.divide(self._transform(b), self.den, out=self.spec)
+        w = self._transform(self.spec).copy()
+        h = self.grid.h
+        # before the residual check overwrites spec
+        self.energies = self.spectral_energies(self.spec, h * h * self.scale)
+        r = laplacian_stencil(w, h)
         r *= dt
         r = np.subtract(w, r, out=self.mid)
         r -= b
@@ -187,7 +202,10 @@ def solve_helmholtz(rhs: VectorField, dt: float, *, _workspace: _Workspace | Non
 
     On the grid the operator is diagonal in the sine basis with eigenvalues
     1 + dt mu_kl, so w is the sine transform of rhs divided by them and
-    transformed back (fast direct Poisson solver).  One stencil apply then
+    transformed back (fast direct Poisson solver).  Both transforms are the
+    workspace's unnormalised FFT passes, 4 real FFTs in all; the square of
+    their gain is folded into the divisor, so the second transform's output
+    is w with no further scaling.  One stencil apply then
     checks the relative residual of each component against the fixed
     SOLVE_RESIDUAL_BOUND and raises SolverError above it, which also catches
     non-finite input.  `run` passes its own scratch buffers as `_workspace`;
@@ -213,7 +231,7 @@ class _State:
         v = u.values
         if energies is None:
             ws.sine_transform(v, ws.spec)
-            energies = ws.spectral_energies(ws.spec)
+            energies = ws.spectral_energies(ws.spec, h * h)
         ux, uy, w = derivs(v, h, out=(ws.mid, ws.spec, np.empty(v.shape)))
         self.u = u
         self.wedge = w

@@ -177,9 +177,19 @@ def fiber_multiple(ratio: float, above_peak: bool, tol: float = 1e-12) -> float:
     along a fiber, and d(delta) = (3 - 2 delta) delta^2 d.  It rises on the
     bracket (1e-9, 1] below the peak and falls on [1, 3/2 - 1e-9) above it;
     returns the midpoint of the first bracket no wider than tol (200 steps at
-    most).  A root outside the bracket is clamped at its nearer end.
+    most).  A root outside the bracket (ratio below about 3e-18 below the
+    peak, 4.5e-9 above it) is the cubic's asymptote there instead: below the
+    peak m = sqrt(ratio/3), refined once by m = sqrt(ratio/(3 - 2m)); above
+    it m = 3/2 - 2 ratio/9.  Both are exact to double precision there.
     """
     lo, hi = (1.0, 1.5 - 1e-9) if above_peak else (1e-9, 1.0)
+    if above_peak and ratio < (3.0 - 2.0 * hi) * hi * hi:
+        return 1.5 - 2.0 * ratio / 9.0
+    if not above_peak and ratio < (3.0 - 2.0 * lo) * lo * lo:
+        m = 0.0
+        for _ in range(2):  # split roots, so that a subnormal ratio does not underflow to 0
+            m = math.sqrt(ratio) / math.sqrt(3.0 - 2.0 * m)
+        return m
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= tol:
@@ -194,9 +204,10 @@ def fiber_multiple(ratio: float, above_peak: bool, tol: float = 1e-12) -> float:
 def delta_roots(e: float, d: float, tol: float = 1e-12):
     """The two roots delta1 < 1 < delta2 of (3 - 2 delta) delta^2 = e/d.
 
-    Returns (1, 1) when e == d.  A root outside the brackets of
-    `fiber_multiple` is clamped at its end: delta1 at about 1e-9 for e/d below
-    about 3e-18, delta2 at about 3/2 - 1e-9 for e/d below about 4.5e-9.
+    Returns (1, 1) when e == d.  For a tiny level the roots come from the
+    cubic's asymptotes (see `fiber_multiple`): delta1 = sqrt(e/(3d)) to first
+    order for e/d below about 3e-18, and delta2 = 3/2 - 2e/(9d) for e/d below
+    about 4.5e-9, which rounds to 3/2 for e/d below about 5e-16.
     """
     if not (0.0 < e <= d):
         raise ValueError(f"need 0 < e <= d, got e={e}, d={d}")

@@ -137,15 +137,18 @@ def test_loaded_configs_share_no_default_block():
     assert later["center"] == [0.5, 0.5] and later["eps_count"] == 12
 
 
-def test_tiny_energy_verdict_clamps_delta1_at_the_floor(tmp_path):
-    # E = 2.4e-18 against d = 4.44: delta1 lies under the bisection floor 1e-9 and is clamped there
+def test_tiny_energy_verdict_reads_the_asymptotic_roots(tmp_path):
+    # e/d = 5.4e-19: both roots lie outside the bisection brackets, under the floor 1e-9 and
+    # within 1e-9 of 3/2, and come from the cubic's asymptotes, not from the bracket ends
     ic = {"type": "eigenmode", "params": {"amplitude": 1e-9}}
     cfg = write_config(tmp_path / "c.json", grid={"n": 63}, ic=ic)
     out = tmp_path / "o"
     assert main(["classify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     details = json.loads((out / "verdict.json").read_text(encoding="utf-8"))["verdict"]["details"]
-    assert 1e-9 < details["delta1"] < 1.001e-9
-    assert 1.4999 < details["delta2"] < 1.5
+    r = details["energy"] / details["d"]
+    assert r < 1e-18
+    assert details["delta1"] == pytest.approx(math.sqrt(r / 3.0), rel=1e-6)
+    assert details["delta2"] == 1.5 - 2.0 * r / 9.0
 
 
 @pytest.mark.parametrize("command", ["simulate", "classify"])

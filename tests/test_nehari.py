@@ -318,11 +318,23 @@ def test_delta_roots_limits_and_errors():
 
 
 @pytest.mark.parametrize("e", [1e-18, 3e-19, 5e-324])
-def test_delta_roots_clamps_a_tiny_energy_at_the_floor(e):
-    # the root (e/3)^(1/2) lies under the bracket floor 1e-9; delta1 stays there, not near 1
+def test_delta_roots_of_a_tiny_energy_follow_the_asymptotes(e):
+    # both roots lie outside the bisection brackets (1e-9, 1] and [1, 3/2 - 1e-9); they are
+    # the cubic's asymptotes there, not the bracket ends
     r1, r2 = delta_roots(e, 1.0)
-    assert 1e-9 < r1 < 1e-9 + 1e-12
-    assert 1.5 - 1e-9 - 1e-12 < r2 < 1.5
+    assert r1 == pytest.approx(math.sqrt(e) / math.sqrt(3.0), rel=1e-9)
+    if e > 1e-300:  # the cubic itself underflows on a subnormal level
+        assert (3.0 - 2.0 * r1) * r1 * r1 == pytest.approx(e, rel=1e-15)
+    assert r2 == 1.5 - 2.0 * e / 9.0
+
+
+def test_fiber_multiple_is_continuous_across_the_bracket_ends():
+    # just inside a bracket end bisection gives the root; just outside the asymptote takes over
+    for above_peak, end in ((False, 1e-9), (True, 1.5 - 1e-9)):
+        at_end = (3.0 - 2.0 * end) * end * end
+        inside = fiber_multiple(at_end * (1.0 + 1e-6), above_peak)
+        outside = fiber_multiple(at_end * (1.0 - 1e-6), above_peak)
+        assert abs(inside - outside) <= 1e-12
 
 
 def test_fiber_multiple_is_both_branches_of_the_cubic():
