@@ -100,6 +100,14 @@ def load_config(path) -> dict:
     return cfg
 
 
+def _integer(value, name: str) -> int:
+    """A config integer; a bool or a non-integral number is a config error naming the field, not truncated."""
+    integral = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _grid_of(cfg) -> GridSpec:
     try:
         return make_grid(cfg["grid"]["n"])
@@ -109,7 +117,7 @@ def _grid_of(cfg) -> GridSpec:
 
 def _eps_grid(cfg, g: GridSpec) -> np.ndarray:
     well = cfg["well"]
-    count = int(well["eps_count"])
+    count = _integer(well["eps_count"], "well.eps_count")
     if count < 1:
         raise nehari.EstimationError("empty bubble family (well.eps_count < 1)")
     lo, hi = well["eps_min"], float(well["eps_max"])
@@ -216,9 +224,9 @@ def build_initial_condition(cfg: dict, g: GridSpec, H: float, seed_override=None
     if kind == "zero":
         return VectorField.zeros(g), {"type": "zero"}
     if kind == "eigenmode":
-        kx = int(params.get("kx", 1))
-        ky = int(params.get("ky", 1))
-        comp = int(params.get("component", 0))
+        kx = _integer(params.get("kx", 1), "ic.params.kx")
+        ky = _integer(params.get("ky", 1), "ic.params.ky")
+        comp = _integer(params.get("component", 0), "ic.params.component")
         amp = float(params.get("amplitude", 1.0))
         u0 = fields.eigenmode(g, kx, ky, comp, amp)
         return u0, {"type": kind, "kx": kx, "ky": ky, "component": comp, "amplitude": amp}
@@ -232,10 +240,11 @@ def build_initial_condition(cfg: dict, g: GridSpec, H: float, seed_override=None
         seed = seed_override if seed_override is not None else params.get("seed", cfg.get("seed"))
         if seed is None:
             raise ConfigError("random ICs need a seed (ic.params.seed, top-level seed, or --seed)")
-        kmax = int(params.get("kmax", 6))
+        seed = _integer(seed, "seed")
+        kmax = _integer(params.get("kmax", 6), "ic.params.kmax")
         h1_norm = params.get("h1_norm")
-        u0 = fields.random_bandlimited(g, int(seed), kmax, None if h1_norm is None else float(h1_norm))
-        return u0, {"type": kind, "seed": int(seed), "kmax": kmax, "h1_norm": h1_norm}
+        u0 = fields.random_bandlimited(g, seed, kmax, None if h1_norm is None else float(h1_norm))
+        return u0, {"type": kind, "seed": seed, "kmax": kmax, "h1_norm": h1_norm}
     if kind == "scaled-direction":
         w, dir_desc = _resolve_direction(params.get("direction", {}), g, H, well)
         coeffs = nehari.fibering_coeffs(w, H)
@@ -303,7 +312,8 @@ def _classified_datum(cfg: dict, seed_override=None):
     H = float(cfg["physics"]["H"])
     wp = _well_parameters(cfg, g, H)
     u0, ic_desc = build_initial_condition(cfg, g, H, seed_override, wp)
-    sampler = nehari.default_lambda_sampler(g, H, int(cfg.get("seed", 0) or 0))
+    seed = cfg.get("seed")
+    sampler = nehari.default_lambda_sampler(g, H, 0 if seed is None else _integer(seed, "seed"))
     return u0, ic_desc, wp, classify.classify_initial(u0, wp, float(cfg["monitors"]["tol_d"]), sampler)
 
 
@@ -324,7 +334,7 @@ def _simulate_into(cfg: dict, out: Path, seed_override=None) -> dict:
         dt0=float(tcfg["dt0"]),
         t_end=float(tcfg["t_end"]),
         dt_min=float(tcfg["dt_min"]),
-        record_every=int(mon["record_every"]),
+        record_every=_integer(mon["record_every"], "monitors.record_every"),
         blowup_gradient_factor=float(mon["blowup_gradient_factor"]),
         decay_l2_floor=float(mon["decay_l2_floor"]),
     )
@@ -371,7 +381,9 @@ def _corpus(cfg, g: GridSpec):
     seed = cfg.get("seed", cc.get("seed"))
     if seed is None:
         raise ConfigError("verify-lemmas needs a corpus seed (top-level seed or corpus.seed)")
-    return (fields.random_bandlimited(g, int(seed) + i, int(cc["kmax"])) for i in range(int(cc["count"])))
+    seed, kmax = _integer(seed, "seed"), _integer(cc["kmax"], "corpus.kmax")
+    count = _integer(cc["count"], "corpus.count")
+    return (fields.random_bandlimited(g, seed + i, kmax) for i in range(count))
 
 
 def _check_isoperimetric(block: dict, i: int, a: float, v: float) -> None:
@@ -399,19 +411,25 @@ def _check_energy_split(block: dict, a: float, v: float, H: float) -> None:
     block["passed"] = block["worst_rel_residual"] <= 1e-12
 
 
-def _check_small_norm(block: dict, w: VectorField, cw: nehari.FiberingCoefficients, H: float) -> None:
-    """Small norm forces positive D_delta."""
+def _fiber_D_delta(cw: nehari.FiberingCoefficients, s: float, delta: float) -> float:
+    """D_delta(s w) = delta s^2 A + 2 s^3 B, the fiber identity on the direction's pair."""
+    return delta * s * s * cw.A + 2.0 * s**3 * cw.B
+
+
+def _check_small_norm(block: dict, cw: nehari.FiberingCoefficients, H: float) -> None:
+    """Small norm forces positive D_delta: at the norm 0.9 r(delta), D_delta off the direction's pair."""
     for delta in NEHARI_DELTAS:
         s = 0.9 * functionals.r_of_delta(delta, H) / math.sqrt(cw.A)
-        if functionals.nehari_D_delta(w.scaled(s), H, delta) <= 0.0:
+        if _fiber_D_delta(cw, s, delta) <= 0.0:
             block["passed"] = False
 
 
-def _check_negative_implies_large(block: dict, w: VectorField, cw: nehari.FiberingCoefficients, H: float) -> None:
-    """Negative D_delta forces a norm above the radius r(delta)."""
+def _check_negative_implies_large(block: dict, cw: nehari.FiberingCoefficients, H: float) -> None:
+    """Negative D_delta forces a norm above the radius r(delta): at 1.5 lambda(delta), D_delta off the
+    direction's pair."""
     for delta in NEHARI_DELTAS:
         c_neg = 1.5 * nehari.project_nehari_delta(cw, delta)
-        if functionals.nehari_D_delta(w.scaled(c_neg), H, delta) < 0.0:
+        if _fiber_D_delta(cw, c_neg, delta) < 0.0:
             if c_neg * math.sqrt(cw.A) <= functionals.r_of_delta(delta, H):
                 block["passed"] = False
 
@@ -484,7 +502,9 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
 
     # one derivative pass per member gives its (dirichlet, volume), hence its coefficients, its
     # isoperimetric gap and its split identity; its direction (members with A > 0 and B != 0) is
-    # its sign with B < 0: the flip negates B exactly, so the flipped coefficients are (A, -B)
+    # its sign with B < 0: the flip negates B exactly, so the flipped coefficients are (A, -B).
+    # The Nehari sign checks read D_delta along the direction's ray off that pair; only the
+    # fiber map, which checks the fiber identity against the grid, builds the flipped field
     corpus_size = 0
     for i, u in enumerate(members):
         corpus_size += 1
@@ -494,12 +514,12 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
         _check_projected_norm_cap(checks["projected_norm_cap"], c, wp.d)
         _check_energy_split(checks["energy_split_identity"], a, v, H)
         if c.A > 0.0 and c.B != 0.0:
-            w, cw = (u, c) if c.B < 0.0 else (u.scaled(-1.0), nehari.FiberingCoefficients(A=c.A, B=-c.B))
-            _check_small_norm(checks["nehari_sign_small_norm"], w, cw, H)
-            _check_negative_implies_large(checks["nehari_sign_negative_implies_large"], w, cw, H)
+            cw = c if c.B < 0.0 else nehari.FiberingCoefficients(A=c.A, B=-c.B)
+            _check_small_norm(checks["nehari_sign_small_norm"], cw, H)
+            _check_negative_implies_large(checks["nehari_sign_negative_implies_large"], cw, H)
             _check_zero_norm_bound(checks["nehari_zero_norm_bound"], cw, H)
             if i < 20:
-                _check_fiber_map(checks["fiber_map"], w, cw, H)
+                _check_fiber_map(checks["fiber_map"], u if c.B < 0.0 else u.scaled(-1.0), cw, H)
     # the saturation probe is the well's own family: near-extremal directions that saturate the
     # isoperimetric inequality, whose discrete gap exposes the resolution limit of the grid
     probe_size = 0
@@ -568,7 +588,7 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         cell_cfg.pop("sweep", None)
         jobs.append((cell_cfg, str(out / f"cell_lm_{v:g}"), key))
 
-    workers = int(sweep.get("max_workers", 0)) or min(4, len(jobs))
+    workers = _integer(sweep.get("max_workers", 0), "sweep.max_workers") or min(4, len(jobs))
     results = {}
     if workers > 1 and len(jobs) > 1:
         # imported here, so that no other command pays for loading the process pool

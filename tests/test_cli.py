@@ -318,6 +318,44 @@ def test_non_finite_config_values(tmp_path, section, key, literal):
         load_config(cfg)
 
 
+_INTEGER_FIELDS = [  # (field, command, config overrides that put the value in the field)
+    ("corpus.count", "verify-lemmas", lambda v: {"corpus": {"count": v}, "seed": 1}),
+    ("corpus.kmax", "verify-lemmas", lambda v: {"corpus": {"count": 2, "kmax": v}, "seed": 1}),
+    ("seed", "verify-lemmas", lambda v: {"corpus": {"count": 2}, "seed": v}),
+    ("well.eps_count", "compute-well-depth", lambda v: {"well": {"eps_count": v}}),
+    ("ic.params.kx", "classify", lambda v: {"ic": {"type": "eigenmode", "params": {"kx": v}}}),
+    ("ic.params.ky", "classify", lambda v: {"ic": {"type": "eigenmode", "params": {"ky": v}}}),
+    ("ic.params.component", "classify", lambda v: {"ic": {"type": "eigenmode", "params": {"component": v}}}),
+    ("ic.params.kmax", "classify", lambda v: {"ic": {"type": "random-bandlimited", "params": {"kmax": v}}, "seed": 3}),
+    ("seed", "classify", lambda v: {"ic": {"type": "random-bandlimited", "params": {}}, "seed": v}),
+    ("seed", "classify", lambda v: {"seed": v}),  # the lambda/Lambda sampler's seed
+    ("monitors.record_every", "simulate", lambda v: {"monitors": {"record_every": v}}),
+    ("sweep.max_workers", "sweep", lambda v: {"sweep": {"lambda_multiples": [0.2], "max_workers": v}}),
+]
+
+
+@pytest.mark.parametrize("value", [3.5, True, "3"])
+@pytest.mark.parametrize("field, command, overrides", _INTEGER_FIELDS)
+def test_integer_config_fields_reject_non_integers(tmp_path, capsys, field, command, overrides, value):
+    # int() would truncate 3.5 to 3 and read true as 1; the config error names the field instead
+    cfg = write_config(tmp_path / "c.json", **overrides(value))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"{field} must be an integer, got {value!r}" in capsys.readouterr().err
+    assert not list(out.iterdir())
+
+
+def test_integral_float_config_fields_are_read_as_integers(tmp_path):
+    cfg = write_config(tmp_path / "c.json", corpus={"count": 2.0, "kmax": 5.0}, seed=6.0)
+    out = tmp_path / "o"
+    assert main(["verify-lemmas", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "lemma_report.json").read_text(encoding="utf-8"))["corpus_size"] == 2
+    cfg = write_config(tmp_path / "e.json", ic={"type": "eigenmode", "params": {"kx": 2.0, "component": 1.0}})
+    assert main(["classify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    ic = json.loads((out / "verdict.json").read_text(encoding="utf-8"))["ic"]
+    assert (ic["kx"], ic["component"]) == (2, 1) and type(ic["kx"]) is int
+
+
 def test_random_ic_requires_seed(tmp_path):
     cfg = write_config(
         tmp_path / "c.json",
@@ -494,9 +532,10 @@ def test_verify_lemmas_reuses_its_passes_with_the_same_bits(tmp_path, monkeypatc
 
 def test_verify_lemmas_takes_one_pass_per_member_and_scale(tmp_path, monkeypatch):
     # a direction's coefficients come from its member's by the sign flip, so fibering_coeffs runs
-    # only inside estimate_d; each fiber-map direction reads E and D at its five scales off one report each
+    # only inside estimate_d; each fiber-map direction reads E and D at its five scales off one report
+    # each; the Nehari sign checks read D_delta off the direction's pair and make no pass
     inside = {"estimate_d": 0, "search": 0}
-    calls = {"fibering_coeffs": [], "report": 0, "energy_E": 0, "nehari_D": 0}
+    calls = {"fibering_coeffs": [], "report": 0, "energy_E": 0, "nehari_D": 0, "nehari_D_delta": 0, "derivs": 0}
 
     def scope(name, real):
         def f(*args, **kwargs):
@@ -521,7 +560,7 @@ def test_verify_lemmas_takes_one_pass_per_member_and_scale(tmp_path, monkeypatch
     monkeypatch.setattr(nehari, "estimate_d", scope("estimate_d", nehari.estimate_d))
     monkeypatch.setattr(nehari, "golden_section_peak", scope("search", nehari.golden_section_peak))
     monkeypatch.setattr(nehari, "fibering_coeffs", counting("fibering_coeffs", nehari.fibering_coeffs))
-    for name in ("report", "energy_E", "nehari_D"):
+    for name in ("report", "energy_E", "nehari_D", "nehari_D_delta", "derivs"):
         monkeypatch.setattr(functionals, name, counting(name, getattr(functionals, name)))
     count = 8
     cfg = write_config(tmp_path / "c.json", grid={"n": 15}, corpus={"count": count, "kmax": 5}, seed=7)
@@ -535,7 +574,42 @@ def test_verify_lemmas_takes_one_pass_per_member_and_scale(tmp_path, monkeypatch
     # pass), and the energies of the well-depth curve rows
     assert calls["report"] == 5 * directions
     assert calls["energy_E"] == len(cli.DELTA_TABLE)
-    assert calls["nehari_D"] == 0
+    assert calls["nehari_D"] == calls["nehari_D_delta"] == 0
+    # derivative passes outside the search: one per member, the fiber map's reports, the family of
+    # estimate_d and the depth-curve rows
+    assert calls["derivs"] == count + 5 * directions + eps_count + len(cli.DELTA_TABLE)
+
+
+@pytest.mark.parametrize("radius_factor, code", [(1.0, EXIT_OK), (20.0, EXIT_LEMMA)])
+def test_nehari_sign_blocks_match_the_grid(tmp_path, monkeypatch, radius_factor, code):
+    # the sign checks read D_delta off each direction's pair; D_delta of the scaled field on the grid,
+    # at the blocks' own scales, gives the same verdicts: both pass as configured, and both fail once
+    # r(delta) is 20 times too large (the corpus holds members of both signs of B)
+    real_r = functionals.r_of_delta
+    monkeypatch.setattr(functionals, "r_of_delta", lambda delta, H: radius_factor * real_r(delta, H))
+    H = 1.0
+    path = write_config(tmp_path / "c.json", corpus={"count": 6, "kmax": 5}, seed=6)
+    assert main(["verify-lemmas", "--config", str(path), "--out", str(tmp_path / "o")]) == code
+    checks = json.loads((tmp_path / "o" / "lemma_report.json").read_text(encoding="utf-8"))["checks"]
+
+    small_norm = negative_implies_large = True
+    signs = set()
+    for u in cli._corpus(load_config(path), make_grid(31)):
+        negative = fibering_coeffs(u, H).B < 0.0
+        signs.add(negative)
+        w = u if negative else u.scaled(-1.0)
+        cw = fibering_coeffs(w, H)
+        for delta in cli.NEHARI_DELTAS:
+            r = functionals.r_of_delta(delta, H)
+            s = 0.9 * r / math.sqrt(cw.A)
+            small_norm &= functionals.nehari_D_delta(w.scaled(s), H, delta) > 0.0
+            c_neg = 1.5 * project_nehari_delta(cw, delta)
+            if functionals.nehari_D_delta(w.scaled(c_neg), H, delta) < 0.0:
+                negative_implies_large &= c_neg * math.sqrt(cw.A) > r
+    assert signs == {True, False}
+    assert small_norm == negative_implies_large == (code == EXIT_OK)
+    assert checks["nehari_sign_small_norm"]["passed"] == small_norm
+    assert checks["nehari_sign_negative_implies_large"]["passed"] == negative_implies_large
 
 
 def _one_alive_at_a_time(monkeypatch, module, name):
