@@ -108,11 +108,8 @@ def check_e54(u0: VectorField, H: float):
 
 
 def delta_window(u0: VectorField, wp: WellParameters):
-    """Roots (delta1, delta2) of the well-depth curve at level E(u0)."""
-    e = functionals.energy_E(u0, wp.H)
-    if not (0.0 < e <= wp.d):
-        raise ValueError(f"delta window needs 0 < E(u0) <= d, got E={e}, d={wp.d}")
-    return delta_roots(e, wp.d)
+    """Roots (delta1, delta2) of the well-depth curve at level E(u0); ValueError unless 0 < E(u0) <= d."""
+    return delta_roots(functionals.energy_E(u0, wp.H), wp.d)
 
 
 def classify_initial(u0: VectorField, wp: WellParameters, tol_d: float = 1e-3, sampler=None) -> Verdict:

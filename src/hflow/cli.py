@@ -95,7 +95,7 @@ def load_config(path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = _merge(copy.deepcopy(CONFIG_DEFAULTS), raw)  # no loaded config shares a block of the defaults
-    if cfg["physics"]["H"] <= 0.0:
+    if _real(cfg["physics"]["H"], "physics.H") <= 0.0:
         raise ConfigError(f"physics.H must be > 0, got {cfg['physics']['H']}")
     return cfg
 
@@ -106,6 +106,13 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not integral:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """A config number; a bool, a string or a null is a config error naming the field, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _grid_of(cfg) -> GridSpec:
@@ -120,7 +127,7 @@ def _eps_grid(cfg, g: GridSpec) -> np.ndarray:
     count = _integer(well["eps_count"], "well.eps_count")
     if count < 1:
         raise nehari.EstimationError("empty bubble family (well.eps_count < 1)")
-    lo, hi = well["eps_min"], float(well["eps_max"])
+    lo, hi = well["eps_min"], _real(well["eps_max"], "well.eps_max")
     if lo == "4h" and hi > 0.0:
         eps = nehari.default_eps_grid(g, count, hi)
         if eps[0] > hi:
@@ -130,9 +137,9 @@ def _eps_grid(cfg, g: GridSpec) -> np.ndarray:
                 "or set well.eps_min explicitly"
             )
         return eps
-    if lo == "4h" or not (0.0 < float(lo) <= hi):
+    if lo == "4h" or not (0.0 < (lo := _real(lo, "well.eps_min")) <= hi):
         raise ConfigError(f"bad eps range [{lo}, {hi}]")
-    return np.geomspace(float(lo), hi, count)
+    return np.geomspace(lo, hi, count)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +194,7 @@ def _resolve_direction(dir_cfg: dict, g: GridSpec, H: float, well):
         raise ConfigError(f"unsupported direction type {kind!r}")
     center = tuple(dir_cfg.get("center", (0.5, 0.5)))
     eps = dir_cfg.get("eps", 0.25)
-    eps = nehari.family_minimizer(well())[0] if eps == "optimal" else float(eps)
+    eps = nehari.family_minimizer(well())[0] if eps == "optimal" else _real(eps, "ic.params.direction.eps")
     w = nehari.bubble_direction(g, H, center, eps)
     return w, {"type": "bubble", "center": list(center), "eps": eps}
 
@@ -195,13 +202,17 @@ def _resolve_direction(dir_cfg: dict, g: GridSpec, H: float, well):
 def _amplitude_for_energy_level(coeffs, level_energy: float, branch: str) -> float:
     """Scale m * lambda* so that E(m lambda* w) = (3 - 2m) m^2 * peak equals level_energy.
 
-    below-peak takes m in (0, 1], where D > 0; above-peak takes m in [1, 3/2), where D < 0.
+    below-peak takes m in (0, 1], where D >= 0; above-peak takes m in (1, 3/2), where D < 0.
     """
     peak = nehari.fiber_peak_energy(coeffs)
     ratio = level_energy / peak
     if not (0.0 < ratio <= 1.0):
         raise ConfigError(f"energy level {level_energy} unreachable on this fiber (peak {peak})")
-    return nehari.fiber_multiple(ratio, branch == "above-peak", tol=1e-13) * nehari.lambda_star(coeffs)
+    below, above = nehari.delta_roots(ratio, 1.0)
+    # on the fiber D(m lambda* w) = (1 - m) dirichlet, and classify reads |D| <= SIGN_TOL_FACTOR dirichlet as
+    # zero: on the peak (ratio 1, both roots 1) the above-peak datum sits 10 times that far above it, so D < 0
+    m = max(above, 1.0 + 10.0 * classify.SIGN_TOL_FACTOR) if branch == "above-peak" else below
+    return m * nehari.lambda_star(coeffs)
 
 
 def build_initial_condition(cfg: dict, g: GridSpec, H: float, seed_override=None, wp=None):
@@ -227,13 +238,13 @@ def build_initial_condition(cfg: dict, g: GridSpec, H: float, seed_override=None
         kx = _integer(params.get("kx", 1), "ic.params.kx")
         ky = _integer(params.get("ky", 1), "ic.params.ky")
         comp = _integer(params.get("component", 0), "ic.params.component")
-        amp = float(params.get("amplitude", 1.0))
+        amp = _real(params.get("amplitude", 1.0), "ic.params.amplitude")
         u0 = fields.eigenmode(g, kx, ky, comp, amp)
         return u0, {"type": kind, "kx": kx, "ky": ky, "component": comp, "amplitude": amp}
     if kind == "bubble":
         center = tuple(params.get("center", (0.5, 0.5)))
-        eps = float(params.get("eps", 0.25))
-        amp = float(params.get("amplitude", 1.0))
+        eps = _real(params.get("eps", 0.25), "ic.params.eps")
+        amp = _real(params.get("amplitude", 1.0), "ic.params.amplitude")
         u0 = nehari.bubble_direction(g, H, center, eps).scaled(amp)
         return u0, {"type": kind, "center": list(center), "eps": eps, "amplitude": amp}
     if kind == "random-bandlimited":
@@ -243,25 +254,26 @@ def build_initial_condition(cfg: dict, g: GridSpec, H: float, seed_override=None
         seed = _integer(seed, "seed")
         kmax = _integer(params.get("kmax", 6), "ic.params.kmax")
         h1_norm = params.get("h1_norm")
-        u0 = fields.random_bandlimited(g, seed, kmax, None if h1_norm is None else float(h1_norm))
+        h1 = None if h1_norm is None else _real(h1_norm, "ic.params.h1_norm")
+        u0 = fields.random_bandlimited(g, seed, kmax, h1)
         return u0, {"type": kind, "seed": seed, "kmax": kmax, "h1_norm": h1_norm}
     if kind == "scaled-direction":
         w, dir_desc = _resolve_direction(params.get("direction", {}), g, H, well)
         coeffs = nehari.fibering_coeffs(w, H)
         lam = nehari.lambda_star(coeffs)
         if "lambda_multiple" in params:
-            mult = float(params["lambda_multiple"])
+            mult = _real(params["lambda_multiple"], "ic.params.lambda_multiple")
             amp = mult * lam
             desc = {"type": kind, "direction": dir_desc, "lambda_multiple": mult}
         elif "energy_level" in params:
             branch = params.get("branch", "below-peak")
             if branch not in ("below-peak", "above-peak"):
                 raise ConfigError(f"branch must be below-peak or above-peak, got {branch!r}")
-            level = float(params["energy_level"])
+            level = _real(params["energy_level"], "ic.params.energy_level")
             amp = _amplitude_for_energy_level(coeffs, level * well().d, branch)
             desc = {"type": kind, "direction": dir_desc, "energy_level": level, "branch": branch}
         elif "e54_margin" in params:
-            margin = float(params["e54_margin"])
+            margin = _real(params["e54_margin"], "ic.params.e54_margin")
             if margin <= 1.0:
                 raise ConfigError(f"e54_margin must exceed 1, got {margin}")
             # |c w|_2 < -(c^3/3) B needs c^2 > 3 |w|_2 / (-B); E(c w) <= 0 needs c >= 1.5 lambda*
@@ -286,7 +298,7 @@ def _well_parameters(cfg, g: GridSpec, H: float) -> nehari.WellParameters:
 
 def cmd_compute_well_depth(cfg: dict, out: Path) -> int:
     g = _grid_of(cfg)
-    H = float(cfg["physics"]["H"])
+    H = _real(cfg["physics"]["H"], "physics.H")
     wp = _well_parameters(cfg, g, H)
     r1 = functionals.r_of_delta(1.0, H)
     artifact = {
@@ -309,12 +321,13 @@ def _classified_datum(cfg: dict, seed_override=None):
     generator, which does no work unless the verdict reads it.
     """
     g = _grid_of(cfg)
-    H = float(cfg["physics"]["H"])
+    H = _real(cfg["physics"]["H"], "physics.H")
     wp = _well_parameters(cfg, g, H)
     u0, ic_desc = build_initial_condition(cfg, g, H, seed_override, wp)
     seed = cfg.get("seed")
     sampler = nehari.default_lambda_sampler(g, H, 0 if seed is None else _integer(seed, "seed"))
-    return u0, ic_desc, wp, classify.classify_initial(u0, wp, float(cfg["monitors"]["tol_d"]), sampler)
+    tol_d = _real(cfg["monitors"]["tol_d"], "monitors.tol_d")
+    return u0, ic_desc, wp, classify.classify_initial(u0, wp, tol_d, sampler)
 
 
 def _verdict_artifact(verdict, ic_desc, wp) -> dict:
@@ -331,12 +344,12 @@ def _simulate_into(cfg: dict, out: Path, seed_override=None) -> dict:
     tcfg, mon = cfg["time"], cfg["monitors"]
     params = flow.FlowParams(
         H=wp.H,
-        dt0=float(tcfg["dt0"]),
-        t_end=float(tcfg["t_end"]),
-        dt_min=float(tcfg["dt_min"]),
+        dt0=_real(tcfg["dt0"], "time.dt0"),
+        t_end=_real(tcfg["t_end"], "time.t_end"),
+        dt_min=_real(tcfg["dt_min"], "time.dt_min"),
         record_every=_integer(mon["record_every"], "monitors.record_every"),
-        blowup_gradient_factor=float(mon["blowup_gradient_factor"]),
-        decay_l2_floor=float(mon["decay_l2_floor"]),
+        blowup_gradient_factor=_real(mon["blowup_gradient_factor"], "monitors.blowup_gradient_factor"),
+        decay_l2_floor=_real(mon["decay_l2_floor"], "monitors.decay_l2_floor"),
     )
     tr = flow.run(u0, params, mon["delta_list"])
     finite = [(name, np.isfinite(series)) for name, series in trajectory_series(tr)]
@@ -486,7 +499,7 @@ def _check_well_depth_curve(g: GridSpec, H: float, wp: nehari.WellParameters) ->
 
 def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
     g = _grid_of(cfg)
-    H = float(cfg["physics"]["H"])
+    H = _real(cfg["physics"]["H"], "physics.H")
     members = _corpus(cfg, g)
     wp = _well_parameters(cfg, g, H)  # before the stream: the projected-norm cap reads d
     checks = {
@@ -572,7 +585,7 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         raise ConfigError("sweep config needs sweep.lambda_multiples")
     if cfg.get("ic", {}).get("type") != "scaled-direction":
         raise ConfigError("sweep requires a scaled-direction ic")
-    values = [float(v) for v in sweep["lambda_multiples"]]
+    values = [_real(v, "sweep.lambda_multiples") for v in sweep["lambda_multiples"]]
     if not values:
         raise ConfigError("sweep.lambda_multiples is empty")
 

@@ -170,50 +170,23 @@ def d_of_delta(delta: float, d: float) -> float:
     return (3.0 - 2.0 * delta) * delta**2 * d
 
 
-def fiber_multiple(ratio: float, above_peak: bool, tol: float = 1e-12) -> float:
-    """The root m of (3 - 2m) m^2 = ratio on one side of the peak m = 1, by bisection.
+def delta_roots(e: float, d: float):
+    """The two roots delta1 <= 1 <= delta2 of (3 - 2 delta) delta^2 = e/d, in closed form.
 
-    The one cubic of the fiber algebra: E(m lambda* u) = (3 - 2m) m^2 peak
-    along a fiber, and d(delta) = (3 - 2 delta) delta^2 d.  It rises on the
-    bracket (1e-9, 1] below the peak and falls on [1, 3/2 - 1e-9) above it;
-    returns the midpoint of the first bracket no wider than tol (200 steps at
-    most).  A root outside the bracket (ratio below about 3e-18 below the
-    peak, 4.5e-9 above it) is the cubic's asymptote there instead: below the
-    peak m = sqrt(ratio/3), refined once by m = sqrt(ratio/(3 - 2m)); above
-    it m = 3/2 - 2 ratio/9.  Both are exact to double precision there.
-    """
-    lo, hi = (1.0, 1.5 - 1e-9) if above_peak else (1e-9, 1.0)
-    if above_peak and ratio < (3.0 - 2.0 * hi) * hi * hi:
-        return 1.5 - 2.0 * ratio / 9.0
-    if not above_peak and ratio < (3.0 - 2.0 * lo) * lo * lo:
-        m = 0.0
-        for _ in range(2):  # split roots, so that a subnormal ratio does not underflow to 0
-            m = math.sqrt(ratio) / math.sqrt(3.0 - 2.0 * m)
-        return m
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        if ((3.0 - 2.0 * mid) * mid * mid < ratio) != above_peak:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def delta_roots(e: float, d: float, tol: float = 1e-12):
-    """The two roots delta1 < 1 < delta2 of (3 - 2 delta) delta^2 = e/d.
-
-    Returns (1, 1) when e == d.  For a tiny level the roots come from the
-    cubic's asymptotes (see `fiber_multiple`): delta1 = sqrt(e/(3d)) to first
-    order for e/d below about 3e-18, and delta2 = 3/2 - 2e/(9d) for e/d below
-    about 4.5e-9, which rounds to 3/2 for e/d below about 5e-16.
+    One cubic serves the depth curve d(delta) = (3 - 2 delta) delta^2 d and the fiber energy
+    E(m lambda* u) = (3 - 2m) m^2 * peak.  With e/d = sin^2 psi and h = psi/3 its roots are
+    2 sin h cos(pi/6 - h) and 3/2 - 2 sin^2 h (Viete, written free of cancellation; Press et al.,
+    Numerical Recipes, 3rd ed., 5.6), exact to a few ulp for every ratio in (0, 1], subnormal
+    ones included.  Returns (1, 1) when e == d.
     """
     if not (0.0 < e <= d):
         raise ValueError(f"need 0 < e <= d, got e={e}, d={d}")
     if e == d:
         return (1.0, 1.0)
-    return (fiber_multiple(e / d, False, tol), fiber_multiple(e / d, True, tol))
+    r = e / d
+    h = math.atan2(math.sqrt(r), math.sqrt(1.0 - r)) / 3.0
+    s = math.sin(h)
+    return (2.0 * s * math.cos(math.pi / 6.0 - h), 1.5 - 2.0 * s * s)
 
 
 def golden_section_peak(u: VectorField, H: float, lo: float, hi: float, tol: float = 1e-9) -> float:

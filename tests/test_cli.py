@@ -345,6 +345,67 @@ def test_integer_config_fields_reject_non_integers(tmp_path, capsys, field, comm
     assert not list(out.iterdir())
 
 
+_DIRECTION = {"type": "bubble", "eps": 0.25}
+
+
+def _scaled(params):
+    """Overrides that give the scaled-direction ic these params."""
+    return {"ic": {"type": "scaled-direction", "params": params}}
+
+
+_REAL_FIELDS = [  # (field, command, config overrides that put the value in the field)
+    ("physics.H", "classify", lambda v: {"physics": {"H": v}}),  # checked when the config loads
+    ("time.dt0", "simulate", lambda v: {"time": {"dt0": v}}),
+    ("time.t_end", "simulate", lambda v: {"time": {"t_end": v}}),
+    ("time.dt_min", "simulate", lambda v: {"time": {"dt_min": v}}),
+    ("monitors.blowup_gradient_factor", "simulate", lambda v: {"monitors": {"blowup_gradient_factor": v}}),
+    ("monitors.decay_l2_floor", "simulate", lambda v: {"monitors": {"decay_l2_floor": v}}),
+    ("monitors.tol_d", "classify", lambda v: {"monitors": {"tol_d": v}}),
+    ("well.eps_min", "compute-well-depth", lambda v: {"well": {"eps_min": v}}),
+    ("well.eps_max", "compute-well-depth", lambda v: {"well": {"eps_max": v}}),
+    ("ic.params.amplitude", "classify", lambda v: {"ic": {"type": "eigenmode", "params": {"amplitude": v}}}),
+    ("ic.params.eps", "classify", lambda v: {"ic": {"type": "bubble", "params": {"eps": v}}}),
+    ("ic.params.amplitude", "classify", lambda v: {"ic": {"type": "bubble", "params": {"amplitude": v}}}),
+    (
+        "ic.params.h1_norm",
+        "classify",
+        lambda v: {"ic": {"type": "random-bandlimited", "params": {"h1_norm": v}}, "seed": 3},
+    ),
+    ("ic.params.direction.eps", "classify", lambda v: _scaled({"direction": {"eps": v}, "lambda_multiple": 1})),
+    ("ic.params.lambda_multiple", "classify", lambda v: _scaled({"direction": _DIRECTION, "lambda_multiple": v})),
+    ("ic.params.energy_level", "classify", lambda v: _scaled({"direction": _DIRECTION, "energy_level": v})),
+    ("ic.params.e54_margin", "classify", lambda v: _scaled({"direction": _DIRECTION, "e54_margin": v})),
+    ("sweep.lambda_multiples", "sweep", lambda v: {"sweep": {"lambda_multiples": [0.2, v]}}),
+]
+
+
+@pytest.mark.parametrize(
+    "field, command, overrides, value",
+    [
+        (*case, value)
+        for case in _REAL_FIELDS
+        for value in (True, "1.6", None)
+        if not (case[0] == "ic.params.h1_norm" and value is None)  # a null h1_norm is its default: no rescaling
+    ],
+)
+def test_real_config_fields_reject_non_numbers(tmp_path, capsys, field, command, overrides, value):
+    # float() would read true as 1.0 and "1.6" as 1.6; the config error names the field instead
+    cfg = write_config(tmp_path / "c.json", **overrides(value))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"{field} must be a number, got {value!r}" in capsys.readouterr().err
+    assert not any(out.glob("*"))
+
+
+def test_integer_values_are_valid_real_config_fields(tmp_path):
+    overrides = _scaled({"direction": _DIRECTION, "energy_level": 1, "branch": "below-peak"})
+    cfg = write_config(tmp_path / "c.json", physics={"H": 1}, **overrides)
+    out = tmp_path / "o"
+    assert main(["classify", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    verdict = json.loads((out / "verdict.json").read_text(encoding="utf-8"))
+    assert verdict["ic"]["energy_level"] == 1.0 and verdict["verdict"]["applicable_theorem"] == "t31"
+
+
 def test_integral_float_config_fields_are_read_as_integers(tmp_path):
     cfg = write_config(tmp_path / "c.json", corpus={"count": 2.0, "kmax": 5.0}, seed=6.0)
     out = tmp_path / "o"

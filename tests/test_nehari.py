@@ -1,9 +1,12 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from hflow.classify import SIGN_TOL_FACTOR
+from hflow.cli import _amplitude_for_energy_level
 from hflow.fields import random_bandlimited
 from hflow.functionals import a_of_delta, energy_E, nehari_D, nehari_D_delta, r_of_delta
 from hflow.grid import VectorField, h1_seminorm_sq, make_grid
@@ -18,7 +21,6 @@ from hflow.nehari import (
     default_lambda_sampler,
     delta_roots,
     estimate_d,
-    fiber_multiple,
     fiber_peak_energy,
     fibering_coeffs,
     golden_section_peak,
@@ -319,8 +321,8 @@ def test_delta_roots_limits_and_errors():
 
 @pytest.mark.parametrize("e", [1e-18, 3e-19, 5e-324])
 def test_delta_roots_of_a_tiny_energy_follow_the_asymptotes(e):
-    # both roots lie outside the bisection brackets (1e-9, 1] and [1, 3/2 - 1e-9); they are
-    # the cubic's asymptotes there, not the bracket ends
+    # for a tiny level the closed form meets the cubic's asymptotes, sqrt(e/3) and 3/2 - 2e/9,
+    # subnormal levels included
     r1, r2 = delta_roots(e, 1.0)
     assert r1 == pytest.approx(math.sqrt(e) / math.sqrt(3.0), rel=1e-9)
     if e > 1e-300:  # the cubic itself underflows on a subnormal level
@@ -328,25 +330,59 @@ def test_delta_roots_of_a_tiny_energy_follow_the_asymptotes(e):
     assert r2 == 1.5 - 2.0 * e / 9.0
 
 
-def test_fiber_multiple_is_continuous_across_the_bracket_ends():
-    # just inside a bracket end bisection gives the root; just outside the asymptote takes over
-    for above_peak, end in ((False, 1e-9), (True, 1.5 - 1e-9)):
-        at_end = (3.0 - 2.0 * end) * end * end
-        inside = fiber_multiple(at_end * (1.0 + 1e-6), above_peak)
-        outside = fiber_multiple(at_end * (1.0 - 1e-6), above_peak)
-        assert abs(inside - outside) <= 1e-12
-
-
-def test_fiber_multiple_is_both_branches_of_the_cubic():
+def test_delta_roots_is_both_branches_of_the_cubic():
     for ratio in (1e-6, 0.3, 0.5, 0.999):
-        below, above = fiber_multiple(ratio, False), fiber_multiple(ratio, True)
+        below, above = delta_roots(ratio, 1.0)
         assert 0.0 < below < 1.0 < above < 1.5
         for m in (below, above):  # the slope of the cubic is at most 4.5 on (0, 3/2)
             assert (3.0 - 2.0 * m) * m * m == pytest.approx(ratio, abs=1e-11)
-        assert (below, above) == delta_roots(ratio, 1.0)
-    # on the peak the above-peak branch stays above 1, where D < 0
-    assert fiber_multiple(1.0, True, tol=1e-13) > 1.0
-    assert fiber_multiple(0.5, False, tol=0.0) == pytest.approx(0.5, abs=1e-15)  # tol 0 still ends
+    assert delta_roots(0.5, 1.0)[0] == pytest.approx(0.5, abs=1e-15)
+    # on the peak both roots are 1; the above-peak datum of an energy level keeps D < 0 there
+    # through its margin, ten times the tolerance below which classify reads D as zero
+    assert delta_roots(1.0, 1.0) == (1.0, 1.0)
+    w = bubble_direction(make_grid(15), 1.0, eps=0.25)
+    c = fibering_coeffs(w, 1.0)
+    m = _amplitude_for_energy_level(c, fiber_peak_energy(c), "above-peak") / lambda_star(c)
+    assert m - 1.0 > SIGN_TOL_FACTOR
+
+
+def _exact_roots(ratio, digits=60):
+    """Both roots of (3 - 2m) m^2 = ratio by bisection in `digits`-digit decimal arithmetic.
+
+    The float ratio converts to Decimal exactly.  Below the peak the root lies in
+    [sqrt(ratio/3), min(sqrt(ratio), 1)], since m^2 <= (3 - 2m) m^2 <= 3 m^2 there; above it in
+    [1, 3/2].  Each bracket is halved until its width is below 1e-45 of its lower end.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        r = Decimal(ratio)
+
+        def bisect(lo, hi, rising):
+            while hi - lo > lo * Decimal("1e-45"):
+                mid = (lo + hi) / 2
+                if ((3 - 2 * mid) * mid * mid < r) == rising:
+                    lo = mid
+                else:
+                    hi = mid
+            return (lo + hi) / 2
+
+        return bisect((r / 3).sqrt(), min(r.sqrt(), Decimal(1)), True), bisect(Decimal(1), Decimal("1.5"), False)
+
+
+def _relative_errors(ratio):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return [abs(Decimal(got) - x) / x for got, x in zip(delta_roots(ratio, 1.0), _exact_roots(ratio))]
+
+
+# log-spaced over [1e-298, 1), the ratio at which the former bisection erred by 4e-4 on delta1
+# (its absolute stopping width against a root near 1e-9), and ratios next to the peak
+EXACT_RATIOS = [*np.geomspace(1e-298, 1.0, 501)[:-1], 3.1e-18, 0.99, 1.0 - 2.0**-30, 1.0 - 2.0**-53]
+
+
+def test_delta_roots_match_an_exact_reference():
+    worst = max(max(_relative_errors(float(ratio))) for ratio in EXACT_RATIOS)
+    assert worst <= Decimal("2e-15")
 
 
 def test_sample_lambda_Lambda_bubble_sampler(g63):

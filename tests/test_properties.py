@@ -1,5 +1,7 @@
 """Randomised property tests (hypothesis) of the structural identities."""
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from hflow.fields import random_bandlimited
 from hflow.functionals import report
 from hflow.flow import solve_helmholtz
 from hflow.grid import GridSpec, VectorField, h1_forward_sq, laplacian_stencil, make_grid
-from hflow.nehari import fibering_coeffs, golden_section_peak, lambda_star
+from hflow.nehari import delta_roots, fibering_coeffs, golden_section_peak, lambda_star
+from test_nehari import _exact_roots  # the stdlib decimal reference of the fiber cubic
 
 GRIDS = {n: make_grid(n) for n in (15, 31)}
 FIELDS = dict(
@@ -63,6 +66,23 @@ def test_sign_flip_negates_B_bitwise(n, seed, amplitude, H):
     c, flipped = fibering_coeffs(u, H), fibering_coeffs(u.scaled(-1.0), H)
     assume(c.B != 0.0)  # an exact cancellation to +0.0 has no sign to flip
     assert (flipped.A.hex(), flipped.B.hex()) == (c.A.hex(), (-c.B).hex())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ratio=st.one_of(
+        st.floats(1e-298, 1.0, exclude_max=True),
+        st.floats(-298.0, 0.0, exclude_max=True).map(lambda x: 10.0**x).filter(lambda r: r < 1.0),
+    )
+)
+def test_delta_roots_are_ordered_and_exact(ratio):
+    # both roots of the closed form, tiny levels (log-uniform) and levels next to the peak alike
+    below, above = delta_roots(ratio, 1.0)
+    assert 0.0 < below < 1.0 < above <= 1.5
+    if ratio >= 1e-15:  # below that 3/2 - above, about 2 ratio/9, is under half an ulp of 3/2
+        assert above < 1.5
+    for got, exact in zip((below, above), _exact_roots(ratio)):
+        assert abs(Decimal(got) - exact) <= Decimal("2e-15") * exact
 
 
 @settings(max_examples=40, deadline=None)
