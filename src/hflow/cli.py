@@ -17,10 +17,10 @@ configs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -44,91 +44,144 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config handling
+# config schema: every field's kind, default and bounds, checked once when the config loads
+
+REQUIRED = object()  # no default: a config that leaves the field out is an error
+OPTIONAL = object()  # no default: a field left out stays out of the loaded config
+
+# kinds, each as a config error names it
+INTEGER, NUMBER, FLAG, TEXT, OBJECT = "an integer", "a number", "true or false", "a string", "a JSON object"
+NUMBERS, SOME_NUMBERS, PAIR = "a list of numbers", "a non-empty list of numbers", "a list of two numbers"
+_LENGTHS = {NUMBERS: range(sys.maxsize), SOME_NUMBERS: range(1, sys.maxsize), PAIR: range(2, 3)}
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
-def _merge(defaults: dict, given: dict) -> dict:
-    out = dict(defaults)
-    for key, val in given.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], val)
-        else:
-            out[key] = val
-    return out
+@dataclasses.dataclass(frozen=True)
+class Field:
+    """A config field: its kind (a block of fields, or None to take only `words`), its default, the
+    bounds of its number or of each number of its list ("> 0, < 1.5"), and words taken as they are."""
+
+    kind: object
+    default: object = OPTIONAL
+    bounds: str = ""
+    words: tuple = ()
 
 
-CONFIG_DEFAULTS = {
-    "grid": {"n": 63},
-    "physics": {"H": 1.0},
-    "time": {"dt0": 5e-4, "t_end": 1.0, "dt_min": 1e-10},
-    "monitors": {
-        "delta_list": [0.25, 0.75, 1.25],
-        "record_every": 5,
-        "blowup_gradient_factor": 1e4,
-        "decay_l2_floor": 1e-16,
-        "tol_d": 1e-3,
+_CENTER = Field(PAIR, [0.5, 0.5])
+
+IC_PARAMS = {  # ic.params of each ic.type
+    "zero": {},
+    "eigenmode": {"kx": Field(INTEGER, 1), "ky": Field(INTEGER, 1), "amplitude": Field(NUMBER, 1.0),
+                  "component": Field(INTEGER, 0, ">= 0, <= 2")},
+    "bubble": {"center": _CENTER, "eps": Field(NUMBER, 0.25, "> 0"), "amplitude": Field(NUMBER, 1.0)},
+    "random-bandlimited": {"seed": Field(INTEGER), "kmax": Field(INTEGER, 6, ">= 1"),
+                           "h1_norm": Field(NUMBER, None, words=(None,))},  # null: no rescaling
+    "scaled-direction": {
+        "direction": {"type": Field(None, "bubble", words=("bubble",)), "center": _CENTER,
+                      "eps": Field(NUMBER, 0.25, "> 0", words=("optimal",))},
+        # the amplitude: the first of these three that is given (a sweep gives lambda_multiple)
+        "lambda_multiple": Field(NUMBER),
+        "energy_level": Field(NUMBER, bounds="> 0"),
+        "e54_margin": Field(NUMBER, bounds="> 1"),
+        "branch": Field(None, "below-peak", words=("below-peak", "above-peak")),
     },
-    "well": {"eps_min": "4h", "eps_max": 0.35, "eps_count": 12, "center": [0.5, 0.5]},
-    "corpus": {"count": 50, "kmax": 6, "saturation_probe": False},
-    "output": {"path": "out"},
+}
+
+CONFIG_SCHEMA = {
+    "seed": Field(INTEGER),
+    "grid": {"n": Field(INTEGER, 63, ">= 3")},
+    "physics": {"H": Field(NUMBER, 1.0, "> 0")},
+    "ic": Field({"type": Field(None, REQUIRED, words=tuple(IC_PARAMS)), "params": Field(OBJECT, {})}),
+    # cg_tol is ignored: every solve checks the fixed flow.SOLVE_RESIDUAL_BOUND
+    "time": {"dt0": Field(NUMBER, 5e-4, "> 0"), "t_end": Field(NUMBER, 1.0, "> 0"),
+             "dt_min": Field(NUMBER, 1e-10, "> 0"), "cg_tol": Field(NUMBER)},
+    "monitors": {
+        "delta_list": Field(NUMBERS, [0.25, 0.75, 1.25], f"> 0, < {functionals.DELTA_MAX:g}"),
+        "record_every": Field(INTEGER, 5, ">= 1"),
+        "blowup_gradient_factor": Field(NUMBER, 1e4, "> 0"),
+        "decay_l2_floor": Field(NUMBER, 1e-16, "> 0"),
+        "tol_d": Field(NUMBER, 1e-3, ">= 0"),
+    },
+    # an eps_count below 1 empties the family: a numerical failure, not a config error
+    "well": {"eps_min": Field(NUMBER, "4h", "> 0", words=("4h",)), "eps_max": Field(NUMBER, 0.35, "> 0"),
+             "eps_count": Field(INTEGER, 12), "center": _CENTER},
+    "corpus": {"count": Field(INTEGER, 50), "kmax": Field(INTEGER, 6, ">= 1"), "seed": Field(INTEGER),
+               "saturation_probe": Field(FLAG, False)},
+    "output": {"path": Field(TEXT, "out")},
+    "sweep": Field({"lambda_multiples": Field(SOME_NUMBERS, REQUIRED), "max_workers": Field(INTEGER, 0)}),
 }
 
 
-def _finite_number(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        raise ConfigError(f"config numbers must be finite, got {token}")
+def _number(value, name: str, kind: str, bounds: str):
+    """A finite number of the kind (NUMBER or INTEGER) within bounds, as a float or an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # a NaN, an infinity, or an integer past every float
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if kind == INTEGER and value != int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")  # not truncated
+    for bound in filter(None, bounds.split(", ")):
+        op, limit = bound.split()
+        if not _BOUNDS[op](value, float(limit)):
+            raise ConfigError(f"{name} must be {bound}, got {value!r}")
+    return int(value) if kind == INTEGER else float(value)
+
+
+def _typed(value, spec, name: str):
+    """value checked against spec, a Field or a block of fields: its typed form, with each field that
+    a block leaves out at its default; a config error names the field."""
+    if isinstance(spec, dict):
+        spec = Field(spec)
+    if value in spec.words:
+        return value
+    if isinstance(spec.kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name or 'config root'} must be a JSON object, got {value!r}")
+        prefix = f"{name}." if name else ""
+        unknown = sorted(value.keys() - spec.kind.keys())
+        if unknown:
+            raise ConfigError(f"unknown config key {prefix}{unknown[0]}")
+        block = {}
+        for key, field in spec.kind.items():
+            given = value.get(key, field.default if isinstance(field, Field) else {})
+            if given is REQUIRED:
+                raise ConfigError(f"{prefix}{key} is required")
+            if given is not OPTIONAL:
+                block[key] = _typed(given, field, prefix + key)
+        return block
+    if spec.kind is None:
+        raise ConfigError(f"{name} must be one of {', '.join(map(repr, spec.words))}, got {value!r}")
+    if spec.kind in (NUMBER, INTEGER):
+        return _number(value, name, spec.kind, spec.bounds)
+    if spec.kind in _LENGTHS:
+        if not isinstance(value, list) or len(value) not in _LENGTHS[spec.kind]:
+            raise ConfigError(f"{name} must be {spec.kind}, got {value!r}")
+        return [_number(v, f"each of {name}", NUMBER, spec.bounds) for v in value]
+    if not isinstance(value, {FLAG: bool, TEXT: str, OBJECT: dict}[spec.kind]):
+        raise ConfigError(f"{name} must be {spec.kind}, got {value!r}")
     return value
 
 
 def load_config(path) -> dict:
+    """The config at path, checked against CONFIG_SCHEMA, and its ic.params against IC_PARAMS of its type."""
     try:
-        raw = json.loads(
-            Path(path).read_text(encoding="utf-8"),
-            parse_float=_finite_number,
-            parse_constant=_finite_number,
-        )
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    cfg = _merge(copy.deepcopy(CONFIG_DEFAULTS), raw)  # no loaded config shares a block of the defaults
-    if _real(cfg["physics"]["H"], "physics.H") <= 0.0:
-        raise ConfigError(f"physics.H must be > 0, got {cfg['physics']['H']}")
+    cfg = _typed(raw, CONFIG_SCHEMA, "")
+    if "ic" in cfg:
+        cfg["ic"]["params"] = _typed(cfg["ic"]["params"], IC_PARAMS[cfg["ic"]["type"]], "ic.params")
     return cfg
-
-
-def _integer(value, name: str) -> int:
-    """A config integer; a bool or a non-integral number is a config error naming the field, not truncated."""
-    integral = isinstance(value, (int, np.integer)) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _real(value, name: str) -> float:
-    """A config number; a bool, a string or a null is a config error naming the field, not converted."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _grid_of(cfg) -> GridSpec:
-    try:
-        return make_grid(cfg["grid"]["n"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _eps_grid(cfg, g: GridSpec) -> np.ndarray:
     well = cfg["well"]
-    count = _integer(well["eps_count"], "well.eps_count")
+    count, lo, hi = well["eps_count"], well["eps_min"], well["eps_max"]
     if count < 1:
         raise nehari.EstimationError("empty bubble family (well.eps_count < 1)")
-    lo, hi = well["eps_min"], _real(well["eps_max"], "well.eps_max")
-    if lo == "4h" and hi > 0.0:
+    if lo == "4h":
         eps = nehari.default_eps_grid(g, count, hi)
         if eps[0] > hi:
             raise ConfigError(
@@ -137,8 +190,8 @@ def _eps_grid(cfg, g: GridSpec) -> np.ndarray:
                 "or set well.eps_min explicitly"
             )
         return eps
-    if lo == "4h" or not (0.0 < (lo := _real(lo, "well.eps_min")) <= hi):
-        raise ConfigError(f"bad eps range [{lo}, {hi}]")
+    if lo > hi:
+        raise ConfigError(f"well.eps_min = {lo:g} exceeds well.eps_max = {hi:g}")
     return np.geomspace(lo, hi, count)
 
 
@@ -187,18 +240,6 @@ def write_trajectory_csv(path: Path, tr: flow.TrajectoryRecord) -> None:
 # initial-condition library
 
 
-def _resolve_direction(dir_cfg: dict, g: GridSpec, H: float, well):
-    """The direction's bubble; an eps of "optimal" is the scale of the minimizer of `well()`'s family."""
-    kind = dir_cfg.get("type", "bubble")
-    if kind != "bubble":
-        raise ConfigError(f"unsupported direction type {kind!r}")
-    center = tuple(dir_cfg.get("center", (0.5, 0.5)))
-    eps = dir_cfg.get("eps", 0.25)
-    eps = nehari.family_minimizer(well())[0] if eps == "optimal" else _real(eps, "ic.params.direction.eps")
-    w = nehari.bubble_direction(g, H, center, eps)
-    return w, {"type": "bubble", "center": list(center), "eps": eps}
-
-
 def _amplitude_for_energy_level(coeffs, level_energy: float, branch: str) -> float:
     """Scale m * lambda* so that E(m lambda* w) = (3 - 2m) m^2 * peak equals level_energy.
 
@@ -227,64 +268,45 @@ def build_initial_condition(cfg: dict, g: GridSpec, H: float, seed_override=None
             wp = _well_parameters(cfg, g, H)
         return wp
 
-    ic = cfg.get("ic")
-    if not isinstance(ic, dict) or "type" not in ic:
+    if "ic" not in cfg:
         raise ConfigError("config needs an ic block with a type")
-    kind = ic["type"]
-    params = ic.get("params", {})
+    kind, params = cfg["ic"]["type"], cfg["ic"]["params"]
     if kind == "zero":
         return VectorField.zeros(g), {"type": "zero"}
     if kind == "eigenmode":
-        kx = _integer(params.get("kx", 1), "ic.params.kx")
-        ky = _integer(params.get("ky", 1), "ic.params.ky")
-        comp = _integer(params.get("component", 0), "ic.params.component")
-        amp = _real(params.get("amplitude", 1.0), "ic.params.amplitude")
-        u0 = fields.eigenmode(g, kx, ky, comp, amp)
-        return u0, {"type": kind, "kx": kx, "ky": ky, "component": comp, "amplitude": amp}
+        u0 = fields.eigenmode(g, params["kx"], params["ky"], params["component"], params["amplitude"])
+        return u0, {"type": kind, **params}
     if kind == "bubble":
-        center = tuple(params.get("center", (0.5, 0.5)))
-        eps = _real(params.get("eps", 0.25), "ic.params.eps")
-        amp = _real(params.get("amplitude", 1.0), "ic.params.amplitude")
-        u0 = nehari.bubble_direction(g, H, center, eps).scaled(amp)
-        return u0, {"type": kind, "center": list(center), "eps": eps, "amplitude": amp}
+        u0 = nehari.bubble_direction(g, H, params["center"], params["eps"]).scaled(params["amplitude"])
+        return u0, {"type": kind, **params}
     if kind == "random-bandlimited":
         seed = seed_override if seed_override is not None else params.get("seed", cfg.get("seed"))
         if seed is None:
             raise ConfigError("random ICs need a seed (ic.params.seed, top-level seed, or --seed)")
-        seed = _integer(seed, "seed")
-        kmax = _integer(params.get("kmax", 6), "ic.params.kmax")
-        h1_norm = params.get("h1_norm")
-        h1 = None if h1_norm is None else _real(h1_norm, "ic.params.h1_norm")
-        u0 = fields.random_bandlimited(g, seed, kmax, h1)
-        return u0, {"type": kind, "seed": seed, "kmax": kmax, "h1_norm": h1_norm}
-    if kind == "scaled-direction":
-        w, dir_desc = _resolve_direction(params.get("direction", {}), g, H, well)
-        coeffs = nehari.fibering_coeffs(w, H)
-        lam = nehari.lambda_star(coeffs)
-        if "lambda_multiple" in params:
-            mult = _real(params["lambda_multiple"], "ic.params.lambda_multiple")
-            amp = mult * lam
-            desc = {"type": kind, "direction": dir_desc, "lambda_multiple": mult}
-        elif "energy_level" in params:
-            branch = params.get("branch", "below-peak")
-            if branch not in ("below-peak", "above-peak"):
-                raise ConfigError(f"branch must be below-peak or above-peak, got {branch!r}")
-            level = _real(params["energy_level"], "ic.params.energy_level")
-            amp = _amplitude_for_energy_level(coeffs, level * well().d, branch)
-            desc = {"type": kind, "direction": dir_desc, "energy_level": level, "branch": branch}
-        elif "e54_margin" in params:
-            margin = _real(params["e54_margin"], "ic.params.e54_margin")
-            if margin <= 1.0:
-                raise ConfigError(f"e54_margin must exceed 1, got {margin}")
-            # |c w|_2 < -(c^3/3) B needs c^2 > 3 |w|_2 / (-B); E(c w) <= 0 needs c >= 1.5 lambda*
-            c_vol = math.sqrt(3.0 * math.sqrt(l2_norm_sq(w)) / (-coeffs.B))
-            amp = margin * max(1.5 * lam, c_vol)
-            desc = {"type": kind, "direction": dir_desc, "e54_margin": margin}
-        else:
-            raise ConfigError("scaled-direction needs lambda_multiple or e54_margin")
-        desc.update({"amplitude": amp, "lambda_star": lam})
-        return w.scaled(amp), desc
-    raise ConfigError(f"unknown ic type {kind!r}")
+        u0 = fields.random_bandlimited(g, seed, params["kmax"], params["h1_norm"])
+        return u0, {"type": kind, **params, "seed": seed}
+    # scaled-direction: an eps of "optimal" is the scale of the minimizer of well()'s family
+    direction = dict(params["direction"])
+    if direction["eps"] == "optimal":
+        direction["eps"] = nehari.family_minimizer(well())[0]
+    w = nehari.bubble_direction(g, H, direction["center"], direction["eps"])
+    coeffs = nehari.fibering_coeffs(w, H)
+    lam = nehari.lambda_star(coeffs)
+    if "lambda_multiple" in params:
+        amp = params["lambda_multiple"] * lam
+        desc = {"lambda_multiple": params["lambda_multiple"]}
+    elif "energy_level" in params:
+        amp = _amplitude_for_energy_level(coeffs, params["energy_level"] * well().d, params["branch"])
+        desc = {"energy_level": params["energy_level"], "branch": params["branch"]}
+    elif "e54_margin" in params:
+        # |c w|_2 < -(c^3/3) B needs c^2 > 3 |w|_2 / (-B); E(c w) <= 0 needs c >= 1.5 lambda*
+        c_vol = math.sqrt(3.0 * math.sqrt(l2_norm_sq(w)) / (-coeffs.B))
+        amp = params["e54_margin"] * max(1.5 * lam, c_vol)
+        desc = {"e54_margin": params["e54_margin"]}
+    else:
+        raise ConfigError("scaled-direction needs lambda_multiple, energy_level or e54_margin")
+    desc.update({"type": kind, "direction": direction, "amplitude": amp, "lambda_star": lam})
+    return w.scaled(amp), desc
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +314,11 @@ def build_initial_condition(cfg: dict, g: GridSpec, H: float, seed_override=None
 
 
 def _well_parameters(cfg, g: GridSpec, H: float) -> nehari.WellParameters:
-    center = tuple(cfg["well"]["center"])
-    return nehari.estimate_d(H, g, eps_grid=_eps_grid(cfg, g), center=center)
+    return nehari.estimate_d(H, g, eps_grid=_eps_grid(cfg, g), center=tuple(cfg["well"]["center"]))
 
 
 def cmd_compute_well_depth(cfg: dict, out: Path) -> int:
-    g = _grid_of(cfg)
-    H = _real(cfg["physics"]["H"], "physics.H")
+    g, H = make_grid(cfg["grid"]["n"]), cfg["physics"]["H"]
     wp = _well_parameters(cfg, g, H)
     r1 = functionals.r_of_delta(1.0, H)
     artifact = {
@@ -320,14 +340,11 @@ def _classified_datum(cfg: dict, seed_override=None):
     classify measures the datum and decides its regime; the lambda/Lambda sampler handed to it is a
     generator, which does no work unless the verdict reads it.
     """
-    g = _grid_of(cfg)
-    H = _real(cfg["physics"]["H"], "physics.H")
+    g, H = make_grid(cfg["grid"]["n"]), cfg["physics"]["H"]
     wp = _well_parameters(cfg, g, H)
     u0, ic_desc = build_initial_condition(cfg, g, H, seed_override, wp)
-    seed = cfg.get("seed")
-    sampler = nehari.default_lambda_sampler(g, H, 0 if seed is None else _integer(seed, "seed"))
-    tol_d = _real(cfg["monitors"]["tol_d"], "monitors.tol_d")
-    return u0, ic_desc, wp, classify.classify_initial(u0, wp, tol_d, sampler)
+    sampler = nehari.default_lambda_sampler(g, H, cfg.get("seed", 0))
+    return u0, ic_desc, wp, classify.classify_initial(u0, wp, cfg["monitors"]["tol_d"], sampler)
 
 
 def _verdict_artifact(verdict, ic_desc, wp) -> dict:
@@ -343,13 +360,8 @@ def _simulate_into(cfg: dict, out: Path, seed_override=None) -> dict:
     u0, ic_desc, wp, verdict = _classified_datum(cfg, seed_override)
     tcfg, mon = cfg["time"], cfg["monitors"]
     params = flow.FlowParams(
-        H=wp.H,
-        dt0=_real(tcfg["dt0"], "time.dt0"),
-        t_end=_real(tcfg["t_end"], "time.t_end"),
-        dt_min=_real(tcfg["dt_min"], "time.dt_min"),
-        record_every=_integer(mon["record_every"], "monitors.record_every"),
-        blowup_gradient_factor=_real(mon["blowup_gradient_factor"], "monitors.blowup_gradient_factor"),
-        decay_l2_floor=_real(mon["decay_l2_floor"], "monitors.decay_l2_floor"),
+        H=wp.H, dt0=tcfg["dt0"], t_end=tcfg["t_end"], dt_min=tcfg["dt_min"], record_every=mon["record_every"],
+        blowup_gradient_factor=mon["blowup_gradient_factor"], decay_l2_floor=mon["decay_l2_floor"],
     )
     tr = flow.run(u0, params, mon["delta_list"])
     finite = [(name, np.isfinite(series)) for name, series in trajectory_series(tr)]
@@ -394,9 +406,7 @@ def _corpus(cfg, g: GridSpec):
     seed = cfg.get("seed", cc.get("seed"))
     if seed is None:
         raise ConfigError("verify-lemmas needs a corpus seed (top-level seed or corpus.seed)")
-    seed, kmax = _integer(seed, "seed"), _integer(cc["kmax"], "corpus.kmax")
-    count = _integer(cc["count"], "corpus.count")
-    return (fields.random_bandlimited(g, seed + i, kmax) for i in range(count))
+    return (fields.random_bandlimited(g, seed + i, cc["kmax"]) for i in range(cc["count"]))
 
 
 def _check_isoperimetric(block: dict, i: int, a: float, v: float) -> None:
@@ -498,8 +508,7 @@ def _check_well_depth_curve(g: GridSpec, H: float, wp: nehari.WellParameters) ->
 
 
 def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
-    g = _grid_of(cfg)
-    H = _real(cfg["physics"]["H"], "physics.H")
+    g, H = make_grid(cfg["grid"]["n"]), cfg["physics"]["H"]
     members = _corpus(cfg, g)
     wp = _well_parameters(cfg, g, H)  # before the stream: the projected-norm cap reads d
     checks = {
@@ -536,7 +545,7 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
     # the saturation probe is the well's own family: near-extremal directions that saturate the
     # isoperimetric inequality, whose discrete gap exposes the resolution limit of the grid
     probe_size = 0
-    if cfg["corpus"].get("saturation_probe"):
+    if cfg["corpus"]["saturation_probe"]:
         for j, (_, u) in enumerate(nehari.bubble_family(g, H, wp.eps_grid, wp.center)):
             probe_size += 1
             _check_isoperimetric(checks["isoperimetric"], corpus_size + j, *functionals._dirichlet_and_volume(u))
@@ -580,14 +589,11 @@ def _sweep_cell(args):
 
 
 def cmd_sweep(cfg: dict, out: Path) -> int:
-    sweep = cfg.get("sweep")
-    if not isinstance(sweep, dict) or "lambda_multiples" not in sweep:
+    if "sweep" not in cfg:
         raise ConfigError("sweep config needs sweep.lambda_multiples")
     if cfg.get("ic", {}).get("type") != "scaled-direction":
         raise ConfigError("sweep requires a scaled-direction ic")
-    values = [_real(v, "sweep.lambda_multiples") for v in sweep["lambda_multiples"]]
-    if not values:
-        raise ConfigError("sweep.lambda_multiples is empty")
+    values = cfg["sweep"]["lambda_multiples"]
 
     jobs = []
     seen = set()
@@ -601,7 +607,7 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         cell_cfg.pop("sweep", None)
         jobs.append((cell_cfg, str(out / f"cell_lm_{v:g}"), key))
 
-    workers = _integer(sweep.get("max_workers", 0), "sweep.max_workers") or min(4, len(jobs))
+    workers = cfg["sweep"]["max_workers"] or min(4, len(jobs))
     results = {}
     if workers > 1 and len(jobs) > 1:
         # imported here, so that no other command pays for loading the process pool
@@ -614,10 +620,7 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         for job in jobs:
             key, res = _sweep_cell(job)
             results[key] = res
-    write_json(
-        out / "index.json",
-        {"parameter": "lambda_multiple", "values": values, "cells": results},
-    )
+    write_json(out / "index.json", {"parameter": "lambda_multiple", "values": values, "cells": results})
     failed = sorted(key for key, res in results.items() if "error" in res)
     if failed:
         print(f"sweep cells failed: {', '.join(failed)}", file=sys.stderr)
@@ -651,17 +654,12 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         out = Path(args.out) if args.out else Path(cfg["output"]["path"])
         out.mkdir(parents=True, exist_ok=True)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out, args.seed)
-        if args.command == "classify":
-            return cmd_classify(cfg, out, args.seed)
-        if args.command == "compute-well-depth":
-            return cmd_compute_well_depth(cfg, out)
-        if args.command == "verify-lemmas":
-            return cmd_verify_lemmas(cfg, out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        if args.command in ("simulate", "classify"):
+            return (cmd_simulate if args.command == "simulate" else cmd_classify)(cfg, out, args.seed)
+        commands = {
+            "compute-well-depth": cmd_compute_well_depth, "verify-lemmas": cmd_verify_lemmas, "sweep": cmd_sweep
+        }
+        return commands[args.command](cfg, out)
     except (ConfigError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -225,7 +226,7 @@ def test_negative_tol_d_exits_config(tmp_path, capsys):
     path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "o"
     assert main(["classify", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
-    assert "need tol_d >= 0" in capsys.readouterr().err
+    assert "monitors.tol_d must be >= 0, got -0.001" in capsys.readouterr().err
     assert not (out / "verdict.json").exists()
 
 
@@ -342,7 +343,7 @@ def test_integer_config_fields_reject_non_integers(tmp_path, capsys, field, comm
     out = tmp_path / "o"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert f"{field} must be an integer, got {value!r}" in capsys.readouterr().err
-    assert not list(out.iterdir())
+    assert not out.exists()  # rejected when the config loads, before the output directory is made
 
 
 _DIRECTION = {"type": "bubble", "eps": 0.25}
@@ -395,6 +396,82 @@ def test_real_config_fields_reject_non_numbers(tmp_path, capsys, field, command,
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert f"{field} must be a number, got {value!r}" in capsys.readouterr().err
     assert not any(out.glob("*"))
+
+
+_REJECTED = [  # (command, config overrides, error): before the schema, each exited 0 or named no field
+    ("simulate", {"monitors": {"record_evry": 1}}, "unknown config key monitors.record_evry"),
+    ("classify", {"grd": {"n": 15}}, "unknown config key grd"),
+    (
+        "classify",
+        _scaled({"direction": _DIRECTION, "lambda_multpl": 1.0}),
+        "unknown config key ic.params.lambda_multpl",
+    ),
+    ("sweep", {"sweep": {"lambda_multiples": [0.2], "max_wrkers": 1}}, "unknown config key sweep.max_wrkers"),
+    (
+        "verify-lemmas",
+        {"corpus": {"count": 2, "saturation_probe": "no"}, "seed": 1},
+        "corpus.saturation_probe must be true or false, got 'no'",
+    ),
+    (
+        "classify",
+        _scaled({"direction": {"center": [2, 3, 4]}, "lambda_multiple": 1.0}),
+        "ic.params.direction.center must be a list of two numbers, got [2, 3, 4]",
+    ),
+    ("classify", {"well": {"center": [0.5]}}, "well.center must be a list of two numbers, got [0.5]"),
+    ("classify", {"well": {"center": "ab"}}, "well.center must be a list of two numbers, got 'ab'"),
+    ("simulate", {"monitors": {"delta_list": "0.5"}}, "monitors.delta_list must be a list of numbers, got '0.5'"),
+    ("simulate", {"monitors": {"delta_list": 0.5}}, "monitors.delta_list must be a list of numbers, got 0.5"),
+    ("simulate", {"monitors": {"delta_list": [2.0]}}, "each of monitors.delta_list must be < 1.5, got 2.0"),
+    # fields the command does not read are checked too: the config is checked once, as a whole
+    ("classify", {"seed": None}, "seed must be an integer, got None"),
+    ("classify", {"time": {"dt0": -1e-3}}, "time.dt0 must be > 0, got -0.001"),
+    ("simulate", {"sweep": {"max_workers": 2}}, "sweep.lambda_multiples is required"),
+    (
+        "compute-well-depth",
+        {"ic": {"type": "sphere"}},
+        "ic.type must be one of 'zero', 'eigenmode', 'bubble', 'random-bandlimited', 'scaled-direction', "
+        "got 'sphere'",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, overrides, error", _REJECTED, ids=[error for _, _, error in _REJECTED])
+def test_config_schema_rejects_when_the_config_loads(tmp_path, capsys, command, overrides, error):
+    # an unknown key, a wrong kind or shape, or a value out of bounds: exit 1 naming the field, before any work
+    cfg = write_config(tmp_path / "c.json", **overrides)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"error: {error}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _bench_workloads(monkeypatch):
+    """bench/workloads.py, imported by its path and left as it is."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks its module up while it loads
+    spec.loader.exec_module(module)
+    return module
+
+
+def _assert_loaded_as_given(raw: dict, loaded: dict, name: str = "") -> None:
+    for key, value in raw.items():
+        if isinstance(value, dict):
+            _assert_loaded_as_given(value, loaded[key], f"{name}{key}.")
+        else:
+            assert loaded[key] == value, f"{name}{key}"
+
+
+@pytest.mark.parametrize("seed", [1, 2718, 31337])
+@pytest.mark.parametrize("workload", ["decay", "blowup", "lemmas", "sweep"])
+def test_bench_configs_load_as_given(tmp_path, monkeypatch, workload, seed):
+    # the schema accepts every config the benchmark sends (time.cg_tol included), with the values it sent
+    workloads = _bench_workloads(monkeypatch)
+    for item in workloads.items_for(workload, seed, 2):
+        path = tmp_path / f"{item.name}.json"
+        path.write_text(json.dumps(item.config), encoding="utf-8")
+        _assert_loaded_as_given(item.config, load_config(path))
 
 
 def test_integer_values_are_valid_real_config_fields(tmp_path):
