@@ -29,7 +29,6 @@ from .flow import (
     FlowParams,
     SolverError,
     TrajectoryRecord,
-    energy_identity_residuals,
     run,
     solve_helmholtz,
 )

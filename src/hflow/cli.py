@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, fields, flow, functionals, nehari
+from .flow import trajectory_columns  # noqa: F401 -- the CSV header, part of the CLI's interface
 from .functionals import NonFiniteError
 from .grid import GridSpec, VectorField, l2_norm_sq, make_grid
 
@@ -74,7 +75,7 @@ IC_PARAMS = {  # ic.params of each ic.type
     "eigenmode": {"kx": Field(INTEGER, 1), "ky": Field(INTEGER, 1), "amplitude": Field(NUMBER, 1.0),
                   "component": Field(INTEGER, 0, ">= 0, <= 2")},
     "bubble": {"center": _CENTER, "eps": Field(NUMBER, 0.25, "> 0"), "amplitude": Field(NUMBER, 1.0)},
-    "random-bandlimited": {"seed": Field(INTEGER), "kmax": Field(INTEGER, 6, ">= 1"),
+    "random-bandlimited": {"seed": Field(INTEGER, bounds=">= 0"), "kmax": Field(INTEGER, 6, ">= 1"),
                            "h1_norm": Field(NUMBER, None, words=(None,))},  # null: no rescaling
     "scaled-direction": {
         "direction": {"type": Field(None, "bubble", words=("bubble",)), "center": _CENTER,
@@ -88,7 +89,7 @@ IC_PARAMS = {  # ic.params of each ic.type
 }
 
 CONFIG_SCHEMA = {
-    "seed": Field(INTEGER),
+    "seed": Field(INTEGER, bounds=">= 0"),
     "grid": {"n": Field(INTEGER, 63, ">= 3")},
     "physics": {"H": Field(NUMBER, 1.0, "> 0")},
     "ic": Field({"type": Field(None, REQUIRED, words=tuple(IC_PARAMS)), "params": Field(OBJECT, {})}),
@@ -105,10 +106,10 @@ CONFIG_SCHEMA = {
     # an eps_count below 1 empties the family: a numerical failure, not a config error
     "well": {"eps_min": Field(NUMBER, "4h", "> 0", words=("4h",)), "eps_max": Field(NUMBER, 0.35, "> 0"),
              "eps_count": Field(INTEGER, 12), "center": _CENTER},
-    "corpus": {"count": Field(INTEGER, 50), "kmax": Field(INTEGER, 6, ">= 1"), "seed": Field(INTEGER),
+    "corpus": {"count": Field(INTEGER, 50), "kmax": Field(INTEGER, 6, ">= 1"), "seed": Field(INTEGER, bounds=">= 0"),
                "saturation_probe": Field(FLAG, False)},
     "output": {"path": Field(TEXT, "out")},
-    "sweep": Field({"lambda_multiples": Field(SOME_NUMBERS, REQUIRED), "max_workers": Field(INTEGER, 0)}),
+    "sweep": Field({"lambda_multiples": Field(SOME_NUMBERS, REQUIRED), "max_workers": Field(INTEGER, 0, ">= 0")}),
 }
 
 
@@ -209,24 +210,9 @@ def write_json(path: Path, obj) -> None:
     path.write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
-def trajectory_columns(delta_list) -> list[str]:
-    return (
-        ["t", "dt", "l2_sq", "h1_sq", "E", "D"]
-        + [f"D_delta_{d:g}" for d in delta_list]
-        + ["f", "fprime", "fsecond", "concavity", "energy_residual"]
-    )
-
-
-def trajectory_series(tr: flow.TrajectoryRecord) -> list[tuple[str, np.ndarray]]:
-    """(column name, recorded series) pairs in the CSV's column order."""
-    cols = (tr.t, tr.dt, tr.l2_sq, tr.h1_sq, tr.E, tr.D, *tr.D_delta.T)
-    cols += (tr.f, tr.fprime, tr.fsecond, tr.concavity, tr.energy_residual)
-    return list(zip(trajectory_columns(tr.delta_list), cols))
-
-
 def write_trajectory_csv(path: Path, tr: flow.TrajectoryRecord) -> None:
     """Every recorded series, nan and inf included, as 17-significant-digit rows."""
-    columns, cols = zip(*trajectory_series(tr))
+    columns, cols = zip(*tr.series())
     row_format = ",".join(["%.17g"] * len(columns)) + "\n"  # the bytes of format(v, ".17g")
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
@@ -256,7 +242,7 @@ def _amplitude_for_energy_level(coeffs, level_energy: float, branch: str) -> flo
     return m * nehari.lambda_star(coeffs)
 
 
-def build_initial_condition(cfg: dict, g: GridSpec, H: float, seed_override=None, wp=None):
+def build_initial_condition(cfg: dict, g: GridSpec, H: float, wp=None):
     """Construct u0 from the config's ic block; returns (field, description).
 
     `wp` is the command's well; without it the config's well is estimated, once and only if the IC reads it.
@@ -280,7 +266,7 @@ def build_initial_condition(cfg: dict, g: GridSpec, H: float, seed_override=None
         u0 = nehari.bubble_direction(g, H, params["center"], params["eps"]).scaled(params["amplitude"])
         return u0, {"type": kind, **params}
     if kind == "random-bandlimited":
-        seed = seed_override if seed_override is not None else params.get("seed", cfg.get("seed"))
+        seed = params.get("seed", cfg.get("seed"))
         if seed is None:
             raise ConfigError("random ICs need a seed (ic.params.seed, top-level seed, or --seed)")
         u0 = fields.random_bandlimited(g, seed, params["kmax"], params["h1_norm"])
@@ -334,7 +320,7 @@ def cmd_compute_well_depth(cfg: dict, out: Path) -> int:
     return EXIT_OK
 
 
-def _classified_datum(cfg: dict, seed_override=None):
+def _classified_datum(cfg: dict):
     """(u0, ic description, the command's one well estimate, verdict) of the config's initial datum.
 
     classify measures the datum and decides its regime; the lambda/Lambda sampler handed to it is a
@@ -342,7 +328,7 @@ def _classified_datum(cfg: dict, seed_override=None):
     """
     g, H = make_grid(cfg["grid"]["n"]), cfg["physics"]["H"]
     wp = _well_parameters(cfg, g, H)
-    u0, ic_desc = build_initial_condition(cfg, g, H, seed_override, wp)
+    u0, ic_desc = build_initial_condition(cfg, g, H, wp)
     sampler = nehari.default_lambda_sampler(g, H, cfg.get("seed", 0))
     return u0, ic_desc, wp, classify.classify_initial(u0, wp, cfg["monitors"]["tol_d"], sampler)
 
@@ -355,16 +341,16 @@ def _verdict_artifact(verdict, ic_desc, wp) -> dict:
     }
 
 
-def _simulate_into(cfg: dict, out: Path, seed_override=None) -> dict:
+def _simulate_into(cfg: dict, out: Path) -> dict:
     """Classify, integrate, then write trajectory.csv and verdict.json; a non-finite series writes neither."""
-    u0, ic_desc, wp, verdict = _classified_datum(cfg, seed_override)
+    u0, ic_desc, wp, verdict = _classified_datum(cfg)
     tcfg, mon = cfg["time"], cfg["monitors"]
     params = flow.FlowParams(
         H=wp.H, dt0=tcfg["dt0"], t_end=tcfg["t_end"], dt_min=tcfg["dt_min"], record_every=mon["record_every"],
         blowup_gradient_factor=mon["blowup_gradient_factor"], decay_l2_floor=mon["decay_l2_floor"],
     )
     tr = flow.run(u0, params, mon["delta_list"])
-    finite = [(name, np.isfinite(series)) for name, series in trajectory_series(tr)]
+    finite = [(name, np.isfinite(series)) for name, series in tr.series()]
     bad = [f"{name} from t = {tr.t[~ok][0]:.17g}" for name, ok in finite if not ok.all()]
     if bad:
         raise NonFiniteError(f"trajectory has non-finite series: {', '.join(bad)}")
@@ -384,13 +370,13 @@ def _simulate_into(cfg: dict, out: Path, seed_override=None) -> dict:
     return art
 
 
-def cmd_simulate(cfg: dict, out: Path, seed_override=None) -> int:
-    _simulate_into(cfg, out, seed_override)
+def cmd_simulate(cfg: dict, out: Path) -> int:
+    _simulate_into(cfg, out)
     return EXIT_OK
 
 
-def cmd_classify(cfg: dict, out: Path, seed_override=None) -> int:
-    u0, ic_desc, wp, verdict = _classified_datum(cfg, seed_override)
+def cmd_classify(cfg: dict, out: Path) -> int:
+    u0, ic_desc, wp, verdict = _classified_datum(cfg)
     write_json(out / "verdict.json", _verdict_artifact(verdict, ic_desc, wp))
     return EXIT_OK
 
@@ -434,37 +420,25 @@ def _check_energy_split(block: dict, a: float, v: float, H: float) -> None:
     block["passed"] = block["worst_rel_residual"] <= 1e-12
 
 
-def _fiber_D_delta(cw: nehari.FiberingCoefficients, s: float, delta: float) -> float:
-    """D_delta(s w) = delta s^2 A + 2 s^3 B, the fiber identity on the direction's pair."""
-    return delta * s * s * cw.A + 2.0 * s**3 * cw.B
-
-
-def _check_small_norm(block: dict, cw: nehari.FiberingCoefficients, H: float) -> None:
-    """Small norm forces positive D_delta: at the norm 0.9 r(delta), D_delta off the direction's pair."""
+def _check_nehari_signs(checks: dict, cw: nehari.FiberingCoefficients, H: float) -> None:
+    """The three Nehari sign blocks at each delta, off the direction's pair by D_delta(s w) = delta s^2 A + 2 s^3 B:
+    a norm of 0.9 r(delta) gives D_delta > 0; D_delta < 0 at 1.5 lambda(delta) comes with a norm above r(delta);
+    D_delta = 0, at lambda(delta), pins the norm near r(delta)."""
+    small, large, zero = (
+        checks["nehari_sign_small_norm"], checks["nehari_sign_negative_implies_large"], checks["nehari_zero_norm_bound"]
+    )
+    root_a = math.sqrt(cw.A)
     for delta in NEHARI_DELTAS:
-        s = 0.9 * functionals.r_of_delta(delta, H) / math.sqrt(cw.A)
-        if _fiber_D_delta(cw, s, delta) <= 0.0:
-            block["passed"] = False
-
-
-def _check_negative_implies_large(block: dict, cw: nehari.FiberingCoefficients, H: float) -> None:
-    """Negative D_delta forces a norm above the radius r(delta): at 1.5 lambda(delta), D_delta off the
-    direction's pair."""
-    for delta in NEHARI_DELTAS:
-        c_neg = 1.5 * nehari.project_nehari_delta(cw, delta)
-        if _fiber_D_delta(cw, c_neg, delta) < 0.0:
-            if c_neg * math.sqrt(cw.A) <= functionals.r_of_delta(delta, H):
-                block["passed"] = False
-
-
-def _check_zero_norm_bound(block: dict, cw: nehari.FiberingCoefficients, H: float) -> None:
-    """Vanishing D_delta pins the norm near the radius r(delta)."""
-    for delta in NEHARI_DELTAS:
-        r = functionals.r_of_delta(delta, H)
-        norm_zero = nehari.project_nehari_delta(cw, delta) * math.sqrt(cw.A)
-        block["worst_norm_over_radius"] = min(block["worst_norm_over_radius"], norm_zero / r)
+        r, lam = functionals.r_of_delta(delta, H), nehari.project_nehari_delta(cw, delta)
+        d_small, d_large = (delta * s * s * cw.A + 2.0 * s**3 * cw.B for s in (0.9 * r / root_a, 1.5 * lam))
+        if d_small <= 0.0:
+            small["passed"] = False
+        if d_large < 0.0 and 1.5 * lam * root_a <= r:
+            large["passed"] = False
+        norm_zero = lam * root_a
+        zero["worst_norm_over_radius"] = min(zero["worst_norm_over_radius"], norm_zero / r)
         if norm_zero < r * 0.98:
-            block["passed"] = False
+            zero["passed"] = False
 
 
 def _check_fiber_map(block: dict, w: VectorField, cw: nehari.FiberingCoefficients, H: float) -> None:
@@ -537,9 +511,7 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
         _check_energy_split(checks["energy_split_identity"], a, v, H)
         if c.A > 0.0 and c.B != 0.0:
             cw = c if c.B < 0.0 else nehari.FiberingCoefficients(A=c.A, B=-c.B)
-            _check_small_norm(checks["nehari_sign_small_norm"], cw, H)
-            _check_negative_implies_large(checks["nehari_sign_negative_implies_large"], cw, H)
-            _check_zero_norm_bound(checks["nehari_zero_norm_bound"], cw, H)
+            _check_nehari_signs(checks, cw, H)
             if i < 20:
                 _check_fiber_map(checks["fiber_map"], u if c.B < 0.0 else u.scaled(-1.0), cw, H)
     # the saturation probe is the well's own family: near-extremal directions that saturate the
@@ -632,34 +604,37 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
 # entry point
 
 
-def _build_parser() -> argparse.ArgumentParser:
+COMMANDS = {  # each command's subparser name and function, (cfg, out) -> exit code
+    "simulate": cmd_simulate,
+    "classify": cmd_classify,
+    "compute-well-depth": cmd_compute_well_depth,
+    "verify-lemmas": cmd_verify_lemmas,
+    "sweep": cmd_sweep,
+}
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="hflow", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "classify", "compute-well-depth", "verify-lemmas", "sweep"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (default: config output.path)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    return parser
-
-
-def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        if args.seed is not None:  # --seed outranks the top-level seed, and a random ic's own
+            cfg["seed"] = _number(args.seed, "--seed", INTEGER, ">= 0")
+            if cfg.get("ic", {}).get("type") == "random-bandlimited":
+                cfg["ic"]["params"]["seed"] = cfg["seed"]
         out = Path(args.out) if args.out else Path(cfg["output"]["path"])
         out.mkdir(parents=True, exist_ok=True)
-        if args.command in ("simulate", "classify"):
-            return (cmd_simulate if args.command == "simulate" else cmd_classify)(cfg, out, args.seed)
-        commands = {
-            "compute-well-depth": cmd_compute_well_depth, "verify-lemmas": cmd_verify_lemmas, "sweep": cmd_sweep
-        }
-        return commands[args.command](cfg, out)
+        # called by its name in this module, so that a wrapper bound over it there (a profiler's) sees the call
+        return globals()[COMMANDS[args.command].__name__](cfg, out)
     except (ConfigError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

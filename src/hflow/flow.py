@@ -78,6 +78,15 @@ class FlowParams:
             raise ValueError("thresholds must be positive")
 
 
+# the record's columns around its D_delta block, in the order of `run`'s rows and of the CSV
+_HEAD = ("t", "dt", "l2_sq", "h1_sq", "E", "D")
+_TAIL = ("f", "fprime", "fsecond", "concavity", "energy_residual")
+
+
+def trajectory_columns(delta_list) -> list[str]:
+    return [*_HEAD, *(f"D_delta_{d:g}" for d in delta_list), *_TAIL]
+
+
 @dataclass
 class TrajectoryRecord:
     params: FlowParams
@@ -100,6 +109,11 @@ class TrajectoryRecord:
 
     def __len__(self):
         return len(self.t)
+
+    def series(self):
+        """(column name, recorded series) pairs in the CSV's column order."""
+        cols = [getattr(self, name) for name in _HEAD] + list(self.D_delta.T) + [getattr(self, name) for name in _TAIL]
+        return list(zip(trajectory_columns(self.delta_list), cols))
 
 
 class _Workspace:
@@ -266,7 +280,7 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
     dt = p.dt0
     f = 0.0
     cum_residual = 0.0
-    rows = []  # one flat row per sample, in the CSV's column order
+    rows = []  # one flat row per sample, in the order of trajectory_columns
 
     def record(dt_used: float, s: _State):
         rows.append(
@@ -324,21 +338,15 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
         record(dt_step, state)
 
     cols = np.array(rows).T.copy()  # one contiguous series per column
-    k = len(delta_list)
+    k, end = len(_HEAD), len(_HEAD) + len(delta_list)
     return TrajectoryRecord(
         params=p,
         delta_list=delta_list,
-        **dict(zip(("t", "dt", "l2_sq", "h1_sq", "E", "D"), cols[:6])),
-        D_delta=cols[6 : 6 + k].T,
-        **dict(zip(("f", "fprime", "fsecond", "concavity", "energy_residual"), cols[6 + k :])),
+        **dict(zip(_HEAD, cols[:k])),
+        D_delta=cols[k:end].T,
+        **dict(zip(_TAIL, cols[end:])),
         status=status,
         stop_reason=stop_reason,
         final_state=state.u,
     )
 
-
-def energy_identity_residuals(tr: TrajectoryRecord) -> np.ndarray:
-    """Per-recorded-interval dissipation defect (differences of the cumulative series)."""
-    if len(tr) < 2:
-        raise ValueError("need at least 2 samples")
-    return np.diff(tr.energy_residual)

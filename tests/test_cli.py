@@ -432,6 +432,18 @@ _REJECTED = [  # (command, config overrides, error): before the schema, each exi
         "ic.type must be one of 'zero', 'eigenmode', 'bubble', 'random-bandlimited', 'scaled-direction', "
         "got 'sphere'",
     ),
+    # a negative seed: before its bound, classify ran on it when nothing drew from it, and a draw failed
+    # naming no field, after the output directory was made
+    ("classify", {"seed": -1}, "seed must be >= 0, got -1"),
+    ("verify-lemmas", {"corpus": {"count": 2, "seed": -1}}, "corpus.seed must be >= 0, got -1"),
+    (
+        "classify",
+        {"ic": {"type": "random-bandlimited", "params": {"seed": -5}}},
+        "ic.params.seed must be >= 0, got -5",
+    ),
+    ("verify-lemmas --seed -1", {"corpus": {"count": 2}}, "--seed must be >= 0, got -1"),
+    # a negative max_workers ran the cells one after another
+    ("sweep", {"sweep": {"lambda_multiples": [0.2, 1.6], "max_workers": -1}}, "sweep.max_workers must be >= 0, got -1"),
 ]
 
 
@@ -440,7 +452,7 @@ def test_config_schema_rejects_when_the_config_loads(tmp_path, capsys, command, 
     # an unknown key, a wrong kind or shape, or a value out of bounds: exit 1 naming the field, before any work
     cfg = write_config(tmp_path / "c.json", **overrides)
     out = tmp_path / "o"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert main([*command.split(), "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert f"error: {error}\n" in capsys.readouterr().err
     assert not out.exists()
 
@@ -505,15 +517,36 @@ def test_random_ic_requires_seed(tmp_path):
     assert main(["classify", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == EXIT_OK
 
 
+def _classify_verdict(out, cfg, *args):
+    assert main(["classify", "--config", str(cfg), "--out", str(out), *args]) == EXIT_OK
+    return (out / "verdict.json").read_text(encoding="utf-8")
+
+
 def test_seed_override_changes_random_ic(tmp_path):
-    cfg = load_config(
-        write_config(tmp_path / "c.json", ic={"type": "random-bandlimited", "params": {"kmax": 4}})
-    )
-    g = make_grid(31)
-    u1, d1 = build_initial_condition(cfg, g, 1.0, seed_override=1)
-    u2, d2 = build_initial_condition(cfg, g, 1.0, seed_override=2)
-    assert d1["seed"] == 1 and d2["seed"] == 2
-    assert not np.array_equal(u1.values, u2.values)
+    # --seed outranks ic.params.seed: verdict.json's ic.seed is the override, and the datum is the one
+    # that ic.params.seed = override gives
+    ic = {"type": "random-bandlimited", "params": {"kmax": 4, "seed": 5}}
+    cfg = write_config(tmp_path / "c.json", ic=ic)
+    own = json.loads(_classify_verdict(tmp_path / "own", cfg))
+    text = _classify_verdict(tmp_path / "o2", cfg, "--seed", "2")
+    overridden = json.loads(text)
+    assert own["ic"]["seed"] == 5 and overridden["ic"]["seed"] == 2
+    assert own["verdict"]["details"] != overridden["verdict"]["details"]
+    ic["params"]["seed"] = 2
+    assert _classify_verdict(tmp_path / "p2", write_config(tmp_path / "p.json", ic=ic)) == text
+
+
+def test_commands_table_drives_the_parser_and_the_dispatch(tmp_path, monkeypatch, capsys):
+    # each subcommand is a COMMANDS entry, called as (cfg, out) through its module binding
+    cfg = write_config(tmp_path / "c.json")
+    assert main(["--help"]) == EXIT_OK
+    assert "{" + ",".join(cli.COMMANDS) + "}" in capsys.readouterr().out
+    for name, command in cli.COMMANDS.items():
+        calls = []
+        monkeypatch.setattr(cli, command.__name__, lambda cfg, out: calls.append(out) or 7)
+        assert main([name, "--config", str(cfg), "--out", str(tmp_path / name)]) == 7
+        assert calls == [tmp_path / name]
+    assert main(["frobnicate", "--config", str(cfg)]) == EXIT_CONFIG
 
 
 def test_compute_well_depth_artifact(tmp_path):

@@ -13,12 +13,11 @@ from hflow.flow import (
     RELATIVE_INCREMENT_CAP,
     SOLVE_RESIDUAL_BOUND,
     SolverError,
-    TrajectoryRecord,
     _State,
     _Workspace,
-    energy_identity_residuals,
     run,
     solve_helmholtz,
+    trajectory_columns,
 )
 from hflow.functionals import nehari_D_delta, report, volume_integral, volume_VH
 from hflow.grid import (
@@ -389,20 +388,23 @@ def test_energy_residuals_per_interval(g15):
     u0 = eigenmode(g15, amplitude=1.0)
     p = FlowParams(H=0.0, dt0=1e-3, t_end=0.02, record_every=4)
     tr = run(u0, p)
-    res = energy_identity_residuals(tr)
-    assert len(res) == len(tr) - 1
-    assert np.all(res >= 0.0)
-    with pytest.raises(ValueError):
-        energy_identity_residuals(
-            TrajectoryRecord(
-                params=p, delta_list=(), t=np.array([0.0]), dt=np.array([1e-3]),
-                l2_sq=np.array([0.0]), h1_sq=np.array([0.0]), E=np.array([0.0]),
-                D=np.array([0.0]), D_delta=np.zeros((1, 0)), f=np.array([0.0]),
-                fprime=np.array([0.0]), fsecond=np.array([0.0]),
-                concavity=np.array([0.0]), energy_residual=np.array([0.0]),
-                status=REACHED_HORIZON,
-            )
-        )
+    # the cumulative defect never decreases: each recorded interval adds a non-negative defect
+    assert len(tr) > 2
+    assert np.all(np.diff(tr.energy_residual) >= 0.0)
+
+
+def test_series_name_each_recorded_column(g15):
+    # series() pairs trajectory_columns with the row entries run recorded under them: fprime is recorded
+    # as |u|_2^2, fsecond as -2 D, and D_delta at delta = 1 is D
+    u0 = bubble_direction(g15, 1.0, eps=0.25).scaled(0.3)
+    delta_list = (0.5, 1.0)
+    tr = run(u0, FlowParams(H=1.0, dt0=1e-3, t_end=0.02, record_every=3), delta_list)
+    series = dict(tr.series())
+    assert list(series) == trajectory_columns(delta_list)
+    assert len(tr) > 2 and all(len(col) == len(tr) for col in series.values())
+    assert np.array_equal(series["fprime"], series["l2_sq"]) and np.array_equal(series["fsecond"], -2.0 * tr.D)
+    assert np.array_equal(series["D_delta_1"], series["D"]) and np.array_equal(series["D_delta_0.5"], tr.D_delta[:, 0])
+    assert series["energy_residual"] is tr.energy_residual and series["t"][0] == 0.0
 
 
 def test_semigroup_consistency(g31):
