@@ -167,8 +167,8 @@ def load_config(path) -> dict:
     """The config at path, checked against CONFIG_SCHEMA, and its ic.params against IC_PARAMS of its type."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     cfg = _typed(raw, CONFIG_SCHEMA, "")
@@ -579,9 +579,9 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         cell_cfg.pop("sweep", None)
         jobs.append((cell_cfg, str(out / f"cell_lm_{v:g}"), key))
 
-    workers = cfg["sweep"]["max_workers"] or min(4, len(jobs))
+    workers = min(cfg["sweep"]["max_workers"] or 4, len(jobs))  # a worker beyond the cells would idle
     results = {}
-    if workers > 1 and len(jobs) > 1:
+    if workers > 1:
         # imported here, so that no other command pays for loading the process pool
         from concurrent.futures import ProcessPoolExecutor
 
@@ -632,7 +632,10 @@ def main(argv=None) -> int:
             if cfg.get("ic", {}).get("type") == "random-bandlimited":
                 cfg["ic"]["params"]["seed"] = cfg["seed"]
         out = Path(args.out) if args.out else Path(cfg["output"]["path"])
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out}: {exc.strerror or exc}") from exc
         # called by its name in this module, so that a wrapper bound over it there (a profiler's) sees the call
         return globals()[COMMANDS[args.command].__name__](cfg, out)
     except (ConfigError, ValueError, KeyError, TypeError) as exc:

@@ -21,8 +21,8 @@ per-step defect
     |dt |u_t|_2^2 + E_fwd(t+dt) - E_fwd(t)|
 
 is O(dt^2) per step, so the accumulated residual is O(dt) over a fixed
-horizon and halves when dt0 halves.  The h1_sq and D series use the
-central-difference Dirichlet form, matching the functionals module.
+horizon and halves when dt0 halves.  h1_sq, D and D_delta are built from the
+functionals module's own pass, so h1_sq and D have the bits of `report`.
 
 Blow-up is reported as evidence (dt collapse below dt_min, or the gradient
 exceeding blowup_gradient_factor times its initial size), never as a proven
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import functionals
 from .fields import discrete_laplacian_eigenvalue
-from .grid import GridSpec, VectorField, _dirichlet_sum, derivs, laplacian_stencil
+from .grid import GridSpec, VectorField, laplacian_stencil
 
 REACHED_HORIZON = "reached-horizon"
 BLOWUP_SUSPECTED = "blowup-suspected"
@@ -232,27 +232,19 @@ def solve_helmholtz(rhs: VectorField, dt: float, *, _workspace: _Workspace | Non
 
 
 class _State:
-    """Per-accepted-state quantities, computed in one pass over the field in the buffers of ws.
-
-    `energies` are the solve's `ws.energies` of u; without them (the initial
-    state) one forward sine transform of u gives them.
-    """
+    """Per-accepted-state quantities of u in the buffers of ws: h1, vol and the wedge from the functionals'
+    pass; l2 and h1_fwd from `energies`, the solve's `ws.energies` of u, or else one forward sine transform."""
 
     __slots__ = ("u", "wedge", "l2", "h1", "h1_fwd", "vol", "E_fwd", "D")
 
     def __init__(self, u: VectorField, H: float, ws: _Workspace, energies: tuple[float, float] | None = None):
-        h = u.grid.h
-        v = u.values
         if energies is None:
-            ws.sine_transform(v, ws.spec)
-            energies = ws.spectral_energies(ws.spec, h * h)
-        ux, uy, w = derivs(v, h, out=(ws.mid, ws.spec, np.empty(v.shape)))
+            ws.sine_transform(u.values, ws.spec)
+            energies = ws.spectral_energies(ws.spec, u.grid.h * u.grid.h)
         self.u = u
-        self.wedge = w
+        self.wedge = np.empty(u.values.shape)
         self.l2, self.h1_fwd = energies
-        # a plain product: an out= buffer would reorder this sum for a v that is not C-ordered
-        self.vol = h * h * float(np.sum(v * w))
-        self.h1 = _dirichlet_sum(ux, uy, h)
+        self.h1, self.vol = functionals._dirichlet_and_volume(u, out=(ws.mid, ws.spec, self.wedge))
         self.E_fwd = 0.5 * self.h1_fwd + (2.0 / 3.0) * H * self.vol
         self.D = self.h1 + 2.0 * H * self.vol
 

@@ -48,12 +48,14 @@ def _check_delta(delta: float, closed_right: bool = False):
         raise ValueError(f"delta = {delta} outside {rng}")
 
 
-def _dirichlet_and_volume(u: VectorField) -> tuple[float, float]:
-    """(dirichlet, integral u . u_x ^ u_y) from one derivative pass in the grid's kept scratch."""
+def _dirichlet_and_volume(u: VectorField, out=None) -> tuple[float, float]:
+    """(dirichlet, integral u . u_x ^ u_y) from one derivative pass in the grid's kept scratch, or in
+    `out` (three C-contiguous (3, nx, ny) arrays), which it leaves holding the wedge in out[2]."""
     h = u.grid.h
-    ux, uy, w = derivs(u.values, h, out=_scratch_for(u.values.shape))
+    ux, uy, w = derivs(u.values, h, out=_scratch_for(u.values.shape) if out is None else out)
     dirichlet = _dirichlet_sum(ux, uy, h)
-    return dirichlet, h ** 2 * float(np.sum(np.sum(np.multiply(u.values, w, out=ux), axis=0)))
+    dots = np.sum(np.multiply(u.values, w, out=ux), axis=0, out=uy[0])  # summed over components first
+    return dirichlet, h ** 2 * float(np.sum(dots))
 
 
 def volume_integral(u: VectorField) -> float:

@@ -297,8 +297,12 @@ def test_preset_artifacts_are_strict_and_finite(tmp_path, path):
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
     verdict = json.loads((out / "verdict.json").read_text(encoding="utf-8"), parse_constant=_no_constants)
     assert (verdict["run"]["status"], verdict["run"]["stop_reason"]) == PRESET_OUTCOMES[path.stem]
-    _, rows = read_csv(out / "trajectory.csv")
+    header, rows = read_csv(out / "trajectory.csv")
     assert np.all(np.isfinite(rows))
+    # the flow's state pass is the functionals' pass, so row 0 carries the verdict's bits
+    first, details = dict(zip(header, rows[0])), verdict["verdict"]["details"]
+    assert first["D"] == details["nehari"]
+    assert first["h1_sq"] == details["dirichlet"]
 
 
 def test_import_leaves_process_pool_unloaded():
@@ -988,6 +992,42 @@ def test_simulate_bytes_independent_of_blas_threads(tmp_path):
         names = ("trajectory.csv", "verdict.json", "lemma_report.json")
         outputs.append([(out / name).read_bytes() for name in names])
     assert outputs[0] == outputs[1]
+
+
+def test_sweep_pool_capped_at_cell_count(tmp_path, monkeypatch):
+    asked = []
+
+    class InlinePool:  # records its size and runs the cells here, so no process starts
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    cfg = write_config(tmp_path / "c.json", sweep={"lambda_multiples": [0.2, 1.6], "max_workers": 4})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert asked == [2]
+
+
+def test_unreadable_config_and_unmakeable_out_exit_config(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json")
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for argv, path in (
+        (["classify", "--config", str(tmp_path), "--out", str(tmp_path / "o")], tmp_path),
+        (["classify", "--config", str(cfg), "--out", str(taken)], taken),
+    ):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err, err
+        assert "Traceback" not in err
 
 
 def test_sweep_requires_scaled_direction(tmp_path):

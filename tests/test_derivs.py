@@ -161,17 +161,17 @@ def test_routed_functions_match_padded_compositions_bitwise(g, kind):
     _same(rep.nehari, h1 + 2.0 * H * vol)
     _same(rep.l2_sq, h**2 * float(np.sum(v * v)))
 
-    # _State: |u|_2^2 and the forward form from the sine spectrum, the rest from the kernel
+    # _State: |u|_2^2 and the forward form from the sine spectrum, the rest from the functionals' pass
     s = _State(u, H, _Workspace(g))
     s_l2, s_fwd = _spectral_energies(v, g)
-    s_vol = h * h * float(np.sum(v * w))
     _same(s.wedge, w)
     _same(s.l2, s_l2)
     _same(s.h1, h1)
-    _same(s.vol, s_vol)
+    _same(s.vol, vol)
     _same(s.h1_fwd, s_fwd)
-    _same(s.E_fwd, 0.5 * s_fwd + (2.0 / 3.0) * H * s_vol)
-    _same(s.D, h1 + 2.0 * H * s_vol)
+    _same(s.E_fwd, 0.5 * s_fwd + (2.0 / 3.0) * H * vol)
+    _same(s.D, h1 + 2.0 * H * vol)
+    _same(s.D, rep.nehari)
 
 
 @pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
