@@ -172,6 +172,10 @@ def load_config(path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     cfg = _typed(raw, CONFIG_SCHEMA, "")
+    try:
+        flow.trajectory_columns(cfg["monitors"]["delta_list"])
+    except ValueError as exc:
+        raise ConfigError(f"monitors.delta_list: {exc}") from exc
     if "ic" in cfg:
         cfg["ic"]["params"] = _typed(cfg["ic"]["params"], IC_PARAMS[cfg["ic"]["type"]], "ic.params")
     return cfg
@@ -414,8 +418,8 @@ def _check_projected_norm_cap(block: dict, c: nehari.FiberingCoefficients, d: fl
 
 
 def _check_energy_split(block: dict, a: float, v: float, H: float) -> None:
-    """E + (1/3) H int(...) = D/2 to near machine precision, with E and D in report's expressions."""
-    rel = classify.split_identity_residual(0.5 * a + (2.0 / 3.0) * H * v, a, a + 2.0 * H * v)
+    """E + (1/3) H int(...) = D/2 to near machine precision, with E and D as energy_of and nehari_of give them."""
+    rel = classify.split_identity_residual(functionals.energy_of(a, v, H), a, functionals.nehari_of(a, v, H))
     block["worst_rel_residual"] = max(block["worst_rel_residual"], rel)
     block["passed"] = block["worst_rel_residual"] <= 1e-12
 
@@ -448,14 +452,16 @@ def _check_fiber_map(block: dict, w: VectorField, cw: nehari.FiberingCoefficient
     lam = nehari.lambda_star(cw)
     rel = abs(nehari.golden_section_peak(w, H, 0.0, 4.0 * lam, tol=1e-7 * lam) - lam) / lam
     block["worst_lambda_rel_err"] = max(block["worst_lambda_rel_err"], rel)
-    # E and D at (0.25, 0.5, 1, 2, 4) lambda*, one pass each
-    at = [functionals.report(w.scaled(s * lam), H) for s in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    # (E, D) at (0.25, 0.5, 1, 2, 4) lambda*, one derivative pass each
+    pairs = [functionals._dirichlet_and_volume(w.scaled(s * lam)) for s in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    energy_at = [functionals.energy_of(a, v, H) for a, v in pairs]
+    nehari_at = [functionals.nehari_of(a, v, H) for a, v in pairs]
     if rel > 1e-6 or not (
-        at[1].nehari > 0.0
-        and abs(at[2].nehari) <= 1e-8 * cw.A * lam * lam
-        and at[3].nehari < 0.0
-        and at[4].energy < 0.0
-    ) or any(r.energy > at[2].energy for r in at):
+        nehari_at[1] > 0.0
+        and abs(nehari_at[2]) <= 1e-8 * cw.A * lam * lam
+        and nehari_at[3] < 0.0
+        and energy_at[4] < 0.0
+    ) or any(e > energy_at[2] for e in energy_at):
         block["passed"] = False
 
 
@@ -580,18 +586,14 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         jobs.append((cell_cfg, str(out / f"cell_lm_{v:g}"), key))
 
     workers = min(cfg["sweep"]["max_workers"] or 4, len(jobs))  # a worker beyond the cells would idle
-    results = {}
     if workers > 1:
         # imported here, so that no other command pays for loading the process pool
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, res in pool.map(_sweep_cell, jobs):
-                results[key] = res
+            results = dict(pool.map(_sweep_cell, jobs))
     else:
-        for job in jobs:
-            key, res = _sweep_cell(job)
-            results[key] = res
+        results = dict(map(_sweep_cell, jobs))
     write_json(out / "index.json", {"parameter": "lambda_multiple", "values": values, "cells": results})
     failed = sorted(key for key, res in results.items() if "error" in res)
     if failed:

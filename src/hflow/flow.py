@@ -10,7 +10,7 @@ halved.  dt never regrows, so runs are deterministic.
 
 The energy monitored along the run is the scheme-compatible one,
 
-    E_fwd(u) = h1_forward_sq(u)/2 + volume_VH(u),
+    E_fwd(u) = energy_of(h1_forward_sq(u), V, H),  V = integral u . u_x ^ u_y,
 
 whose quadratic part pairs exactly with the 5-point Laplacian (summation by
 parts); it and |u|_2^2 are h^2 sum mu w_hat^2 and h^2 sum w_hat^2 of the
@@ -21,8 +21,8 @@ per-step defect
     |dt |u_t|_2^2 + E_fwd(t+dt) - E_fwd(t)|
 
 is O(dt^2) per step, so the accumulated residual is O(dt) over a fixed
-horizon and halves when dt0 halves.  h1_sq, D and D_delta are built from the
-functionals module's own pass, so h1_sq and D have the bits of `report`.
+horizon and halves when dt0 halves.  h1_sq and V come from the functionals'
+own pass, so h1_sq and D = nehari_of(h1_sq, V, H) have the bits of `report`.
 
 Blow-up is reported as evidence (dt collapse below dt_min, or the gradient
 exceeding blowup_gradient_factor times its initial size), never as a proven
@@ -32,6 +32,7 @@ singularity.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -84,7 +85,10 @@ _TAIL = ("f", "fprime", "fsecond", "concavity", "energy_residual")
 
 
 def trajectory_columns(delta_list) -> list[str]:
-    return [*_HEAD, *(f"D_delta_{d:g}" for d in delta_list), *_TAIL]
+    names = [*_HEAD, *(f"D_delta_{d:g}" for d in delta_list), *_TAIL]
+    if len(set(names)) < len(names):  # two deltas printed alike
+        raise ValueError(f"two deltas of {list(delta_list)} share a D_delta column")
+    return names
 
 
 @dataclass
@@ -245,8 +249,8 @@ class _State:
         self.wedge = np.empty(u.values.shape)
         self.l2, self.h1_fwd = energies
         self.h1, self.vol = functionals._dirichlet_and_volume(u, out=(ws.mid, ws.spec, self.wedge))
-        self.E_fwd = 0.5 * self.h1_fwd + (2.0 / 3.0) * H * self.vol
-        self.D = self.h1 + 2.0 * H * self.vol
+        self.E_fwd = functionals.energy_of(self.h1_fwd, self.vol, H)
+        self.D = functionals.nehari_of(self.h1, self.vol, H)
 
 
 def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
@@ -260,6 +264,7 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
     delta_list = tuple(float(d) for d in delta_list)
     for d in delta_list:
         functionals._check_delta(d)
+    ncols = len(trajectory_columns(delta_list))
     H = p.H
     h2 = u0.grid.h ** 2
     ws = _Workspace(u0.grid)
@@ -272,11 +277,11 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
     dt = p.dt0
     f = 0.0
     cum_residual = 0.0
-    rows = []  # one flat row per sample, in the order of trajectory_columns
+    rows = array("d")  # the samples' rows back to back, each in the order of trajectory_columns
 
     def record(dt_used: float, s: _State):
-        rows.append(
-            (t, dt_used, s.l2, s.h1, s.E_fwd, s.D, *(d * s.h1 + 2.0 * H * s.vol for d in delta_list))
+        rows.extend(
+            (t, dt_used, s.l2, s.h1, s.E_fwd, s.D, *(functionals.nehari_of(s.h1, s.vol, H, d) for d in delta_list))
             + (f, s.l2, -2.0 * s.D, f * (-2.0 * s.D) - 1.5 * s.l2 * s.l2, cum_residual)
         )
 
@@ -329,7 +334,7 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
     if t != last_recorded_t:  # the stop row; t moved only if a step was accepted, which set dt_step
         record(dt_step, state)
 
-    cols = np.array(rows).T.copy()  # one contiguous series per column
+    cols = np.frombuffer(rows).reshape(-1, ncols).T.copy()  # one contiguous series per column
     k, end = len(_HEAD), len(_HEAD) + len(delta_list)
     return TrajectoryRecord(
         params=p,

@@ -1,16 +1,15 @@
 """Energy, volume and Nehari functionals for the H-system on discrete fields.
 
-Conventions (H is the constant mean curvature, H > 0):
+Each functional is a function of the pair (A, V) that one derivative pass
+reads off a field u (H is the constant mean curvature, H > 0):
 
-    dirichlet(u)   = integral |grad u|^2            (central differences)
-    volume_VH(u)   = (2/3) H integral u . u_x ^ u_y
-    energy_E(u)    = dirichlet/2 + volume_VH
-    nehari_D(u)    = dirichlet + 2 H integral u . u_x ^ u_y
-    nehari_D_delta = delta * dirichlet + 2 H integral u . u_x ^ u_y
+    A = dirichlet(u) = integral |grad u|^2       (central differences)
+    V                = integral u . u_x ^ u_y    (report's volume is (2/3) H V)
+    energy_E(u)            = energy_of(A, V, H)        = A/2 + (2/3) H V
+    nehari_D_delta(u, ...) = nehari_of(A, V, H, delta) = delta A + 2 H V  (nehari_D: delta = 1)
 
-so nehari = dirichlet + 3*volume and energy = dirichlet/6 + nehari/3 hold as
-exact identities of the discrete values.  ||u|| denotes sqrt(dirichlet)
-throughout the package.
+so nehari = dirichlet + 3*volume and energy = dirichlet/6 + nehari/3 hold up
+to rounding.  ||u|| denotes sqrt(A) throughout the package.
 """
 
 from __future__ import annotations
@@ -58,29 +57,17 @@ def _dirichlet_and_volume(u: VectorField, out=None) -> tuple[float, float]:
     return dirichlet, h ** 2 * float(np.sum(dots))
 
 
-def volume_integral(u: VectorField) -> float:
-    """integral u . u_x ^ u_y (no H factor)."""
-    return _dirichlet_and_volume(u)[1]
-
-
-def volume_VH(u: VectorField, H: float) -> float:
-    return (2.0 / 3.0) * H * volume_integral(u)
-
-
 def energy_E(u: VectorField, H: float) -> float:
-    a, v = _dirichlet_and_volume(u)
-    return 0.5 * a + (2.0 / 3.0) * H * v
+    return energy_of(*_dirichlet_and_volume(u), H)
 
 
 def nehari_D(u: VectorField, H: float) -> float:
-    a, v = _dirichlet_and_volume(u)
-    return a + 2.0 * H * v
+    return nehari_of(*_dirichlet_and_volume(u), H)
 
 
 def nehari_D_delta(u: VectorField, H: float, delta: float) -> float:
     _check_delta(delta)
-    a, v = _dirichlet_and_volume(u)
-    return delta * a + 2.0 * H * v
+    return nehari_of(*_dirichlet_and_volume(u), H, delta)
 
 
 def r_of_delta(delta: float, H: float) -> float:
@@ -110,14 +97,23 @@ def isoperimetric_gap_of(dirichlet: float, volume: float) -> float:
     return dirichlet - ISOPERIMETRIC_CONST * abs(volume) ** (2.0 / 3.0)
 
 
+def energy_of(a: float, v: float, H: float) -> float:
+    """The energy from a field's (dirichlet, integral u . u_x ^ u_y)."""
+    return 0.5 * a + (2.0 / 3.0) * H * v
+
+
+def nehari_of(a: float, v: float, H: float, delta: float = 1.0) -> float:
+    """The delta-Nehari functional from a field's (dirichlet, integral u . u_x ^ u_y); D at delta = 1."""
+    return delta * a + 2.0 * H * v
+
+
 def report(u: VectorField, H: float) -> FunctionalReport:
     """All functionals in one pass over the field."""
     dirichlet, vol_int = _dirichlet_and_volume(u)
-    volume = (2.0 / 3.0) * H * vol_int
     return FunctionalReport(
         dirichlet=dirichlet,
-        volume=volume,
-        energy=0.5 * dirichlet + volume,
-        nehari=dirichlet + 2.0 * H * vol_int,
+        volume=(2.0 / 3.0) * H * vol_int,
+        energy=energy_of(dirichlet, vol_int, H),
+        nehari=nehari_of(dirichlet, vol_int, H),
         l2_sq=l2_norm_sq(u),
     )

@@ -86,14 +86,18 @@ def lattice_coords(g: GridSpec):
 
 
 def _evaluate_expr(expr, X, Y) -> np.ndarray:
+    """The finite (3, *X.shape) values of expr at the nodes (X, Y)."""
     if callable(expr):
         vals = np.asarray(expr(X, Y), dtype=float)
         if vals.shape != (3,) + X.shape:
             raise ValueError(f"expression returned shape {vals.shape}, expected {(3,) + X.shape}")
-        return vals
-    if len(expr) == 3:
-        return np.stack([np.broadcast_to(np.asarray(f(X, Y), dtype=float), X.shape) for f in expr])
-    raise ValueError("expression must be a callable or a triple of component callables")
+    elif len(expr) == 3:
+        vals = np.stack([np.broadcast_to(np.asarray(f(X, Y), dtype=float), X.shape) for f in expr])
+    else:
+        raise ValueError("expression must be a callable or a triple of component callables")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("sampling produced non-finite values")
+    return vals
 
 
 def sample(expr, g: GridSpec) -> VectorField:
@@ -104,20 +108,12 @@ def sample(expr, g: GridSpec) -> VectorField:
     (the field is zero on the boundary regardless), which clips non-H_0^1
     expressions.
     """
-    X, Y = interior_coords(g)
-    vals = _evaluate_expr(expr, X, Y)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("sampling produced non-finite values")
-    return VectorField(g, vals)
+    return VectorField(g, _evaluate_expr(expr, *interior_coords(g)))
 
 
 def sample_on_lattice(expr, g: GridSpec) -> np.ndarray:
     """Sample on the full lattice, keeping true boundary values (oracle path)."""
-    X, Y = lattice_coords(g)
-    vals = _evaluate_expr(expr, X, Y)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("sampling produced non-finite values")
-    return vals
+    return _evaluate_expr(expr, *lattice_coords(g))
 
 
 _scratch = threading.local()  # per thread: three buffers for the last shape asked for

@@ -426,6 +426,17 @@ _REJECTED = [  # (command, config overrides, error): before the schema, each exi
     ("simulate", {"monitors": {"delta_list": "0.5"}}, "monitors.delta_list must be a list of numbers, got '0.5'"),
     ("simulate", {"monitors": {"delta_list": 0.5}}, "monitors.delta_list must be a list of numbers, got 0.5"),
     ("simulate", {"monitors": {"delta_list": [2.0]}}, "each of monitors.delta_list must be < 1.5, got 2.0"),
+    # two deltas that share a trajectory column wrote a CSV with a duplicated header
+    (
+        "simulate",
+        {"monitors": {"delta_list": [0.25, 0.2500001]}},
+        "monitors.delta_list: two deltas of [0.25, 0.2500001] share a D_delta column",
+    ),
+    (
+        "simulate",
+        {"monitors": {"delta_list": [0.25, 0.25]}},
+        "monitors.delta_list: two deltas of [0.25, 0.25] share a D_delta column",
+    ),
     # fields the command does not read are checked too: the config is checked once, as a whole
     ("classify", {"seed": None}, "seed must be an integer, got None"),
     ("classify", {"time": {"dt0": -1e-3}}, "time.dt0 must be > 0, got -0.001"),
@@ -707,8 +718,9 @@ def test_verify_lemmas_reuses_its_passes_with_the_same_bits(tmp_path, monkeypatc
 
 def test_verify_lemmas_takes_one_pass_per_member_and_scale(tmp_path, monkeypatch):
     # a direction's coefficients come from its member's by the sign flip, so fibering_coeffs runs
-    # only inside estimate_d; each fiber-map direction reads E and D at its five scales off one report
-    # each; the Nehari sign checks read D_delta off the direction's pair and make no pass
+    # only inside estimate_d; each fiber-map direction reads E and D at its five scales off one
+    # (dirichlet, volume) pass each, and no report; the Nehari sign checks read D_delta off the
+    # direction's pair and make no pass
     inside = {"estimate_d": 0, "search": 0}
     calls = {"fibering_coeffs": [], "report": 0, "energy_E": 0, "nehari_D": 0, "nehari_D_delta": 0, "derivs": 0}
 
@@ -745,12 +757,12 @@ def test_verify_lemmas_takes_one_pass_per_member_and_scale(tmp_path, monkeypatch
     assert directions > 0
     eps_count = load_config(cfg)["well"]["eps_count"]
     assert calls["fibering_coeffs"] == [True] * eps_count
-    # outside the search: five reports per direction (the split identity reads each member's own
-    # pass), and the energies of the well-depth curve rows
-    assert calls["report"] == 5 * directions
+    # outside the search: no report (the fiber map and the split identity read the pairs of their
+    # own passes), and the energies of the well-depth curve rows
+    assert calls["report"] == 0
     assert calls["energy_E"] == len(cli.DELTA_TABLE)
     assert calls["nehari_D"] == calls["nehari_D_delta"] == 0
-    # derivative passes outside the search: one per member, the fiber map's reports, the family of
+    # derivative passes outside the search: one per member, the fiber map's five scales, the family of
     # estimate_d and the depth-curve rows
     assert calls["derivs"] == count + 5 * directions + eps_count + len(cli.DELTA_TABLE)
 

@@ -17,12 +17,12 @@ from hflow.fields import random_bandlimited
 from hflow.flow import _State, _Workspace, solve_helmholtz
 from hflow.functionals import (
     ISOPERIMETRIC_CONST,
+    _dirichlet_and_volume,
     energy_E,
     isoperimetric_gap,
     nehari_D,
     nehari_D_delta,
     report,
-    volume_integral,
 )
 from hflow.grid import (
     GridSpec,
@@ -140,7 +140,7 @@ def test_routed_functions_match_padded_compositions_bitwise(g, kind):
     for got, want in ((kx, ux), (ky, uy), (kw, w)):
         _same(got, want)
     _same(h1_seminorm_sq(u), h1)
-    _same(volume_integral(u), vol)
+    _same(_dirichlet_and_volume(u)[1], vol)
     _same(energy_E(u, H), 0.5 * h1 + (2.0 / 3.0) * H * vol)
     _same(nehari_D(u, H), h1 + 2.0 * H * vol)
     _same(nehari_D_delta(u, H, 0.75), 0.75 * h1 + 2.0 * H * vol)
@@ -182,7 +182,7 @@ def test_zero_field_gives_positive_zeros(g):
     rep = report(u, 2.0)
     c = fibering_coeffs(u, 2.0)
     scalars = [
-        h1_seminorm_sq(u), volume_integral(u), energy_E(u, 2.0), nehari_D(u, 2.0),
+        h1_seminorm_sq(u), _dirichlet_and_volume(u)[1], energy_E(u, 2.0), nehari_D(u, 2.0),
         nehari_D_delta(u, 2.0, 0.5), isoperimetric_gap(u), c.A, c.B,
         rep.dirichlet, rep.volume, rep.energy, rep.nehari, rep.l2_sq,
     ]  # fmt: skip
@@ -223,7 +223,7 @@ def test_each_entry_point_takes_one_derivative_pass(monkeypatch):
         "nehari_D": lambda: nehari_D(u, 1.0),
         "nehari_D_delta": lambda: nehari_D_delta(u, 1.0, 0.5),
         "isoperimetric_gap": lambda: isoperimetric_gap(u),
-        "volume_integral": lambda: volume_integral(u),
+        "_dirichlet_and_volume": lambda: _dirichlet_and_volume(u)[1],
         "fibering_coeffs": lambda: fibering_coeffs(u, 1.0),
         "report": lambda: report(u, 1.0),
         "_State": lambda: _State(u, 1.0, ws),
@@ -245,7 +245,7 @@ def _scalars(u, H):
     c = fibering_coeffs(u, H)
     rep = report(u, H)
     return [
-        h1_seminorm_sq(u), volume_integral(u), energy_E(u, H), nehari_D(u, H), nehari_D_delta(u, H, 0.5),
+        h1_seminorm_sq(u), _dirichlet_and_volume(u)[1], energy_E(u, H), nehari_D(u, H), nehari_D_delta(u, H, 0.5),
         isoperimetric_gap(u), c.A, c.B, rep.dirichlet, rep.volume, rep.energy, rep.nehari, rep.l2_sq,
     ]  # fmt: skip
 

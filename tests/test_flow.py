@@ -19,7 +19,7 @@ from hflow.flow import (
     solve_helmholtz,
     trajectory_columns,
 )
-from hflow.functionals import nehari_D_delta, report, volume_integral, volume_VH
+from hflow.functionals import _dirichlet_and_volume, nehari_D_delta, report
 from hflow.grid import (
     GridSpec,
     VectorField,
@@ -101,7 +101,7 @@ def test_state_matches_reference_functionals(n):
         u = random_bandlimited(g, seed, kmax, h1_norm=float(rng.uniform(0.1, 10.0)))
         s = _State(u, H, ws)
         rep = report(u, H)
-        vol = volume_integral(u)
+        vol = _dirichlet_and_volume(u)[1]
         # a sum with cancellation is compared on the scale of its terms
         scale = rep.dirichlet + 2.0 * H * abs(vol)
         assert s.u is u
@@ -111,7 +111,7 @@ def test_state_matches_reference_functionals(n):
         assert s.h1_fwd == pytest.approx(h1_forward_sq(u), rel=1e-12)
         assert s.vol == pytest.approx(vol, abs=1e-12 * scale)
         assert s.D == pytest.approx(rep.nehari, abs=1e-12 * scale)
-        assert s.E_fwd == pytest.approx(0.5 * h1_forward_sq(u) + volume_VH(u, H), abs=1e-12 * scale)
+        assert s.E_fwd == pytest.approx(0.5 * h1_forward_sq(u) + rep.volume, abs=1e-12 * scale)
 
 
 @pytest.mark.parametrize(
@@ -343,7 +343,7 @@ def test_run_records_consistent_series(g31):
     assert tr.D_delta[0, 0] == pytest.approx(nehari_D_delta(u0, 1.0, 0.5), rel=1e-13)
     assert tr.D_delta[0, 1] == pytest.approx(nehari_D_delta(u0, 1.0, 1.25), rel=1e-13)
     # the recorded energy is the scheme-compatible one
-    assert tr.E[0] == pytest.approx(0.5 * h1_forward_sq(u0) + volume_VH(u0, 1.0), rel=1e-12)
+    assert tr.E[0] == pytest.approx(0.5 * h1_forward_sq(u0) + rep.volume, rel=1e-12)
     # 50 steps leave the last one off the record_every grid: the stop row is the final state
     assert tr.l2_sq[-1] == pytest.approx(l2_norm_sq(tr.final_state), rel=1e-13)
 
@@ -405,6 +405,15 @@ def test_series_name_each_recorded_column(g15):
     assert np.array_equal(series["fprime"], series["l2_sq"]) and np.array_equal(series["fsecond"], -2.0 * tr.D)
     assert np.array_equal(series["D_delta_1"], series["D"]) and np.array_equal(series["D_delta_0.5"], tr.D_delta[:, 0])
     assert series["energy_residual"] is tr.energy_residual and series["t"][0] == 0.0
+
+
+@pytest.mark.parametrize("delta_list", [(0.25, 0.2500001), (0.25, 0.25)])
+def test_run_rejects_deltas_that_share_a_column(g15, delta_list):
+    # two deltas printed alike would write one CSV header name twice
+    with pytest.raises(ValueError, match="share a D_delta column"):
+        run(eigenmode(g15), FlowParams(H=1.0, dt0=1e-3, t_end=1e-3), delta_list)
+    with pytest.raises(ValueError, match="share a D_delta column"):
+        trajectory_columns(delta_list)
 
 
 def test_semigroup_consistency(g31):

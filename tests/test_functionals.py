@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from hflow.fields import cutoff_weight, eigenmode, random_bandlimited
+from hflow.flow import FlowParams, _State, _Workspace, run
 from hflow.functionals import (
     ISOPERIMETRIC_CONST,
+    _dirichlet_and_volume,
     a_of_delta,
     energy_E,
+    energy_of,
     isoperimetric_gap,
     nehari_D,
     nehari_D_delta,
+    nehari_of,
     r_of_delta,
     report,
-    volume_VH,
-    volume_integral,
 )
 from hflow.grid import (
     VectorField,
@@ -26,6 +28,7 @@ from hflow.grid import (
     sample,
     sample_on_lattice,
 )
+from hflow.nehari import bubble_direction
 from conftest import poly_xyxy
 
 
@@ -40,7 +43,7 @@ def _lattice_A_B(expr, g, H=1.0):
 
 def test_zero_field_functionals(g31):
     z = VectorField.zeros(g31)
-    assert volume_VH(z, 1.0) == 0.0
+    assert report(z, 1.0).volume == 0.0
     assert energy_E(z, 1.0) == 0.0
     assert nehari_D(z, 1.0) == 0.0
     assert isoperimetric_gap(z) == 0.0
@@ -64,7 +67,7 @@ def test_clipped_path_matches_lattice_for_h01_fields(g63):
     u = sample(expr, g63)
     a_lat, b_lat = _lattice_A_B(expr, g63)
     assert h1_seminorm_sq(u) == pytest.approx(a_lat, rel=2e-3)
-    assert volume_integral(u) == pytest.approx(b_lat / 1.0, rel=2e-3)
+    assert _dirichlet_and_volume(u)[1] == pytest.approx(b_lat / 1.0, rel=2e-3)
 
 
 def test_report_consistency_identities(g31):
@@ -92,17 +95,43 @@ def test_energy_nehari_split_random_fields(n):
         else:
             u = random_bandlimited(g, int(rng.integers(1 << 20)), int(rng.integers(1, 12)))
         rep = report(u, H)
-        scale = rep.dirichlet + 2.0 * H * abs(volume_integral(u))  # a sum with cancellation
+        scale = rep.dirichlet + 2.0 * H * abs(_dirichlet_and_volume(u)[1])  # a sum with cancellation
         assert rep.energy == pytest.approx(rep.dirichlet / 6.0 + rep.nehari / 3.0, abs=1e-12 * scale)
         split = h1_seminorm_sq(u) / 6.0 + nehari_D(u, H) / 3.0
         assert energy_E(u, H) == pytest.approx(split, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("kind", ["bandlimited-1", "bandlimited-2", "bubble"])
+def test_functionals_are_the_pair_functions_of_their_pass(g31, kind):
+    # every E, D and D_delta of the package is energy_of / nehari_of of its field's (dirichlet, volume)
+    # pair, with the same bits: report, the field functions, the flow's state and run's first row
+    H, deltas = 1.3, (0.25, 0.75, 1.25)
+    if kind == "bubble":
+        u = bubble_direction(g31, H, (0.5, 0.5), 0.2).scaled(2.0)
+    else:
+        u = random_bandlimited(g31, seed=int(kind[-1]), kmax=5, h1_norm=3.0)
+    a, v = _dirichlet_and_volume(u)
+    assert v != 0.0
+    rep = report(u, H)
+    assert (rep.energy, rep.nehari) == (energy_of(a, v, H), nehari_of(a, v, H))
+    assert energy_E(u, H) == energy_of(a, v, H)
+    assert nehari_D(u, H) == nehari_of(a, v, H) == nehari_of(a, v, H, 1.0)
+    for delta in deltas:
+        assert nehari_D_delta(u, H, delta) == nehari_of(a, v, H, delta)
+    s = _State(u, H, _Workspace(g31))
+    assert (s.h1, s.vol) == (a, v)
+    assert s.E_fwd == energy_of(s.h1_fwd, v, H)
+    assert s.D == nehari_of(a, v, H)
+    tr = run(u, FlowParams(H=H, dt0=1e-4, t_end=1e-4), deltas)
+    assert list(tr.D_delta[0]) == [nehari_of(a, v, H, delta) for delta in deltas]
+    assert (tr.E[0], tr.D[0]) == (s.E_fwd, s.D)
 
 
 def test_homogeneities_exact(g31):
     u = random_bandlimited(g31, seed=42)
     lam = 1.9
     assert h1_seminorm_sq(u.scaled(lam)) == pytest.approx(lam**2 * h1_seminorm_sq(u), rel=1e-13)
-    assert volume_VH(u.scaled(lam), 1.0) == pytest.approx(lam**3 * volume_VH(u, 1.0), rel=1e-13)
+    assert report(u.scaled(lam), 1.0).volume == pytest.approx(lam**3 * report(u, 1.0).volume, rel=1e-13)
 
 
 def test_r_and_a_of_delta():
@@ -132,7 +161,7 @@ def test_isoperimetric_gap_single_component(g63):
     c = 2.0
     u = eigenmode(g63, amplitude=c)
     gap = isoperimetric_gap(u)
-    assert volume_integral(u) == pytest.approx(0.0, abs=1e-14)
+    assert _dirichlet_and_volume(u)[1] == pytest.approx(0.0, abs=1e-14)
     assert gap == pytest.approx(h1_seminorm_sq(u), rel=1e-12)
     # and for the polynomial, via the lattice oracle: 8/3 - (32 pi)^(1/3) (1/4)^(2/3)
     a, b = _lattice_A_B(poly_xyxy, g63)
@@ -165,12 +194,12 @@ def test_negative_nehari_forces_large_norm(g63):
     H = 1.0
     for seed in range(8):
         u = random_bandlimited(g63, seed=seed)
-        b = volume_integral(u)
+        b = _dirichlet_and_volume(u)[1]
         if b == 0.0:
             continue
         w = u if b < 0.0 else u.scaled(-1.0)
         a = h1_seminorm_sq(w)
-        bw = H * volume_integral(w)
+        bw = H * _dirichlet_and_volume(w)[1]
         for delta in (0.5, 1.0, 1.25):
             s = 1.5 * (-delta * a / (2.0 * bw))  # past the delta-Nehari crossing
             scaled = w.scaled(s)
