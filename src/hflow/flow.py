@@ -39,7 +39,7 @@ import numpy as np
 
 from . import functionals
 from .fields import discrete_laplacian_eigenvalue
-from .grid import GridSpec, VectorField, laplacian_stencil
+from .grid import GridSpec, VectorField, _scratch_for, laplacian_stencil
 
 REACHED_HORIZON = "reached-horizon"
 BLOWUP_SUSPECTED = "blowup-suspected"
@@ -125,7 +125,9 @@ class _Workspace:
 
     `run` builds one and reuses it in every step; `solve_helmholtz` called
     without one builds a one-off set.  No result is kept in them past a step:
-    each solution, and the wedge of each state, is allocated fresh.
+    each solution, and the wedge of each state, is allocated fresh.  mid, spec
+    and rhs are this thread's `grid._scratch_for` buffers: nothing that takes
+    them may run between an attempt's rhs write and its solve.
 
     The solve's two 2-D sine transforms are unnormalised: each axis pass is
     the real FFT of a zero-padded row [0, a, 0 ... 0] of length 2m + 2, whose
@@ -157,11 +159,9 @@ class _Workspace:
         out = np.empty(3 * max(nx * (ny + 2), (nx + 2) * ny), dtype=complex)
         self.yspec = out[: 3 * nx * (ny + 2)].reshape(3, nx, ny + 2)
         self.xspec = out[: 3 * (nx + 2) * ny].reshape(3, nx + 2, ny)
-        # the residual (mid) and spectrum (spec) of a solve; in a state pass u_x and u_y
-        self.mid = np.empty((3, nx, ny))
-        self.spec = np.empty((3, nx, ny))
+        # the residual (mid) and spectrum (spec) of a solve, in a state pass u_x and u_y; run's rhs
+        self.mid, self.spec, self.rhs = _scratch_for((3, nx, ny))
         self.energies = None  # (|w|_2^2, h1_forward_sq(w)) of the last solution w
-        self.rhs = np.empty((3, nx, ny))
 
     def _transform(self, a: np.ndarray) -> np.ndarray:
         """sqrt(scale) S_x S_y a over the last two axes, as a view into self.xspec (valid until the next call)."""
@@ -202,7 +202,7 @@ class _Workspace:
         np.divide(self._transform(b), self.den, out=self.spec)
         w = self._transform(self.spec).copy()
         h = self.grid.h
-        # before the residual check overwrites spec
+        # before the residual check overwrites spec; the stencil's 4v term takes mid, which is written after it
         self.energies = self.spectral_energies(self.spec, h * h * self.scale)
         r = laplacian_stencil(w, h)
         r *= dt
@@ -226,11 +226,11 @@ def solve_helmholtz(rhs: VectorField, dt: float, *, _workspace: _Workspace | Non
     is w with no further scaling.  One stencil apply then
     checks the relative residual of each component against the fixed
     SOLVE_RESIDUAL_BOUND and raises SolverError above it, which also catches
-    non-finite input.  `run` passes its own scratch buffers as `_workspace`;
-    without them the solve uses a one-off set.
+    non-finite input.  The workspace's scratch is the grid's (`_Workspace`), so
+    nothing that takes it may run between `run`'s rhs write and this solve.
     """
-    if dt <= 0.0:
-        raise ValueError(f"need dt > 0, got {dt}")
+    if not 0.0 < dt < math.inf:  # also false for NaN
+        raise ValueError(f"need finite dt > 0, got {dt}")
     ws = _Workspace(rhs.grid) if _workspace is None else _workspace
     return VectorField(rhs.grid, ws.solve(rhs.values, dt))
 

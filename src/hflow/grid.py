@@ -25,6 +25,10 @@ zero-padded lattice.  It satisfies the exact summation-by-parts identity
 h^2 * sum(laplacian_stencil(v, h) * v) == -h1_forward_sq(u) for u with
 values v, which is the compatibility pairing used by the energy-identity
 monitor in `flow`.
+
+`_scratch_for(shape)` owns the thread's full-grid scratch: the float-valued
+passes, the stencil's 4v term (buffer 0) and the flow's workspace borrow it,
+and nothing that takes it may run between the flow's rhs write and its solve.
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ _scratch = threading.local()  # per thread: three buffers for the last shape ask
 
 
 def _scratch_for(shape: tuple) -> tuple:
-    """This thread's three kept buffers of the given shape, for passes whose results are floats only."""
+    """This thread's three kept buffers of the given shape, borrowed as the module docstring says."""
     bufs = getattr(_scratch, "bufs", None)
     if bufs is None or bufs[0].shape != shape:
         bufs = _scratch.bufs = tuple(np.empty(shape) for _ in range(3))
@@ -167,7 +171,8 @@ def _dirichlet_sum(ux: np.ndarray, uy: np.ndarray, h: float) -> float:
 
 
 def laplacian_stencil(values: np.ndarray, h: float) -> np.ndarray:
-    """5-point Laplacian with zero boundary on a raw (3, nx, ny) array, with the bits of the zero-padded sum."""
+    """5-point Laplacian with zero boundary on a raw (3, nx, ny) array, with the bits of the zero-padded sum.
+    The result is fresh; its 4v term is formed in `_scratch_for(values.shape)[0]`, which values must not be."""
     out = np.empty(values.shape)
     if values.shape[1] > 1:
         np.add(values[:, 2:], values[:, :-2], out=out[:, 1:-1])
@@ -184,7 +189,7 @@ def laplacian_stencil(values: np.ndarray, h: float) -> np.ndarray:
     first = np.add(out[:, :, 0], 0.0)
     o[1:] += flat[:-1]
     out[:, :, 0] = first
-    out -= 4.0 * values
+    out -= np.multiply(values, 4.0, out=_scratch_for(values.shape)[0])
     out /= h * h
     return out
 

@@ -262,11 +262,28 @@ def _ref_scalars(v, g, H):
     ]  # fmt: skip
 
 
+def _flow_bits(u):
+    """The bits of a solve of u and of every series, status and end state of a few flow steps from u."""
+    tr = flow.run(u, flow.FlowParams(H=1.5, dt0=1e-4, t_end=5e-4), delta_list=(0.5,))
+    arrays = [solve_helmholtz(u, 1e-3).values, *(s for _, s in tr.series()), tr.final_state.values]
+    return [_bits(a) for a in arrays] + [tr.status, tr.stop_reason]
+
+
+def _in_fresh_thread(f, *args):
+    """f(*args) in a new thread, which starts without grid scratch."""
+    out = []
+    t = threading.Thread(target=lambda: out.append(f(*args)))
+    t.start()
+    t.join(timeout=60)
+    return out[0]
+
+
 INTERLEAVED = [GRIDS[i] for i in (4, 6, 4, 7, 5, 6, 4, 8, 7, 4)]
 
 
 def test_scratch_bitwise_across_interleaved_grid_shapes():
-    # a shape change remakes the scratch; what one grid leaves in it must not reach the next
+    # a shape change remakes the scratch; what one grid leaves in it must not reach the next,
+    # and the flow's workspace, which borrows it, must get the bits of a thread with no history
     for k, g in enumerate(INTERLEAVED):
         for kind in FIELDS:
             v = _field(g, kind) * (1.0 + k)
@@ -274,6 +291,17 @@ def test_scratch_bitwise_across_interleaved_grid_shapes():
             assert all(type(x) is float for x in got)
             _same(got, _ref_scalars(v, g, 1.5))
             assert grid._scratch.bufs[0].shape == v.shape
+            v_before = v.copy()
+            assert _flow_bits(VectorField(g, v)) == _in_fresh_thread(_flow_bits, VectorField(g, v_before))
+            _same(v, v_before)  # the run and the solve leave the caller's field as it was
+
+
+def test_workspace_borrows_the_grid_scratch():
+    # one owner of full-grid scratch: a run keeps no second set beside the grid's
+    for g in (GRIDS[4], GRIDS[7]):
+        ws = _Workspace(g)
+        bufs = grid._scratch_for((3, g.nx, g.ny))
+        assert all(a is b for a, b in zip((ws.mid, ws.spec, ws.rhs), bufs, strict=True))
 
 
 def test_no_result_aliases_the_scratch():

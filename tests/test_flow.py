@@ -253,6 +253,12 @@ def test_solve_helmholtz_rejects_non_finite_rhs(g15):
         solve_helmholtz(rhs, dt=1e-3)
 
 
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -1.0, 0.0])
+def test_solve_helmholtz_rejects_dt_that_is_not_finite_and_positive(g15, dt):
+    with pytest.raises(ValueError, match="need finite dt > 0"):
+        solve_helmholtz(eigenmode(g15), dt)
+
+
 def test_run_raises_on_solve_residual_miss(g15, monkeypatch):
     # no solve can meet 1e-17 in double precision; on a finite rhs that is a
     # numeric fault, not a rejection that halves dt down to a collapse
