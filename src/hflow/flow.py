@@ -39,7 +39,7 @@ import numpy as np
 
 from . import functionals
 from .fields import discrete_laplacian_eigenvalue
-from .grid import GridSpec, VectorField, _scratch_for, laplacian_stencil
+from .grid import GridSpec, VectorField, _divide, _scratch_for, laplacian_stencil
 
 REACHED_HORIZON = "reached-horizon"
 BLOWUP_SUSPECTED = "blowup-suspected"
@@ -178,7 +178,7 @@ class _Workspace:
         The transform is its own inverse.  Writing into C-contiguous arrays
         makes reductions over them sum in a fixed order.
         """
-        np.divide(self._transform(a), math.sqrt(self.scale), out=out)
+        _divide(self._transform(a), math.sqrt(self.scale), out=out)
 
     def spectral_energies(self, spec: np.ndarray, weight: float) -> tuple[float, float]:
         """weight (sum s^2, sum mu s^2) of a spectrum s (squared in place).
@@ -188,9 +188,9 @@ class _Workspace:
         one over sqrt(scale), with weight h^2 scale.
         """
         sq = np.square(spec, out=spec)
-        l2 = weight * float(np.sum(sq))
+        l2 = weight * float(sq.sum())
         sq *= self.mu
-        return l2, weight * float(np.sum(sq))
+        return l2, weight * float(sq.sum())
 
     def solve(self, b: np.ndarray, dt: float) -> np.ndarray:
         """Fresh solution w of (I - dt Lap_h) w = b; see `solve_helmholtz`."""
@@ -199,6 +199,8 @@ class _Workspace:
             self.den += 1.0
             self.den *= self.scale
             self.dt = dt
+        # a true division: den's entries are not powers of two, so a cached reciprocal would move
+        # every trajectory's bits
         np.divide(self._transform(b), self.den, out=self.spec)
         w = self._transform(self.spec).copy()
         h = self.grid.h
@@ -208,9 +210,9 @@ class _Workspace:
         r *= dt
         r = np.subtract(w, r, out=self.mid)
         r -= b
-        resid = np.sqrt(np.sum(np.square(r, out=r), axis=(1, 2)))
-        bound = SOLVE_RESIDUAL_BOUND * np.sqrt(np.sum(np.multiply(b, b, out=self.spec), axis=(1, 2)))
-        if not np.all(resid <= bound):
+        resid = np.sqrt(np.square(r, out=r).sum(axis=(1, 2)))
+        bound = SOLVE_RESIDUAL_BOUND * np.sqrt(np.multiply(b, b, out=self.spec).sum(axis=(1, 2)))
+        if not (resid <= bound).all():
             raise SolverError(f"solve residual {resid} exceeds the residual bound {bound} per component")
         return w
 
@@ -302,12 +304,12 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
         try:
             cand = solve_helmholtz(rhs, dt_step, _workspace=ws)
         except SolverError:
-            if np.all(np.isfinite(rhs.values)):
+            if np.isfinite(rhs.values).all():
                 raise  # a residual miss on finite input is a numeric fault, not blow-up
         else:
-            if np.all(np.isfinite(cand.values)):
+            if np.isfinite(cand.values).all():
                 inc = np.subtract(cand.values, state.u.values, out=ws.mid)
-                inc_sq = float(np.sum(np.square(inc, out=inc)))
+                inc_sq = float(np.square(inc, out=inc).sum())
                 diff, base = math.sqrt(h2 * inc_sq), math.sqrt(state.l2)
                 rel = 0.0 if diff == 0.0 else (math.inf if base == 0.0 else diff / base)
         if not rel <= RELATIVE_INCREMENT_CAP:

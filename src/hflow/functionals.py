@@ -53,8 +53,8 @@ def _dirichlet_and_volume(u: VectorField, out=None) -> tuple[float, float]:
     h = u.grid.h
     ux, uy, w = derivs(u.values, h, out=_scratch_for(u.values.shape) if out is None else out)
     dirichlet = _dirichlet_sum(ux, uy, h)
-    dots = np.sum(np.multiply(u.values, w, out=ux), axis=0, out=uy[0])  # summed over components first
-    return dirichlet, h ** 2 * float(np.sum(dots))
+    dots = np.multiply(u.values, w, out=ux).sum(axis=0, out=uy[0])  # summed over components first
+    return dirichlet, h ** 2 * float(dots.sum())
 
 
 def energy_E(u: VectorField, H: float) -> float:

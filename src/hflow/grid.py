@@ -26,6 +26,11 @@ h^2 * sum(laplacian_stencil(v, h) * v) == -h1_forward_sq(u) for u with
 values v, which is the compatibility pairing used by the energy-identity
 monitor in `flow`.
 
+Dividing a grid array by 2h, h^2 or the sine transform's sqrt(scale) goes
+through `_divide`: it multiplies by the exact reciprocal when the divisor is
+a power of two, as on every grid with n + 1 a power of two, and divides
+otherwise, with the quotient's bits either way.
+
 `_scratch_for(shape)` owns the thread's full-grid scratch: the float-valued
 passes, the stencil's 4v term (buffer 0) and the flow's workspace borrow it,
 and nothing that takes it may run between the flow's rhs write and its solve.
@@ -33,6 +38,7 @@ and nothing that takes it may run between the flow's rhs write and its solve.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -99,7 +105,7 @@ def _evaluate_expr(expr, X, Y) -> np.ndarray:
         vals = np.stack([np.broadcast_to(np.asarray(f(X, Y), dtype=float), X.shape) for f in expr])
     else:
         raise ValueError("expression must be a callable or a triple of component callables")
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError("sampling produced non-finite values")
     return vals
 
@@ -131,6 +137,18 @@ def _scratch_for(shape: tuple) -> tuple:
     return bufs
 
 
+def _divide(a: np.ndarray, c: float, out: np.ndarray | None = None) -> np.ndarray:
+    """a / c into out (a itself by default), with the quotient's bits.
+
+    A power of two c with a finite reciprocal multiplies by that reciprocal, which is exact, so the
+    product rounds to the quotient's bits, subnormal, signed-zero, infinite and NaN entries included.
+    Any other c divides."""
+    out = a if out is None else out
+    if math.frexp(c)[0] == 0.5 and math.isfinite(1.0 / c):
+        return np.multiply(a, 1.0 / c, out=out)
+    return np.divide(a, c, out=out)
+
+
 def _differences(values: np.ndarray, h: float, ux: np.ndarray, uy: np.ndarray) -> None:
     """Central differences u_x, u_y of a raw (3, nx, ny) array, zero boundary, into C-contiguous ux, uy."""
     ny = values.shape[2]
@@ -146,8 +164,8 @@ def _differences(values: np.ndarray, h: float, ux: np.ndarray, uy: np.ndarray) -
             np.subtract(0.0, v[:, -2], out=d[:, -1])
         else:
             d[:, 0] = 0.0
-    ux /= 2.0 * h
-    uy /= 2.0 * h
+    _divide(ux, 2.0 * h)
+    _divide(uy, 2.0 * h)
 
 
 def derivs(values: np.ndarray, h: float, out=None):
@@ -167,7 +185,7 @@ def derivs(values: np.ndarray, h: float, out=None):
 
 def _dirichlet_sum(ux: np.ndarray, uy: np.ndarray, h: float) -> float:
     """h^2 (sum u_x^2 + sum u_y^2) of spent difference arrays, which it squares in place."""
-    return h ** 2 * float(np.sum(np.square(ux, out=ux)) + np.sum(np.square(uy, out=uy)))
+    return h ** 2 * float(np.square(ux, out=ux).sum() + np.square(uy, out=uy).sum())
 
 
 def laplacian_stencil(values: np.ndarray, h: float) -> np.ndarray:
@@ -190,12 +208,11 @@ def laplacian_stencil(values: np.ndarray, h: float) -> np.ndarray:
     o[1:] += flat[:-1]
     out[:, :, 0] = first
     out -= np.multiply(values, 4.0, out=_scratch_for(values.shape)[0])
-    out /= h * h
-    return out
+    return _divide(out, h * h)
 
 
 def l2_norm_sq(u: VectorField) -> float:
-    return u.grid.h ** 2 * float(np.sum(u.values * u.values))
+    return u.grid.h ** 2 * float((u.values * u.values).sum())
 
 
 def h1_seminorm_sq(u: VectorField) -> float:
@@ -214,7 +231,7 @@ def h1_forward_sq(u: VectorField) -> float:
     h, v = u.grid.h, np.ascontiguousarray(u.values)  # C-ordered differences sum in a fixed order
     dx = np.diff(v, axis=1, prepend=0.0, append=0.0) / h
     dy = np.diff(v, axis=2, prepend=0.0, append=0.0) / h
-    return h * h * float(np.sum(dx * dx) + np.sum(dy * dy))
+    return h * h * float((dx * dx).sum() + (dy * dy).sum())
 
 
 def lattice_gradient(values: np.ndarray, h: float):
@@ -237,7 +254,7 @@ def lattice_integrate(values: np.ndarray, h: float) -> float:
     w[-1, :] *= 0.5
     w[:, 0] *= 0.5
     w[:, -1] *= 0.5
-    return h * h * float(np.sum(w * values))
+    return h * h * float((w * values).sum())
 
 
 def lattice_wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:

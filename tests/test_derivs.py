@@ -38,8 +38,9 @@ GRIDS = [GridSpec(n, n, 1.0 / (n + 1)) for n in (1, 2, 3, 15, 31, 63)] + [
     GridSpec(15, 9, 1.0 / 16),
     GridSpec(9, 31, 1.0 / 32),
     GridSpec(1, 5, 1.0 / 6),
+    GridSpec(20, 20, 1.0 / 21),  # 2h and h^2 not powers of two: the kernels divide
 ]
-FIELDS = ("bandlimited", "white", "white-F", "zero", "negative-zero", "signed-zeros", "boundary-ring")
+FIELDS = ("bandlimited", "white", "white-F", "zero", "negative-zero", "signed-zeros", "boundary-ring", "subnormal")
 
 
 def _field(g: GridSpec, kind: str) -> np.ndarray:
@@ -57,6 +58,8 @@ def _field(g: GridSpec, kind: str) -> np.ndarray:
         return np.full(shape, -0.0)
     if kind == "signed-zeros":
         return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+    if kind == "subnormal":
+        return rng.standard_normal(shape) * 1e-310
     ring = rng.standard_normal(shape)
     ring[:, 1:-1, 1:-1] = 0.0  # supported on the rows and columns next to the boundary
     return ring

@@ -5,6 +5,7 @@ from hflow.fields import discrete_laplacian_eigenvalue, eigenmode, random_bandli
 from hflow.grid import (
     GridSpec,
     VectorField,
+    _divide,
     derivs,
     h1_forward_sq,
     h1_seminorm_sq,
@@ -283,3 +284,21 @@ def test_random_bandlimited_matches_three_operand_synthesis(g):
         ref = np.einsum("ckl,ki,lj->cij", coeffs, sx, sy)
         got = random_bandlimited(g, seed, kmax).values
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("c", [2.0**-6, 2.0**-12, 2.0 / 21, (1.0 / 21) ** 2, 1.0 / 3, 2.0**-1074])
+def test_divide_keeps_the_quotient_bits(c):
+    # a power of two multiplies by its exact reciprocal and anything else divides, with the quotient's
+    # bits either way; 2^-1074, whose reciprocal overflows, must divide
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, np.inf, -np.inf, np.nan]
+    a = np.concatenate([edges, np.random.default_rng(7).standard_normal(200)])
+    a_bits = a.tobytes()
+    with np.errstate(over="ignore"):  # 1e300 / 2^-1074
+        want = (a / c).tobytes()
+        inplace = a.copy()
+        out = np.empty_like(a)
+        assert _divide(inplace, c) is inplace
+        assert _divide(a, c, out=out) is out
+    assert inplace.tobytes() == want
+    assert out.tobytes() == want
+    assert a.tobytes() == a_bits
