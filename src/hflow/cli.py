@@ -164,7 +164,8 @@ def _typed(value, spec, name: str):
 
 
 def load_config(path) -> dict:
-    """The config at path, checked against CONFIG_SCHEMA, and its ic.params against IC_PARAMS of its type."""
+    """The config at path, checked against CONFIG_SCHEMA, its ic.params against IC_PARAMS of its type, and
+    between its fields: the D_delta columns, the bubble family's range, the flow parameters, the sweep's cells."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -178,26 +179,43 @@ def load_config(path) -> dict:
         raise ConfigError(f"monitors.delta_list: {exc}") from exc
     if "ic" in cfg:
         cfg["ic"]["params"] = _typed(cfg["ic"]["params"], IC_PARAMS[cfg["ic"]["type"]], "ic.params")
-    return cfg
-
-
-def _eps_grid(cfg, g: GridSpec) -> np.ndarray:
-    well = cfg["well"]
-    count, lo, hi = well["eps_count"], well["eps_min"], well["eps_max"]
-    if count < 1:
-        raise nehari.EstimationError("empty bubble family (well.eps_count < 1)")
-    if lo == "4h":
-        eps = nehari.default_eps_grid(g, count, hi)
-        if eps[0] > hi:
+    g = make_grid(cfg["grid"]["n"])
+    lo, hi = _eps_range(cfg, g)
+    if lo > hi:
+        if cfg["well"]["eps_min"] == "4h":
             raise ConfigError(
-                f"grid n = {g.nx} is too coarse for the bubble family: eps_min = 4h = {eps[0]:g} exceeds "
+                f"grid n = {g.nx} is too coarse for the bubble family: eps_min = 4h = {lo:g} exceeds "
                 f"well.eps_max = {hi:g}; this range needs n >= {math.ceil(4.0 / hi - 1.0)}, "
                 "or set well.eps_min explicitly"
             )
-        return eps
-    if lo > hi:
         raise ConfigError(f"well.eps_min = {lo:g} exceeds well.eps_max = {hi:g}")
-    return np.geomspace(lo, hi, count)
+    _flow_params(cfg)
+    if "sweep" in cfg:
+        _sweep_cells(cfg["sweep"]["lambda_multiples"])
+    return cfg
+
+
+def _eps_range(cfg, g: GridSpec) -> tuple[float, float]:
+    """(smallest, largest) scale of the well's bubble family on g; an eps_min of "4h" is the resolution floor."""
+    lo, hi = cfg["well"]["eps_min"], cfg["well"]["eps_max"]
+    return (4.0 * g.h if lo == "4h" else lo), hi
+
+
+def _eps_grid(cfg, g: GridSpec) -> np.ndarray:
+    count = cfg["well"]["eps_count"]
+    if count < 1:
+        raise nehari.EstimationError("empty bubble family (well.eps_count < 1)")
+    return np.geomspace(*_eps_range(cfg, g), count)
+
+
+def _flow_params(cfg: dict) -> flow.FlowParams:
+    """The run's flow parameters from the config's physics, time and monitors blocks; checks dt_min < dt0."""
+    tcfg, mon = cfg["time"], cfg["monitors"]
+    return flow.FlowParams(
+        H=cfg["physics"]["H"], dt0=tcfg["dt0"], t_end=tcfg["t_end"], dt_min=tcfg["dt_min"],
+        record_every=mon["record_every"], blowup_gradient_factor=mon["blowup_gradient_factor"],
+        decay_l2_floor=mon["decay_l2_floor"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +366,7 @@ def _verdict_artifact(verdict, ic_desc, wp) -> dict:
 def _simulate_into(cfg: dict, out: Path) -> dict:
     """Classify, integrate, then write trajectory.csv and verdict.json; a non-finite series writes neither."""
     u0, ic_desc, wp, verdict = _classified_datum(cfg)
-    tcfg, mon = cfg["time"], cfg["monitors"]
-    params = flow.FlowParams(
-        H=wp.H, dt0=tcfg["dt0"], t_end=tcfg["t_end"], dt_min=tcfg["dt_min"], record_every=mon["record_every"],
-        blowup_gradient_factor=mon["blowup_gradient_factor"], decay_l2_floor=mon["decay_l2_floor"],
-    )
-    tr = flow.run(u0, params, mon["delta_list"])
+    tr = flow.run(u0, _flow_params(cfg), cfg["monitors"]["delta_list"])
     finite = [(name, np.isfinite(series)) for name, series in tr.series()]
     bad = [f"{name} from t = {tr.t[~ok][0]:.17g}" for name, ok in finite if not ok.all()]
     if bad:
@@ -553,6 +566,16 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
 # sweeps
 
 
+def _sweep_cells(values) -> dict:
+    """{cell name: lambda_multiple} of the distinct values in order; two that print alike are a config error."""
+    cells = {}
+    for v in values:
+        name = f"{v:g}"
+        if cells.setdefault(name, v) != v:
+            raise ConfigError(f"sweep.lambda_multiples: {cells[name]!r} and {v!r} share the cell name {name}")
+    return cells
+
+
 def _sweep_cell(args):
     cfg, out_dir, key = args
     try:
@@ -574,16 +597,11 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
     values = cfg["sweep"]["lambda_multiples"]
 
     jobs = []
-    seen = set()
-    for v in values:
-        key = f"lambda_multiple={v:g}"
-        if key in seen:  # duplicate cells would race on the same artifact dir
-            continue
-        seen.add(key)
+    for name, v in _sweep_cells(values).items():  # one cell per value: duplicates would race on its directory
         cell_cfg = json.loads(json.dumps(cfg))  # deep copy
         cell_cfg["ic"]["params"]["lambda_multiple"] = v
         cell_cfg.pop("sweep", None)
-        jobs.append((cell_cfg, str(out / f"cell_lm_{v:g}"), key))
+        jobs.append((cell_cfg, str(out / f"cell_lm_{name}"), f"lambda_multiple={name}"))
 
     workers = min(cfg["sweep"]["max_workers"] or 4, len(jobs))  # a worker beyond the cells would idle
     if workers > 1:

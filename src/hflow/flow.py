@@ -13,10 +13,9 @@ The energy monitored along the run is the scheme-compatible one,
     E_fwd(u) = energy_of(h1_forward_sq(u), V, H),  V = integral u . u_x ^ u_y,
 
 whose quadratic part pairs exactly with the 5-point Laplacian (summation by
-parts); it and |u|_2^2 are h^2 sum mu w_hat^2 and h^2 sum w_hat^2 of the
-orthonormal spectrum w_hat of the solve (an isometry), read off its
-unnormalised one with the passes' scale folded in.  With this pairing the
-per-step defect
+parts); it and |u|_2^2 are read off the sine spectrum of the solve that made
+the state (`_Workspace.spectral_energies`), and the initial state's spectrum
+is the solve's at dt = 0.  With this pairing the per-step defect
 
     |dt |u_t|_2^2 + E_fwd(t+dt) - E_fwd(t)|
 
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import functionals
 from .fields import discrete_laplacian_eigenvalue
-from .grid import GridSpec, VectorField, _divide, _scratch_for, laplacian_stencil
+from .grid import GridSpec, VectorField, _scratch_for, laplacian_stencil
 
 REACHED_HORIZON = "reached-horizon"
 BLOWUP_SUSPECTED = "blowup-suspected"
@@ -172,21 +171,10 @@ class _Workspace:
         np.fft.rfft(self.xpad, axis=1, out=self.xspec)
         return self.xspec.imag[:, 1 : nx + 1]
 
-    def sine_transform(self, a: np.ndarray, out: np.ndarray) -> None:
-        """Orthonormal DST-I of a over the last two axes into the C-contiguous out.
-
-        The transform is its own inverse.  Writing into C-contiguous arrays
-        makes reductions over them sum in a fixed order.
-        """
-        _divide(self._transform(a), math.sqrt(self.scale), out=out)
-
-    def spectral_energies(self, spec: np.ndarray, weight: float) -> tuple[float, float]:
-        """weight (sum s^2, sum mu s^2) of a spectrum s (squared in place).
-
-        That is (|u|_2^2, h1_forward_sq(u)) for the orthonormal spectrum s of u
-        with weight h^2, or for the solve's spectrum, which is the orthonormal
-        one over sqrt(scale), with weight h^2 scale.
-        """
+    def spectral_energies(self, spec: np.ndarray) -> tuple[float, float]:
+        """(|u|_2^2, h1_forward_sq(u)) = h^2 scale (sum s^2, sum mu s^2) of the solve's spectrum s of u,
+        the orthonormal one over sqrt(scale) (squared in place; C-contiguous, so it sums in a fixed order)."""
+        weight = self.grid.h * self.grid.h * self.scale
         sq = np.square(spec, out=spec)
         l2 = weight * float(sq.sum())
         sq *= self.mu
@@ -203,10 +191,9 @@ class _Workspace:
         # every trajectory's bits
         np.divide(self._transform(b), self.den, out=self.spec)
         w = self._transform(self.spec).copy()
-        h = self.grid.h
         # before the residual check overwrites spec; the stencil's 4v term takes mid, which is written after it
-        self.energies = self.spectral_energies(self.spec, h * h * self.scale)
-        r = laplacian_stencil(w, h)
+        self.energies = self.spectral_energies(self.spec)
+        r = laplacian_stencil(w, self.grid.h)
         r *= dt
         r = np.subtract(w, r, out=self.mid)
         r -= b
@@ -239,14 +226,14 @@ def solve_helmholtz(rhs: VectorField, dt: float, *, _workspace: _Workspace | Non
 
 class _State:
     """Per-accepted-state quantities of u in the buffers of ws: h1, vol and the wedge from the functionals'
-    pass; l2 and h1_fwd from `energies`, the solve's `ws.energies` of u, or else one forward sine transform."""
+    pass; l2 and h1_fwd from `energies`, the solve's `ws.energies` of u, or else from the solve's spectrum of
+    u at dt = 0, `ws._transform(u) / ws.scale`."""
 
     __slots__ = ("u", "wedge", "l2", "h1", "h1_fwd", "vol", "E_fwd", "D")
 
     def __init__(self, u: VectorField, H: float, ws: _Workspace, energies: tuple[float, float] | None = None):
         if energies is None:
-            ws.sine_transform(u.values, ws.spec)
-            energies = ws.spectral_energies(ws.spec, u.grid.h * u.grid.h)
+            energies = ws.spectral_energies(np.divide(ws._transform(u.values), ws.scale, out=ws.spec))
         self.u = u
         self.wedge = np.empty(u.values.shape)
         self.l2, self.h1_fwd = energies

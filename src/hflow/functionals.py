@@ -5,8 +5,8 @@ reads off a field u (H is the constant mean curvature, H > 0):
 
     A = dirichlet(u) = integral |grad u|^2       (central differences)
     V                = integral u . u_x ^ u_y    (report's volume is (2/3) H V)
-    energy_E(u)            = energy_of(A, V, H)        = A/2 + (2/3) H V
-    nehari_D_delta(u, ...) = nehari_of(A, V, H, delta) = delta A + 2 H V  (nehari_D: delta = 1)
+    energy_E(u, H)        = energy_of(A, V, H)        = A/2 + (2/3) H V
+    nehari_D(u, H, delta) = nehari_of(A, V, H, delta) = delta A + 2 H V  (D at delta = 1)
 
 so nehari = dirichlet + 3*volume and energy = dirichlet/6 + nehari/3 hold up
 to rounding.  ||u|| denotes sqrt(A) throughout the package.
@@ -61,11 +61,7 @@ def energy_E(u: VectorField, H: float) -> float:
     return energy_of(*_dirichlet_and_volume(u), H)
 
 
-def nehari_D(u: VectorField, H: float) -> float:
-    return nehari_of(*_dirichlet_and_volume(u), H)
-
-
-def nehari_D_delta(u: VectorField, H: float, delta: float) -> float:
+def nehari_D(u: VectorField, H: float, delta: float = 1.0) -> float:
     _check_delta(delta)
     return nehari_of(*_dirichlet_and_volume(u), H, delta)
 

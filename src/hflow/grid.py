@@ -26,10 +26,10 @@ h^2 * sum(laplacian_stencil(v, h) * v) == -h1_forward_sq(u) for u with
 values v, which is the compatibility pairing used by the energy-identity
 monitor in `flow`.
 
-Dividing a grid array by 2h, h^2 or the sine transform's sqrt(scale) goes
-through `_divide`: it multiplies by the exact reciprocal when the divisor is
-a power of two, as on every grid with n + 1 a power of two, and divides
-otherwise, with the quotient's bits either way.
+Dividing a grid array by 2h or h^2 goes through `_divide`: it multiplies by
+the exact reciprocal when the divisor is a power of two, as on every grid
+with n + 1 a power of two, and divides otherwise, with the quotient's bits
+either way.
 
 `_scratch_for(shape)` owns the thread's full-grid scratch: the float-valued
 passes, the stencil's 4v term (buffer 0) and the flow's workspace borrow it,
@@ -96,15 +96,10 @@ def lattice_coords(g: GridSpec):
 
 
 def _evaluate_expr(expr, X, Y) -> np.ndarray:
-    """The finite (3, *X.shape) values of expr at the nodes (X, Y)."""
-    if callable(expr):
-        vals = np.asarray(expr(X, Y), dtype=float)
-        if vals.shape != (3,) + X.shape:
-            raise ValueError(f"expression returned shape {vals.shape}, expected {(3,) + X.shape}")
-    elif len(expr) == 3:
-        vals = np.stack([np.broadcast_to(np.asarray(f(X, Y), dtype=float), X.shape) for f in expr])
-    else:
-        raise ValueError("expression must be a callable or a triple of component callables")
+    """The finite (3, *X.shape) values of the callable expr at the nodes (X, Y)."""
+    vals = np.asarray(expr(X, Y), dtype=float)
+    if vals.shape != (3,) + X.shape:
+        raise ValueError(f"expression returned shape {vals.shape}, expected {(3,) + X.shape}")
     if not np.isfinite(vals).all():
         raise ValueError("sampling produced non-finite values")
     return vals
@@ -113,10 +108,9 @@ def _evaluate_expr(expr, X, Y) -> np.ndarray:
 def sample(expr, g: GridSpec) -> VectorField:
     """Sample an analytic field on the interior nodes.
 
-    `expr` is either a callable (X, Y) -> (3, nx, ny) or a triple of scalar
-    component callables.  Boundary values of the expression are discarded
-    (the field is zero on the boundary regardless), which clips non-H_0^1
-    expressions.
+    `expr` is a callable (X, Y) -> (3, nx, ny).  Boundary values of the
+    expression are discarded (the field is zero on the boundary regardless),
+    which clips non-H_0^1 expressions.
     """
     return VectorField(g, _evaluate_expr(expr, *interior_coords(g)))
 

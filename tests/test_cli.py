@@ -305,6 +305,24 @@ def test_preset_artifacts_are_strict_and_finite(tmp_path, path):
     assert first["h1_sq"] == details["dirichlet"]
 
 
+def test_t22_stop_time_falls_as_dt0_halves(tmp_path):
+    # the blow-up stop time is not converged in dt: each halving of dt0 keeps t22's verdict, status and
+    # stop reason and stops strictly earlier (3.461, 3.083, 2.705 ms when measured; no time is pinned)
+    cfg = json.loads(Path("presets/t22.json").read_text(encoding="utf-8"))
+    cfg["monitors"]["record_every"] = 1
+    t_last = []
+    for dt0 in (5e-4, 2.5e-4, 1.25e-4):
+        cfg["time"]["dt0"] = dt0
+        path, out = tmp_path / f"{dt0:g}.json", tmp_path / f"{dt0:g}"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        verdict = json.loads((out / "verdict.json").read_text(encoding="utf-8"))
+        got = (verdict["verdict"]["applicable_theorem"], verdict["run"]["status"], verdict["run"]["stop_reason"])
+        assert got == ("t22", *PRESET_OUTCOMES["t22"])
+        t_last.append(verdict["run"]["t_last"])
+    assert t_last[0] > t_last[1] > t_last[2]
+
+
 def test_import_leaves_process_pool_unloaded():
     src = str(Path(hflow.__file__).resolve().parents[1])
     code = "import sys, hflow.cli; sys.exit('concurrent.futures.process' in sys.modules)"
@@ -402,6 +420,7 @@ def test_real_config_fields_reject_non_numbers(tmp_path, capsys, field, command,
     assert not any(out.glob("*"))
 
 
+_SWEEP = {"sweep": {"lambda_multiples": [0.2, 1.6], "max_workers": 1}}  # a two-cell sweep block
 _REJECTED = [  # (command, config overrides, error): before the schema, each exited 0 or named no field
     ("simulate", {"monitors": {"record_evry": 1}}, "unknown config key monitors.record_evry"),
     ("classify", {"grd": {"n": 15}}, "unknown config key grd"),
@@ -459,6 +478,30 @@ _REJECTED = [  # (command, config overrides, error): before the schema, each exi
     ("verify-lemmas --seed -1", {"corpus": {"count": 2}}, "--seed must be >= 0, got -1"),
     # a negative max_workers ran the cells one after another
     ("sweep", {"sweep": {"lambda_multiples": [0.2, 1.6], "max_workers": -1}}, "sweep.max_workers must be >= 0, got -1"),
+    # checks between fields: each made the output directory first, and under sweep every cell failed on
+    # it, so the sweep exited 2
+    ("simulate", {"time": {"dt0": 1e-3, "dt_min": 1e-3}}, "need 0 < dt_min < dt0, got dt_min=0.001, dt0=0.001"),
+    ("sweep", {"time": {"dt0": 1e-3, "dt_min": 2e-3}, **_SWEEP}, "need 0 < dt_min < dt0, got dt_min=0.002, dt0=0.001"),
+    ("simulate", {"well": {"eps_min": 0.3, "eps_max": 0.2}}, "well.eps_min = 0.3 exceeds well.eps_max = 0.2"),
+    ("sweep", {"well": {"eps_min": 0.25, "eps_max": 0.2}, **_SWEEP}, "well.eps_min = 0.25 exceeds well.eps_max = 0.2"),
+    (
+        "simulate",
+        {"grid": {"n": 15}, "well": {"eps_max": 0.2}},
+        "grid n = 15 is too coarse for the bubble family: eps_min = 4h = 0.25 exceeds well.eps_max = 0.2; "
+        "this range needs n >= 19, or set well.eps_min explicitly",
+    ),
+    (
+        "sweep",
+        {"grid": {"n": 15}, "well": {"eps_max": 0.1}, **_SWEEP},
+        "grid n = 15 is too coarse for the bubble family: eps_min = 4h = 0.25 exceeds well.eps_max = 0.1; "
+        "this range needs n >= 39, or set well.eps_min explicitly",
+    ),
+    # two multiples that print alike: one cell ran, cell_lm_0.123457, while index.json listed both
+    (
+        "sweep",
+        {"sweep": {"lambda_multiples": [0.1234567, 0.1234568], "max_workers": 1}},
+        "sweep.lambda_multiples: 0.1234567 and 0.1234568 share the cell name 0.123457",
+    ),
 ]
 
 
@@ -722,7 +765,7 @@ def test_verify_lemmas_takes_one_pass_per_member_and_scale(tmp_path, monkeypatch
     # (dirichlet, volume) pass each, and no report; the Nehari sign checks read D_delta off the
     # direction's pair and make no pass
     inside = {"estimate_d": 0, "search": 0}
-    calls = {"fibering_coeffs": [], "report": 0, "energy_E": 0, "nehari_D": 0, "nehari_D_delta": 0, "derivs": 0}
+    calls = {"fibering_coeffs": [], "report": 0, "energy_E": 0, "nehari_D": 0, "derivs": 0}
 
     def scope(name, real):
         def f(*args, **kwargs):
@@ -747,7 +790,7 @@ def test_verify_lemmas_takes_one_pass_per_member_and_scale(tmp_path, monkeypatch
     monkeypatch.setattr(nehari, "estimate_d", scope("estimate_d", nehari.estimate_d))
     monkeypatch.setattr(nehari, "golden_section_peak", scope("search", nehari.golden_section_peak))
     monkeypatch.setattr(nehari, "fibering_coeffs", counting("fibering_coeffs", nehari.fibering_coeffs))
-    for name in ("report", "energy_E", "nehari_D", "nehari_D_delta", "derivs"):
+    for name in ("report", "energy_E", "nehari_D", "derivs"):
         monkeypatch.setattr(functionals, name, counting(name, getattr(functionals, name)))
     count = 8
     cfg = write_config(tmp_path / "c.json", grid={"n": 15}, corpus={"count": count, "kmax": 5}, seed=7)
@@ -761,7 +804,7 @@ def test_verify_lemmas_takes_one_pass_per_member_and_scale(tmp_path, monkeypatch
     # own passes), and the energies of the well-depth curve rows
     assert calls["report"] == 0
     assert calls["energy_E"] == len(cli.DELTA_TABLE)
-    assert calls["nehari_D"] == calls["nehari_D_delta"] == 0
+    assert calls["nehari_D"] == 0
     # derivative passes outside the search: one per member, the fiber map's five scales, the family of
     # estimate_d and the depth-curve rows
     assert calls["derivs"] == count + 5 * directions + eps_count + len(cli.DELTA_TABLE)
@@ -789,9 +832,9 @@ def test_nehari_sign_blocks_match_the_grid(tmp_path, monkeypatch, radius_factor,
         for delta in cli.NEHARI_DELTAS:
             r = functionals.r_of_delta(delta, H)
             s = 0.9 * r / math.sqrt(cw.A)
-            small_norm &= functionals.nehari_D_delta(w.scaled(s), H, delta) > 0.0
+            small_norm &= functionals.nehari_D(w.scaled(s), H, delta) > 0.0
             c_neg = 1.5 * project_nehari_delta(cw, delta)
-            if functionals.nehari_D_delta(w.scaled(c_neg), H, delta) < 0.0:
+            if functionals.nehari_D(w.scaled(c_neg), H, delta) < 0.0:
                 negative_implies_large &= c_neg * math.sqrt(cw.A) > r
     assert signs == {True, False}
     assert small_norm == negative_implies_large == (code == EXIT_OK)

@@ -21,7 +21,6 @@ from hflow.functionals import (
     energy_E,
     isoperimetric_gap,
     nehari_D,
-    nehari_D_delta,
     report,
 )
 from hflow.grid import (
@@ -112,11 +111,12 @@ def _ref_h1_forward(v, h):
 
 
 def _spectral_energies(v, g):
-    """(h^2 sum s^2, h^2 sum mu s^2) of the sine spectrum s of v, in the order `_State` sums them."""
-    ws, spec = _Workspace(g), np.empty((3, g.nx, g.ny))
-    ws.sine_transform(v, spec)
-    sq = spec * spec
-    return g.h * g.h * float(np.sum(sq)), g.h * g.h * float(np.sum(sq * ws.mu))
+    """(w sum s^2, w sum mu s^2), w = h^2 scale, of the solve's spectrum s = T(v) / scale of v at dt = 0,
+    in the order `_State` sums them."""
+    ws = _Workspace(g)
+    sq = np.square(ws._transform(v) / ws.scale)
+    weight = g.h * g.h * ws.scale
+    return weight * float(np.sum(sq)), weight * float(np.sum(sq * ws.mu))
 
 
 def _bits(x):
@@ -146,7 +146,7 @@ def test_routed_functions_match_padded_compositions_bitwise(g, kind):
     _same(_dirichlet_and_volume(u)[1], vol)
     _same(energy_E(u, H), 0.5 * h1 + (2.0 / 3.0) * H * vol)
     _same(nehari_D(u, H), h1 + 2.0 * H * vol)
-    _same(nehari_D_delta(u, H, 0.75), 0.75 * h1 + 2.0 * H * vol)
+    _same(nehari_D(u, H, 0.75), 0.75 * h1 + 2.0 * H * vol)
     _same(isoperimetric_gap(u), h1 - ISOPERIMETRIC_CONST * abs(vol) ** (2.0 / 3.0))
     c = fibering_coeffs(u, H)
     _same(c.A, h1)
@@ -186,7 +186,7 @@ def test_zero_field_gives_positive_zeros(g):
     c = fibering_coeffs(u, 2.0)
     scalars = [
         h1_seminorm_sq(u), _dirichlet_and_volume(u)[1], energy_E(u, 2.0), nehari_D(u, 2.0),
-        nehari_D_delta(u, 2.0, 0.5), isoperimetric_gap(u), c.A, c.B,
+        nehari_D(u, 2.0, 0.5), isoperimetric_gap(u), c.A, c.B,
         rep.dirichlet, rep.volume, rep.energy, rep.nehari, rep.l2_sq,
     ]  # fmt: skip
     assert all(x == 0.0 and math.copysign(1.0, x) == 1.0 for x in scalars)
@@ -224,7 +224,7 @@ def test_each_entry_point_takes_one_derivative_pass(monkeypatch):
     entries = {
         "energy_E": lambda: energy_E(u, 1.0),
         "nehari_D": lambda: nehari_D(u, 1.0),
-        "nehari_D_delta": lambda: nehari_D_delta(u, 1.0, 0.5),
+        "nehari_D at delta 0.5": lambda: nehari_D(u, 1.0, 0.5),
         "isoperimetric_gap": lambda: isoperimetric_gap(u),
         "_dirichlet_and_volume": lambda: _dirichlet_and_volume(u)[1],
         "fibering_coeffs": lambda: fibering_coeffs(u, 1.0),
@@ -248,7 +248,7 @@ def _scalars(u, H):
     c = fibering_coeffs(u, H)
     rep = report(u, H)
     return [
-        h1_seminorm_sq(u), _dirichlet_and_volume(u)[1], energy_E(u, H), nehari_D(u, H), nehari_D_delta(u, H, 0.5),
+        h1_seminorm_sq(u), _dirichlet_and_volume(u)[1], energy_E(u, H), nehari_D(u, H), nehari_D(u, H, 0.5),
         isoperimetric_gap(u), c.A, c.B, rep.dirichlet, rep.volume, rep.energy, rep.nehari, rep.l2_sq,
     ]  # fmt: skip
 

@@ -19,7 +19,7 @@ from hflow.flow import (
     solve_helmholtz,
     trajectory_columns,
 )
-from hflow.functionals import _dirichlet_and_volume, nehari_D_delta, report
+from hflow.functionals import _dirichlet_and_volume, nehari_D, report
 from hflow.grid import (
     GridSpec,
     VectorField,
@@ -59,13 +59,13 @@ def test_sine_transform_matches_dense_sine_matrix(nx, ny):
     x = rng.standard_normal((3, nx, ny))
     x_before = x.copy()
     ws = _Workspace(GridSpec(nx=nx, ny=ny, h=1.0 / (max(nx, ny) + 1)))
-    fast, back = np.empty(x.shape), np.empty(x.shape)
-    ws.sine_transform(x, fast)
+    # the passes' output over their gain sqrt(scale) is the orthonormal transform
+    fast = ws._transform(x) / math.sqrt(ws.scale)
     dense = _dense_sine_matrix(nx) @ x @ _dense_sine_matrix(ny)
     assert np.array_equal(x, x_before)
     assert np.max(np.abs(fast - dense)) <= 1e-13 * np.max(np.abs(dense))
     # the orthonormal DST-I is its own inverse
-    ws.sine_transform(fast, back)
+    back = ws._transform(fast) / math.sqrt(ws.scale)
     assert np.max(np.abs(back - x)) <= 1e-13 * np.max(np.abs(x))
 
 
@@ -84,8 +84,7 @@ def test_sine_transform_is_accurate_to_round_off(nx, ny):
     rng = np.random.default_rng(1000 * nx + ny)
     x = rng.standard_normal((3, nx, ny))
     ws = _Workspace(GridSpec(nx=nx, ny=ny, h=1.0 / (max(nx, ny) + 1)))
-    fast = np.empty(x.shape)
-    ws.sine_transform(x, fast)
+    fast = ws._transform(x) / math.sqrt(ws.scale)
     ref = _longdouble_sine_matrix(nx) @ x.astype(np.longdouble) @ _longdouble_sine_matrix(ny)
     assert float(np.max(np.abs(fast - ref)) / np.max(np.abs(ref))) <= 8e-16
 
@@ -119,7 +118,7 @@ def test_state_matches_reference_functionals(n):
 )
 def test_state_spectral_energies_match_field_sums(g):
     # |u|_2^2 and the forward form are read off the sine spectrum: of the solve that made the
-    # state, or of one forward transform for a state without one
+    # state, or of the solve at dt = 0 for a state without one
     rng = np.random.default_rng(g.nx * g.ny)
     ws = _Workspace(g)
     h2 = g.h * g.h
@@ -346,8 +345,8 @@ def test_run_records_consistent_series(g31):
     assert tr.l2_sq[0] == pytest.approx(rep.l2_sq, rel=1e-13)
     assert tr.h1_sq[0] == pytest.approx(rep.dirichlet, rel=1e-13)
     assert tr.D[0] == pytest.approx(rep.nehari, rel=1e-13)
-    assert tr.D_delta[0, 0] == pytest.approx(nehari_D_delta(u0, 1.0, 0.5), rel=1e-13)
-    assert tr.D_delta[0, 1] == pytest.approx(nehari_D_delta(u0, 1.0, 1.25), rel=1e-13)
+    assert tr.D_delta[0, 0] == pytest.approx(nehari_D(u0, 1.0, 0.5), rel=1e-13)
+    assert tr.D_delta[0, 1] == pytest.approx(nehari_D(u0, 1.0, 1.25), rel=1e-13)
     # the recorded energy is the scheme-compatible one
     assert tr.E[0] == pytest.approx(0.5 * h1_forward_sq(u0) + rep.volume, rel=1e-12)
     # 50 steps leave the last one off the record_every grid: the stop row is the final state

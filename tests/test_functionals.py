@@ -13,14 +13,15 @@ from hflow.functionals import (
     energy_of,
     isoperimetric_gap,
     nehari_D,
-    nehari_D_delta,
     nehari_of,
     r_of_delta,
     report,
 )
 from hflow.grid import (
     VectorField,
+    h1_forward_sq,
     h1_seminorm_sq,
+    l2_norm_sq,
     lattice_gradient,
     lattice_integrate,
     lattice_wedge,
@@ -79,8 +80,8 @@ def test_report_consistency_identities(g31):
         # report values match the standalone operations
         assert rep.dirichlet == pytest.approx(h1_seminorm_sq(u), rel=1e-13)
         assert rep.energy == pytest.approx(energy_E(u, 1.3), rel=1e-12)
-        assert nehari_D_delta(u, 1.3, 1.0) == pytest.approx(rep.nehari, rel=1e-12)
-        assert nehari_D_delta(u, 1.3, 0.5) == pytest.approx(0.5 * rep.dirichlet + 3.0 * rep.volume, rel=1e-12)
+        assert nehari_D(u, 1.3, 1.0) == pytest.approx(rep.nehari, rel=1e-12)
+        assert nehari_D(u, 1.3, 0.5) == pytest.approx(0.5 * rep.dirichlet + 3.0 * rep.volume, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [15, 31, 63])
@@ -117,7 +118,7 @@ def test_functionals_are_the_pair_functions_of_their_pass(g31, kind):
     assert energy_E(u, H) == energy_of(a, v, H)
     assert nehari_D(u, H) == nehari_of(a, v, H) == nehari_of(a, v, H, 1.0)
     for delta in deltas:
-        assert nehari_D_delta(u, H, delta) == nehari_of(a, v, H, delta)
+        assert nehari_D(u, H, delta) == nehari_of(a, v, H, delta)
     s = _State(u, H, _Workspace(g31))
     assert (s.h1, s.vol) == (a, v)
     assert s.E_fwd == energy_of(s.h1_fwd, v, H)
@@ -153,7 +154,7 @@ def test_nehari_delta_domain(g31):
     u = random_bandlimited(g31, seed=1)
     for bad in (0.0, 1.5, -1.0):
         with pytest.raises(ValueError):
-            nehari_D_delta(u, 1.0, bad)
+            nehari_D(u, 1.0, bad)
 
 
 def test_isoperimetric_gap_single_component(g63):
@@ -187,7 +188,7 @@ def test_small_norm_forces_positive_nehari(g63):
         a = h1_seminorm_sq(u)
         for delta in (0.5, 1.0, 1.25):
             s = 0.9 * r_of_delta(delta, H) / math.sqrt(a)
-            assert nehari_D_delta(u.scaled(s), H, delta) > 0.0
+            assert nehari_D(u.scaled(s), H, delta) > 0.0
 
 
 def test_negative_nehari_forces_large_norm(g63):
@@ -203,5 +204,19 @@ def test_negative_nehari_forces_large_norm(g63):
         for delta in (0.5, 1.0, 1.25):
             s = 1.5 * (-delta * a / (2.0 * bw))  # past the delta-Nehari crossing
             scaled = w.scaled(s)
-            assert nehari_D_delta(scaled, H, delta) < 0.0
+            assert nehari_D(scaled, H, delta) < 0.0
             assert math.sqrt(h1_seminorm_sq(scaled)) > r_of_delta(delta, H)
+
+
+@pytest.mark.parametrize("n", [15, 63])
+def test_central_form_has_a_null_mode(n):
+    # a field constant on the nodes whose indices (from 1) are both odd has no central difference
+    # anywhere on an odd grid: its central dirichlet and volume are exactly 0 while its L^2 norm is
+    # |c|^2 / 4; the forward form, which the flow dissipates, sees it
+    c = np.array([1.0, -2.0, 2.0]) / 3.0
+    v = np.zeros((3, n, n))
+    v[:, ::2, ::2] = c[:, None, None]
+    u = VectorField(make_grid(n), v)
+    assert _dirichlet_and_volume(u) == (0.0, 0.0)
+    assert l2_norm_sq(u) == pytest.approx(0.25 * float(c @ c), rel=1e-14)
+    assert h1_forward_sq(u) > 0.0

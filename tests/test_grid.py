@@ -44,11 +44,6 @@ def test_sample_zero_and_values(g63):
     assert m.values[0, 31, 31] == pytest.approx(1.0)
 
 
-def test_sample_triple_of_callables(g31):
-    u = sample((lambda X, Y: X, lambda X, Y: Y, lambda X, Y: X * Y), g31)
-    assert np.array_equal(u.values, sample(poly_xyxy, g31).values)
-
-
 def test_sample_rejects_nonfinite(g31):
     with pytest.raises(ValueError, match="non-finite"):
         sample(lambda X, Y: np.stack([np.full_like(X, np.inf), Y, X]), g31)

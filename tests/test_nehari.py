@@ -8,7 +8,7 @@ import pytest
 from hflow.classify import SIGN_TOL_FACTOR
 from hflow.cli import _amplitude_for_energy_level
 from hflow.fields import random_bandlimited
-from hflow.functionals import a_of_delta, energy_E, nehari_D, nehari_D_delta, r_of_delta
+from hflow.functionals import a_of_delta, energy_E, nehari_D, r_of_delta
 from hflow.grid import VectorField, h1_seminorm_sq, make_grid
 from hflow.nehari import (
     EstimationError,
@@ -61,7 +61,7 @@ def test_fibering_reproduces_functionals(g31):
         assert energy == pytest.approx(energy_E(u.scaled(lam), 1.0), rel=1e-12)
         for delta in (0.5, 1.0, 1.25):
             assert delta * lam**2 * c.A + 2.0 * lam**3 * c.B == pytest.approx(
-                nehari_D_delta(u.scaled(lam), 1.0, delta), rel=1e-12, abs=1e-13
+                nehari_D(u.scaled(lam), 1.0, delta), rel=1e-12, abs=1e-13
             )
 
 
@@ -121,7 +121,7 @@ def test_projection_zeroes_nehari_and_energy_form(g63):
     for delta in (0.5, 1.0, 1.25):
         lam = project_nehari_delta(c, delta)
         scaled = u.scaled(lam)
-        assert abs(nehari_D_delta(scaled, H, delta)) <= 1e-10 * c.A * lam * lam
+        assert abs(nehari_D(scaled, H, delta)) <= 1e-10 * c.A * lam * lam
         assert energy_E(scaled, H) == pytest.approx(
             a_of_delta(delta) * lam * lam * c.A, rel=1e-11
         )
