@@ -76,7 +76,7 @@ IC_PARAMS = {  # ic.params of each ic.type
                   "component": Field(INTEGER, 0, ">= 0, <= 2")},
     "bubble": {"center": _CENTER, "eps": Field(NUMBER, 0.25, "> 0"), "amplitude": Field(NUMBER, 1.0)},
     "random-bandlimited": {"seed": Field(INTEGER, bounds=">= 0"), "kmax": Field(INTEGER, 6, ">= 1"),
-                           "h1_norm": Field(NUMBER, None, words=(None,))},  # null: no rescaling
+                           "h1_norm": Field(NUMBER, None, "> 0", words=(None,))},  # null: no rescaling
     "scaled-direction": {
         "direction": {"type": Field(None, "bubble", words=("bubble",)), "center": _CENTER,
                       "eps": Field(NUMBER, 0.25, "> 0", words=("optimal",))},
@@ -103,9 +103,8 @@ CONFIG_SCHEMA = {
         "decay_l2_floor": Field(NUMBER, 1e-16, "> 0"),
         "tol_d": Field(NUMBER, 1e-3, ">= 0"),
     },
-    # an eps_count below 1 empties the family: a numerical failure, not a config error
     "well": {"eps_min": Field(NUMBER, "4h", "> 0", words=("4h",)), "eps_max": Field(NUMBER, 0.35, "> 0"),
-             "eps_count": Field(INTEGER, 12), "center": _CENTER},
+             "eps_count": Field(INTEGER, 12, ">= 1"), "center": _CENTER},
     "corpus": {"count": Field(INTEGER, 50), "kmax": Field(INTEGER, 6, ">= 1"), "seed": Field(INTEGER, bounds=">= 0"),
                "saturation_probe": Field(FLAG, False)},
     "output": {"path": Field(TEXT, "out")},
@@ -201,13 +200,6 @@ def _eps_range(cfg, g: GridSpec) -> tuple[float, float]:
     return (4.0 * g.h if lo == "4h" else lo), hi
 
 
-def _eps_grid(cfg, g: GridSpec) -> np.ndarray:
-    count = cfg["well"]["eps_count"]
-    if count < 1:
-        raise nehari.EstimationError("empty bubble family (well.eps_count < 1)")
-    return np.geomspace(*_eps_range(cfg, g), count)
-
-
 def _flow_params(cfg: dict) -> flow.FlowParams:
     """The run's flow parameters from the config's physics, time and monitors blocks; checks dt_min < dt0."""
     tcfg, mon = cfg["time"], cfg["monitors"]
@@ -248,15 +240,17 @@ def write_trajectory_csv(path: Path, tr: flow.TrajectoryRecord) -> None:
 # initial-condition library
 
 
-def _amplitude_for_energy_level(coeffs, level_energy: float, branch: str) -> float:
-    """Scale m * lambda* so that E(m lambda* w) = (3 - 2m) m^2 * peak equals level_energy.
+def _amplitude_for_energy_level(coeffs, level: float, d: float, branch: str) -> float:
+    """Scale m * lambda* so that E(m lambda* w) = (3 - 2m) m^2 * peak equals level * d.
 
     below-peak takes m in (0, 1], where D >= 0; above-peak takes m in (1, 3/2), where D < 0.
     """
     peak = nehari.fiber_peak_energy(coeffs)
-    ratio = level_energy / peak
+    ratio = level * d / peak
     if not (0.0 < ratio <= 1.0):
-        raise ConfigError(f"energy level {level_energy} unreachable on this fiber (peak {peak})")
+        raise ConfigError(
+            f"ic.params.energy_level = {level:g} is unreachable on this fiber: its peak is {peak / d:.3g}·d"
+        )
     below, above = nehari.delta_roots(ratio, 1.0)
     # on the fiber D(m lambda* w) = (1 - m) dirichlet, and classify reads |D| <= SIGN_TOL_FACTOR dirichlet as
     # zero: on the peak (ratio 1, both roots 1) the above-peak datum sits 10 times that far above it, so D < 0
@@ -267,15 +261,8 @@ def _amplitude_for_energy_level(coeffs, level_energy: float, branch: str) -> flo
 def build_initial_condition(cfg: dict, g: GridSpec, H: float, wp=None):
     """Construct u0 from the config's ic block; returns (field, description).
 
-    `wp` is the command's well; without it the config's well is estimated, once and only if the IC reads it.
+    `wp` is the command's well; without it a scaled-direction IC estimates the config's well.
     """
-
-    def well() -> nehari.WellParameters:
-        nonlocal wp
-        if wp is None:
-            wp = _well_parameters(cfg, g, H)
-        return wp
-
     if "ic" not in cfg:
         raise ConfigError("config needs an ic block with a type")
     kind, params = cfg["ic"]["type"], cfg["ic"]["params"]
@@ -293,10 +280,11 @@ def build_initial_condition(cfg: dict, g: GridSpec, H: float, wp=None):
             raise ConfigError("random ICs need a seed (ic.params.seed, top-level seed, or --seed)")
         u0 = fields.random_bandlimited(g, seed, params["kmax"], params["h1_norm"])
         return u0, {"type": kind, **params, "seed": seed}
-    # scaled-direction: an eps of "optimal" is the scale of the minimizer of well()'s family
+    # scaled-direction: an eps of "optimal" is the scale of the minimizer of the well's family
+    wp = _well_parameters(cfg, g, H) if wp is None else wp
     direction = dict(params["direction"])
     if direction["eps"] == "optimal":
-        direction["eps"] = nehari.family_minimizer(well())[0]
+        direction["eps"] = nehari.family_minimizer(wp)[0]
     w = nehari.bubble_direction(g, H, direction["center"], direction["eps"])
     coeffs = nehari.fibering_coeffs(w, H)
     lam = nehari.lambda_star(coeffs)
@@ -304,7 +292,7 @@ def build_initial_condition(cfg: dict, g: GridSpec, H: float, wp=None):
         amp = params["lambda_multiple"] * lam
         desc = {"lambda_multiple": params["lambda_multiple"]}
     elif "energy_level" in params:
-        amp = _amplitude_for_energy_level(coeffs, params["energy_level"] * well().d, params["branch"])
+        amp = _amplitude_for_energy_level(coeffs, params["energy_level"], wp.d, params["branch"])
         desc = {"energy_level": params["energy_level"], "branch": params["branch"]}
     elif "e54_margin" in params:
         # |c w|_2 < -(c^3/3) B needs c^2 > 3 |w|_2 / (-B); E(c w) <= 0 needs c >= 1.5 lambda*
@@ -322,7 +310,8 @@ def build_initial_condition(cfg: dict, g: GridSpec, H: float, wp=None):
 
 
 def _well_parameters(cfg, g: GridSpec, H: float) -> nehari.WellParameters:
-    return nehari.estimate_d(H, g, eps_grid=_eps_grid(cfg, g), center=tuple(cfg["well"]["center"]))
+    eps_grid = np.geomspace(*_eps_range(cfg, g), cfg["well"]["eps_count"])
+    return nehari.estimate_d(H, g, eps_grid=eps_grid, center=tuple(cfg["well"]["center"]))
 
 
 def cmd_compute_well_depth(cfg: dict, out: Path) -> int:
@@ -351,7 +340,7 @@ def _classified_datum(cfg: dict):
     g, H = make_grid(cfg["grid"]["n"]), cfg["physics"]["H"]
     wp = _well_parameters(cfg, g, H)
     u0, ic_desc = build_initial_condition(cfg, g, H, wp)
-    sampler = nehari.default_lambda_sampler(g, H, cfg.get("seed", 0))
+    sampler = nehari.lambda_sampler(g, wp, cfg.get("seed", 0))
     return u0, ic_desc, wp, classify.classify_initial(u0, wp, cfg["monitors"]["tol_d"], sampler)
 
 

@@ -43,10 +43,12 @@ def random_bandlimited(g: GridSpec, seed: int, kmax: int = 6, h1_norm: float | N
     """Seeded random sine series, coefficients damped by 1/(k^2 + l^2).
 
     Deterministic for a fixed (seed, kmax, grid).  When `h1_norm` is given
-    the field is rescaled so that sqrt(dirichlet) equals it.
+    the field is rescaled so that sqrt(dirichlet) equals it, which must be > 0.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
+    if h1_norm is not None and not h1_norm > 0.0:
+        raise ValueError(f"h1_norm must be > 0, got {h1_norm}")
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal((3, kmax, kmax))
     k = np.arange(1, kmax + 1)

@@ -106,10 +106,8 @@ def default_eps_grid(g: GridSpec, count: int = 12, eps_max: float = 0.35) -> np.
     return np.geomspace(4.0 * g.h, eps_max, count)
 
 
-def bubble_family(g: GridSpec, H: float, eps_grid=None, center=(0.5, 0.5)):
+def bubble_family(g: GridSpec, H: float, eps_grid, center):
     """(eps, field) over the scale grid: a generator, one bubble at a time."""
-    if eps_grid is None:
-        eps_grid = default_eps_grid(g)
     for e in eps_grid:
         yield float(e), bubble_direction(g, H, center, float(e))
 
@@ -244,10 +242,10 @@ def golden_section_peak(u: VectorField, H: float, lo: float, hi: float, tol: flo
     return x
 
 
-def default_lambda_sampler(g: GridSpec, H: float, seed: int, count: int = 200, kmax: int = 6):
-    """Band-limited random directions, then the default bubble family: a generator, one at a time."""
+def lambda_sampler(g: GridSpec, wp: WellParameters, seed: int, count: int = 200, kmax: int = 6):
+    """Band-limited random directions, then wp's bubble family: a generator, one at a time."""
     yield from (random_bandlimited(g, seed + i, kmax=kmax) for i in range(count))
-    yield from (u for _, u in bubble_family(g, H))
+    yield from (u for _, u in bubble_family(g, wp.H, wp.eps_grid, wp.center))
 
 
 def sample_lambda_Lambda(alpha: float, d: float, H: float, sampler):

@@ -496,6 +496,21 @@ _REJECTED = [  # (command, config overrides, error): before the schema, each exi
         "grid n = 15 is too coarse for the bubble family: eps_min = 4h = 0.25 exceeds well.eps_max = 0.1; "
         "this range needs n >= 39, or set well.eps_min explicitly",
     ),
+    # an empty bubble family: it exited 2 once the well was estimated, and under sweep every cell failed on it
+    ("compute-well-depth", {"well": {"eps_count": 0}}, "well.eps_count must be >= 1, got 0"),
+    ("sweep", {"well": {"eps_count": 0}, **_SWEEP}, "well.eps_count must be >= 1, got 0"),
+    ("classify", {"well": {"eps_count": -2}}, "well.eps_count must be >= 1, got -2"),
+    # a negative h1_norm was taken as its absolute value
+    (
+        "classify",
+        {"ic": {"type": "random-bandlimited", "params": {"h1_norm": -4}}, "seed": 3},
+        "ic.params.h1_norm must be > 0, got -4",
+    ),
+    (
+        "classify",
+        {"ic": {"type": "random-bandlimited", "params": {"h1_norm": 0.0}}, "seed": 3},
+        "ic.params.h1_norm must be > 0, got 0.0",
+    ),
     # two multiples that print alike: one cell ran, cell_lm_0.123457, while index.json listed both
     (
         "sweep",
@@ -621,12 +636,6 @@ def test_compute_well_depth_artifact(tmp_path):
     assert "bubbles" in art["provenance"]
 
 
-def test_compute_well_depth_empty_family(tmp_path):
-    cfg = write_config(tmp_path / "c.json", well={"eps_count": 0})
-    out = tmp_path / "o"
-    assert main(["compute-well-depth", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
-
-
 def test_well_depth_scales_with_H(tmp_path):
     cfg = write_config(tmp_path / "c.json", physics={"H": 2.0})
     out = tmp_path / "o"
@@ -747,7 +756,8 @@ def test_verify_lemmas_reuses_its_passes_with_the_same_bits(tmp_path, monkeypatc
 
     cfg = load_config(path)
     g = make_grid(31)
-    family = list(bubble_family(g, H, cli._eps_grid(cfg, g), tuple(cfg["well"]["center"])))
+    wp = cli._well_parameters(cfg, g, H)
+    family = list(bubble_family(g, H, wp.eps_grid, wp.center))
     probe = [u for _, u in family]
     gaps = [isoperimetric_gap(u) / fibering_coeffs(u, H).A for u in list(cli._corpus(cfg, g)) + probe]
     assert checks["isoperimetric"]["worst_gap_over_dirichlet"] == min(gaps)
@@ -990,17 +1000,13 @@ def test_sweep_duplicate_cells_deduplicated(tmp_path):
 
 
 def test_sweep_failed_cells_exit_numeric(tmp_path):
-    cfg = write_config(
-        tmp_path / "c.json",
-        well={"eps_count": 0},
-        sweep={"lambda_multiples": [0.2, 1.6], "max_workers": 1},
-    )
+    cfg = write_config(tmp_path / "c.json", sweep={"lambda_multiples": [1e160, 1e161], "max_workers": 1})
     out = tmp_path / "o"
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
     cells = json.loads((out / "index.json").read_text(encoding="utf-8"))["cells"]
-    assert set(cells) == {"lambda_multiple=0.2", "lambda_multiple=1.6"}
+    assert set(cells) == {"lambda_multiple=1e+160", "lambda_multiple=1e+161"}
     for cell in cells.values():
-        assert cell["error"].startswith("EstimationError: empty bubble family")
+        assert cell["error"].startswith("NonFiniteError: initial datum has non-finite functionals")
 
 
 def test_sweep_solve_residual_miss_records_error(tmp_path, monkeypatch):
@@ -1141,6 +1147,23 @@ def test_energy_level_without_wp_reads_the_configured_well(tmp_path):
     assert desc["amplitude"] == pytest.approx(1.1098, abs=1e-4)
 
 
+def test_lambda_sampler_ends_on_the_configured_well(tmp_path):
+    # d and the high-energy bounds read one family: under an off-center well the sampler's last directions are
+    # that well's bubbles, and classify records the bounds over them, not over nehari's default family
+    overrides = _scaled({"direction": _DIRECTION, "lambda_multiple": 1.1})
+    path = write_config(tmp_path / "c.json", seed=1, well={"center": [0.3, 0.6]}, **overrides)
+    cfg, g = load_config(path), make_grid(31)
+    wp = cli._well_parameters(cfg, g, 1.0)
+    family = [u for _, u in bubble_family(g, 1.0, wp.eps_grid, (0.3, 0.6))]
+    tail = list(nehari.lambda_sampler(g, wp, 1))[-len(wp.eps_grid) :]
+    assert [u.values.tobytes() for u in tail] == [u.values.tobytes() for u in family]
+    verdict = json.loads(_classify_verdict(tmp_path / "o", path))["verdict"]
+    directions = [fields.random_bandlimited(g, 1 + i, 6) for i in range(200)] + family
+    bounds = nehari.sample_lambda_Lambda(verdict["details"]["energy"], wp.d, 1.0, directions)
+    assert verdict["applicable_theorem"] == "t51.2"
+    assert (verdict["details"]["lambda_hat"], verdict["details"]["Lambda_hat"]) == bounds
+
+
 def test_optimal_energy_level_on_the_peak_above_it_classifies_t32(tmp_path):
     # the optimal direction's fiber peak is d itself, so the level sits on the peak; the
     # above-peak amplitude still leaves D < 0
@@ -1197,7 +1220,8 @@ def test_energy_level_ic_mode(tmp_path):
     assert energy_E(u_hi, H) == pytest.approx(wp.d, rel=1e-10)
     assert nehari_D(u_hi, H) < 0.0
     assert classify_initial(u_hi, wp).applicable_theorem == "t32"
-    # an energy level above the fiber peak is unreachable
+    # an energy level above the fiber peak is unreachable; the error names the multiple and the peak in units of d
     cfg["ic"]["params"]["energy_level"] = 100.0
-    with pytest.raises(ValueError, match="unreachable"):
+    with pytest.raises(ValueError, match="unreachable") as err:
         build_initial_condition(cfg, g, H, wp=wp)
+    assert str(err.value) == "ic.params.energy_level = 100 is unreachable on this fiber: its peak is 1.43·d"

@@ -281,6 +281,13 @@ def test_random_bandlimited_matches_three_operand_synthesis(g):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("h1_norm", [-4.0, 0.0, np.nan])
+def test_random_bandlimited_rejects_a_norm_not_above_zero(h1_norm):
+    # a negative norm was taken as its absolute value: -4.0 gave a field with sqrt(dirichlet) = 4.0
+    with pytest.raises(ValueError, match="h1_norm must be > 0"):
+        random_bandlimited(make_grid(15), 0, 16, h1_norm)
+
+
 @pytest.mark.parametrize("c", [2.0**-6, 2.0**-12, 2.0 / 21, (1.0 / 21) ** 2, 1.0 / 3, 2.0**-1074])
 def test_divide_keeps_the_quotient_bits(c):
     # a power of two multiplies by its exact reciprocal and anything else divides, with the quotient's

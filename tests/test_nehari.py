@@ -18,12 +18,12 @@ from hflow.nehari import (
     bubble_family,
     d_of_delta,
     default_eps_grid,
-    default_lambda_sampler,
     delta_roots,
     estimate_d,
     fiber_peak_energy,
     fibering_coeffs,
     golden_section_peak,
+    lambda_sampler,
     lambda_star,
     optimal_bubble,
     project_nehari_delta,
@@ -342,7 +342,7 @@ def test_delta_roots_is_both_branches_of_the_cubic():
     assert delta_roots(1.0, 1.0) == (1.0, 1.0)
     w = bubble_direction(make_grid(15), 1.0, eps=0.25)
     c = fibering_coeffs(w, 1.0)
-    m = _amplitude_for_energy_level(c, fiber_peak_energy(c), "above-peak") / lambda_star(c)
+    m = _amplitude_for_energy_level(c, 1.0, fiber_peak_energy(c), "above-peak") / lambda_star(c)
     assert m - 1.0 > SIGN_TOL_FACTOR
 
 
@@ -401,25 +401,25 @@ def test_sample_lambda_Lambda_bubble_sampler(g63):
     assert lo2 <= lo and hi2 >= hi
 
 
-def test_default_lambda_sampler_streams_the_list_it_replaced(g31, g63):
+def test_lambda_sampler_streams_the_list_it_replaced(g31, g63):
     H, seed, count = 1.0, 5, 40
-    sampler = default_lambda_sampler(g31, H, seed, count=count)
+    wp = estimate_d(H, g31)
+    sampler = lambda_sampler(g31, wp, seed, count=count)
     assert iter(sampler) is sampler
     listed = [random_bandlimited(g31, seed + i, kmax=6) for i in range(count)]
-    listed += [u for _, u in bubble_family(g31, H)]
+    listed += [u for _, u in bubble_family(g31, H, default_eps_grid(g31), (0.5, 0.5))]
     got = list(sampler)
     assert len(got) == len(listed)
     assert all(a.values.tobytes() == b.values.tobytes() for a, b in zip(got, listed))
-    wp = estimate_d(H, g31)
     for alpha in (1.1 * wp.d, 100.0 * wp.d):
-        streamed = sample_lambda_Lambda(alpha, wp.d, H, default_lambda_sampler(g31, H, seed, count=count))
+        streamed = sample_lambda_Lambda(alpha, wp.d, H, lambda_sampler(g31, wp, seed, count=count))
         assert streamed == sample_lambda_Lambda(alpha, wp.d, H, listed)
     # one direction at a time: the peak stays far below the 200 fields of a list
     wp = estimate_d(H, g63)
     field_bytes = 3 * 63 * 63 * 8
     tracemalloc.start()
     try:
-        sample_lambda_Lambda(100.0 * wp.d, wp.d, H, default_lambda_sampler(g63, H, seed))
+        sample_lambda_Lambda(100.0 * wp.d, wp.d, H, lambda_sampler(g63, wp, seed))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
