@@ -634,6 +634,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    made = []  # the directories this call makes for the output, deepest first
+    code = None  # stays None if an exception escapes
     try:
         cfg = load_config(args.config)
         if args.seed is not None:  # --seed outranks the top-level seed, and a random ic's own
@@ -641,18 +643,27 @@ def main(argv=None) -> int:
             if cfg.get("ic", {}).get("type") == "random-bandlimited":
                 cfg["ic"]["params"]["seed"] = cfg["seed"]
         out = Path(args.out) if args.out else Path(cfg["output"]["path"])
+        made = [d for d in (out, *out.parents) if not d.exists()]
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make output directory {out}: {exc.strerror or exc}") from exc
         # called by its name in this module, so that a wrapper bound over it there (a profiler's) sees the call
-        return globals()[COMMANDS[args.command].__name__](cfg, out)
+        code = globals()[COMMANDS[args.command].__name__](cfg, out)
     except (ConfigError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
     except (flow.SolverError, nehari.EstimationError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        code = EXIT_NUMERIC
+    finally:
+        if code != EXIT_OK:  # a failed command leaves no empty directory of its own making behind
+            for d in made:
+                try:
+                    d.rmdir()
+                except OSError:  # it holds a file (a failed sweep's index.json, a lemma report) or is gone
+                    pass
+    return code
 
 
 if __name__ == "__main__":

@@ -35,7 +35,10 @@ def discrete_laplacian_eigenvalue(g: GridSpec, kx=1, ky=1):
 
 
 def cutoff_weight(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """C^2 polynomial cutoff (16 x(1-x) y(1-y))^2, max 1, zero with its gradient on the boundary."""
+    """C^2 polynomial cutoff (16 x(1-x) y(1-y))^2, max 1, zero with its gradient on the boundary.
+
+    X and Y are any coordinates that broadcast together: meshgrid arrays, or a column and a row.
+    """
     return (16.0 * X * (1.0 - X) * Y * (1.0 - Y)) ** 2
 
 

@@ -279,46 +279,49 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
     status = stop_reason = None
     steps = 0
 
-    while status is None:  # one attempt per pass
-        if p.t_end - t <= 1e-12 * max(p.t_end, 1.0):
-            status = REACHED_HORIZON
-            continue
-        dt_step = min(dt, p.t_end - t)
-        # rhs = u - 2 dt H (u_x ^ u_y), in the kept buffer
-        b = np.multiply(state.wedge, 2.0 * dt_step * H, out=ws.rhs)
-        rhs = VectorField(u0.grid, np.subtract(state.u.values, b, out=b))
-        rel = math.nan  # a failed solve or a non-finite candidate stays NaN, which rejects
-        try:
-            cand = solve_helmholtz(rhs, dt_step, _workspace=ws)
-        except SolverError:
-            if np.isfinite(rhs.values).all():
-                raise  # a residual miss on finite input is a numeric fault, not blow-up
-        else:
-            if np.isfinite(cand.values).all():
-                inc = np.subtract(cand.values, state.u.values, out=ws.mid)
-                inc_sq = float(np.square(inc, out=inc).sum())
-                diff, base = math.sqrt(h2 * inc_sq), math.sqrt(state.l2)
-                rel = 0.0 if diff == 0.0 else (math.inf if base == 0.0 else diff / base)
-        if not rel <= RELATIVE_INCREMENT_CAP:
-            dt *= 0.5
-            if dt < p.dt_min:
-                status, stop_reason = BLOWUP_SUSPECTED, "dt-collapse"
-            continue
+    # an overflowing candidate is rejected below and a non-finite recorded series fails the caller's
+    # check, so numpy's overflow warnings would only repeat those on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        while status is None:  # one attempt per pass
+            if p.t_end - t <= 1e-12 * max(p.t_end, 1.0):
+                status = REACHED_HORIZON
+                continue
+            dt_step = min(dt, p.t_end - t)
+            # rhs = u - 2 dt H (u_x ^ u_y), in the kept buffer
+            b = np.multiply(state.wedge, 2.0 * dt_step * H, out=ws.rhs)
+            rhs = VectorField(u0.grid, np.subtract(state.u.values, b, out=b))
+            rel = math.nan  # a failed solve or a non-finite candidate stays NaN, which rejects
+            try:
+                cand = solve_helmholtz(rhs, dt_step, _workspace=ws)
+            except SolverError:
+                if np.isfinite(rhs.values).all():
+                    raise  # a residual miss on finite input is a numeric fault, not blow-up
+            else:
+                if np.isfinite(cand.values).all():
+                    inc = np.subtract(cand.values, state.u.values, out=ws.mid)
+                    inc_sq = float(np.square(inc, out=inc).sum())
+                    diff, base = math.sqrt(h2 * inc_sq), math.sqrt(state.l2)
+                    rel = 0.0 if diff == 0.0 else (math.inf if base == 0.0 else diff / base)
+            if not rel <= RELATIVE_INCREMENT_CAP:
+                dt *= 0.5
+                if dt < p.dt_min:
+                    status, stop_reason = BLOWUP_SUSPECTED, "dt-collapse"
+                continue
 
-        new_state = _State(cand, H, ws, ws.energies)
-        ut_sq = h2 * inc_sq / (dt_step * dt_step)
-        cum_residual += abs(dt_step * ut_sq + new_state.E_fwd - state.E_fwd)
-        f += 0.5 * dt_step * (state.l2 + new_state.l2)
-        t += dt_step
-        state = new_state
-        steps += 1
-        if l2_initial > 0.0 and state.l2 < p.decay_l2_floor:
-            status = DECAYED_TO_ZERO
-        elif state.h1 > grad_cap:
-            status, stop_reason = BLOWUP_SUSPECTED, "gradient-threshold"
-        elif steps % p.record_every == 0:
-            record(dt_step, state)
-            last_recorded_t = t
+            new_state = _State(cand, H, ws, ws.energies)
+            ut_sq = h2 * inc_sq / (dt_step * dt_step)
+            cum_residual += abs(dt_step * ut_sq + new_state.E_fwd - state.E_fwd)
+            f += 0.5 * dt_step * (state.l2 + new_state.l2)
+            t += dt_step
+            state = new_state
+            steps += 1
+            if l2_initial > 0.0 and state.l2 < p.decay_l2_floor:
+                status = DECAYED_TO_ZERO
+            elif state.h1 > grad_cap:
+                status, stop_reason = BLOWUP_SUSPECTED, "gradient-threshold"
+            elif steps % p.record_every == 0:
+                record(dt_step, state)
+                last_recorded_t = t
 
     if t != last_recorded_t:  # the stop row; t moved only if a step was accepted, which set dt_step
         record(dt_step, state)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import functionals
 from .fields import cutoff_weight, random_bandlimited
-from .grid import GridSpec, VectorField, interior_coords, l2_norm_sq
+from .grid import GridSpec, VectorField, l2_norm_sq
 
 
 class NoMaximizerError(ValueError):
@@ -93,12 +93,20 @@ def bubble_direction(g: GridSpec, H: float = 1.0, center=(0.5, 0.5), eps: float 
         raise ValueError(f"need H > 0, got {H}")
     if eps <= 0.0:
         raise ValueError(f"need eps > 0, got {eps}")
-    X, Y = interior_coords(g)
-    z1 = (X - center[0]) / eps
-    z2 = (Y - center[1]) / eps
-    den = 1.0 + z1 * z1 + z2 * z2
-    vals = np.stack([2.0 * z1 / den, 2.0 * z2 / den, -2.0 / den]) / H
-    return VectorField(g, vals * cutoff_weight(X, Y))
+    # the nodes of interior_coords as a column and a row: each n x n value is formed once, in the result,
+    # by the same operations in the same order as on the meshgrid, so the bits are the meshgrid's
+    x = g.h * np.arange(1, g.nx + 1)[:, None]
+    y = g.h * np.arange(1, g.ny + 1)[None, :]
+    z1 = (x - center[0]) / eps
+    z2 = (y - center[1]) / eps
+    vals = np.empty((3, g.nx, g.ny))
+    den = np.add(1.0 + z1 * z1, z2 * z2, out=vals[2])
+    np.divide(2.0 * z1, den, out=vals[0])
+    np.divide(2.0 * z2, den, out=vals[1])
+    np.divide(-2.0, den, out=den)
+    vals /= H
+    vals *= cutoff_weight(x, y)
+    return VectorField(g, vals)
 
 
 def default_eps_grid(g: GridSpec, count: int = 12, eps_max: float = 0.35) -> np.ndarray:

@@ -189,7 +189,6 @@ _OVERFLOW_LADDER = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the flow's own overflow warnings
 @pytest.mark.parametrize("lambda_multiple", sorted(_OVERFLOW_LADDER))
 def test_non_finite_trajectory_exits_numeric(tmp_path, capsys, lambda_multiple):
     cfg = write_config(
@@ -213,9 +212,31 @@ def test_non_finite_trajectory_exits_numeric(tmp_path, capsys, lambda_multiple):
     else:
         assert code == EXIT_NUMERIC
         assert failure in err
-        assert not [path for path in out.rglob("*") if path.is_file()]  # neither artifact is written
+        assert not out.exists()  # neither artifact is written, and the empty directory goes
     if lambda_multiple == 1e101:
         assert "non-finite" in err and "concavity from t = 0" in err
+
+
+def test_flow_overflow_is_one_line_on_stderr(tmp_path, capsys):
+    # the flow's overflowing candidates raise no numpy warning (the suite makes them errors): the
+    # command's one numerical-failure line is all of stderr
+    cfg = {
+        "grid": {"n": 15},
+        "physics": {"H": 1.0},
+        "ic": {
+            "type": "scaled-direction",
+            "params": {"direction": {"type": "bubble", "eps": 0.25}, "lambda_multiple": 1e101},
+        },
+        "time": {"dt0": 1e-3, "t_end": 0.05},
+        "monitors": {"record_every": 5},
+    }
+    path = tmp_path / "flow-overflow.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "flow-overflow"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: trajectory has non-finite series") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_negative_tol_d_exits_config(tmp_path, capsys):
@@ -1193,7 +1214,7 @@ def test_preset_classifies_to_its_theorem(tmp_path, path):
     assert verdict["applicable_theorem"] == path.stem
 
 
-def test_energy_level_ic_mode(tmp_path):
+def test_energy_level_ic_mode(tmp_path, capsys):
     # the amplitude solver pins E(u0) at the requested level on either branch
     from hflow.classify import classify_initial
     from hflow.functionals import energy_E, nehari_D
@@ -1225,3 +1246,18 @@ def test_energy_level_ic_mode(tmp_path):
     with pytest.raises(ValueError, match="unreachable") as err:
         build_initial_condition(cfg, g, H, wp=wp)
     assert str(err.value) == "ic.params.energy_level = 100 is unreachable on this fiber: its peak is 1.43·d"
+    # through main it exits 1 once the well is known, after --out was made: the directories main made go
+    # again, while an --out that was there before stays
+    t31 = json.loads(Path("presets/t31.json").read_text(encoding="utf-8"))
+    t31["grid"]["n"] = 15
+    t31["ic"]["params"]["energy_level"] = 5.0
+    path = tmp_path / "t31.json"
+    path.write_text(json.dumps(t31), encoding="utf-8")
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for out in (tmp_path / "a" / "b", kept):
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: ic.params.energy_level = 5 is unreachable on this fiber: its peak is 0.448·d\n"
+    assert not (tmp_path / "a").exists()
+    assert kept.is_dir() and not any(kept.iterdir())

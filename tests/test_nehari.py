@@ -7,9 +7,9 @@ import pytest
 
 from hflow.classify import SIGN_TOL_FACTOR
 from hflow.cli import _amplitude_for_energy_level
-from hflow.fields import random_bandlimited
+from hflow.fields import cutoff_weight, random_bandlimited
 from hflow.functionals import a_of_delta, energy_E, nehari_D, r_of_delta
-from hflow.grid import VectorField, h1_seminorm_sq, make_grid
+from hflow.grid import VectorField, h1_seminorm_sq, interior_coords, make_grid
 from hflow.nehari import (
     EstimationError,
     FiberingCoefficients,
@@ -227,6 +227,40 @@ def test_estimate_d_single_direction(g63):
     assert wp.d == fiber_peak_energy(fibering_coeffs(u, 1.0))
     assert (wp.eps_grid, wp.center) == ((0.25,), (0.5, 0.5))
     assert "(1 scales)" in wp.provenance
+
+
+def _meshgrid_bubble(g, H, center, eps):
+    """The bubble as the meshgrid formula writes it: the bits bubble_direction must keep."""
+    X, Y = interior_coords(g)
+    z1 = (X - center[0]) / eps
+    z2 = (Y - center[1]) / eps
+    den = 1.0 + z1 * z1 + z2 * z2
+    return np.stack([2.0 * z1 / den, 2.0 * z2 / den, -2.0 / den]) / H * cutoff_weight(X, Y)
+
+
+@pytest.mark.parametrize("n", [15, 50, 127])
+@pytest.mark.parametrize("H", [1.0, 0.7])
+@pytest.mark.parametrize("center", [(0.5, 0.5), (0.3, 0.6)])
+@pytest.mark.parametrize("eps", ["4h", 0.1178, 0.35])
+def test_bubble_direction_has_the_meshgrid_formulas_bits(n, H, center, eps):
+    g = make_grid(n)
+    eps = 4.0 * g.h if eps == "4h" else eps
+    u = bubble_direction(g, H, center, eps)
+    assert u.values.tobytes() == _meshgrid_bubble(g, H, center, eps).tobytes()
+
+
+def test_bubble_direction_is_built_in_its_result():
+    # each n x n value is formed once, in the (3, n, n) result; the cutoff's own chain makes the only n x n
+    # temporaries left, so the traced peak stays under 2.5 results where the meshgrid formula's reached 4
+    g = make_grid(127)
+    bubble_direction(g)  # warm
+    tracemalloc.start()
+    try:
+        values = bubble_direction(g).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * values.nbytes
 
 
 def test_estimate_d_bubble_family_band(g63):
