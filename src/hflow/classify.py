@@ -13,10 +13,11 @@ well depth d and reading the sign of the Nehari functional D:
     E > d       D < 0, |u|_2 >= Lambda^  t51.2    blowup (heuristic)
 
 The codes are stable strings used in artifacts; lambda^ / Lambda^ are
-sampled estimates, so verdicts that rely on them are flagged heuristic.
-classify_initial owns the whole initial verdict: one report of the datum,
-its finiteness check and every regime threshold.  It reads the sampler only
-for a high-energy datum that the high-energy inequality does not settle.
+sampled estimates over the well's bubble family, so verdicts that rely on
+them are flagged heuristic.  classify_initial owns the whole initial
+verdict: one report of the datum, its finiteness check and every regime
+threshold.  It reads lambda^ / Lambda^ off the well's family rows only for
+a high-energy datum that the high-energy inequality does not settle.
 Critical-regime detection uses a relative tolerance tol_d >= 0 since d
 itself carries estimation error.
 """
@@ -31,7 +32,7 @@ import numpy as np
 from . import functionals
 from .flow import BLOWUP_SUSPECTED, TrajectoryRecord
 from .grid import VectorField
-from .nehari import EstimationError, WellParameters, delta_roots, sample_lambda_Lambda
+from .nehari import WellParameters, delta_roots, sample_lambda_Lambda
 
 SIGN_TOL_FACTOR = 1e-10  # |D_delta| below this times h1_sq counts as zero
 
@@ -112,13 +113,13 @@ def delta_window(u0: VectorField, wp: WellParameters):
     return delta_roots(functionals.energy_E(u0, wp.H), wp.d)
 
 
-def classify_initial(u0: VectorField, wp: WellParameters, tol_d: float = 1e-3, sampler=None) -> Verdict:
+def classify_initial(u0: VectorField, wp: WellParameters, tol_d: float = 1e-3) -> Verdict:
     """Verdict for an initial datum against the estimated well parameters.
 
     tol_d >= 0 is the relative width of the critical band around d.  A
-    non-finite functional of the datum raises NonFiniteError.  sampler, an
-    iterable of directions, is read only for a high-energy datum that check_e54
-    does not settle: its (lambda^, Lambda^) bounds decide t51.1 / t51.2.
+    non-finite functional of the datum raises NonFiniteError.  For a
+    high-energy datum that check_e54 does not settle, the (lambda^, Lambda^)
+    bounds over wp's family decide t51.1 / t51.2.
     """
     if not tol_d >= 0.0:
         raise ValueError(f"need tol_d >= 0, got {tol_d}")
@@ -168,18 +169,14 @@ def classify_initial(u0: VectorField, wp: WellParameters, tol_d: float = 1e-3, s
     details["e54"] = e54_meas
     if e54_ok:
         return Verdict("high", "outside", "t52", BLOWUP, details=details)
-    try:  # E - d > band >= 0 here, as the sampler requires
-        bounds = None if sampler is None else sample_lambda_Lambda(e, wp.d, wp.H, sampler)
-    except EstimationError:  # no sampled direction lands in the truncated Nehari set
-        bounds = None
-    if bounds is not None:
-        lam_hat, cap_hat = bounds
-        details["lambda_hat"], details["Lambda_hat"] = lam_hat, cap_hat
-        l2_norm = math.sqrt(rep.l2_sq)
-        if dd > tau and l2_norm <= lam_hat:
-            return Verdict("high", "outside", "t51.1", GLOBAL_DECAY, heuristic=True, details=details)
-        if dd < -tau and l2_norm >= cap_hat:
-            return Verdict("high", "outside", "t51.2", BLOWUP, heuristic=True, details=details)
+    # E - d > band >= 0 here, so the family's minimising row lies below E
+    (lam_hat, lam_eps), (cap_hat, cap_eps) = sample_lambda_Lambda(e, wp)
+    details.update(lambda_hat=lam_hat, Lambda_hat=cap_hat, lambda_hat_eps=lam_eps, Lambda_hat_eps=cap_eps)
+    l2_norm = math.sqrt(rep.l2_sq)
+    if dd > tau and l2_norm <= lam_hat:
+        return Verdict("high", "outside", "t51.1", GLOBAL_DECAY, heuristic=True, details=details)
+    if dd < -tau and l2_norm >= cap_hat:
+        return Verdict("high", "outside", "t51.2", BLOWUP, heuristic=True, details=details)
     return Verdict("high", "outside", "none", UNDETERMINED, details=details)
 
 

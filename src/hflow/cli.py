@@ -334,14 +334,13 @@ def cmd_compute_well_depth(cfg: dict, out: Path) -> int:
 def _classified_datum(cfg: dict):
     """(u0, ic description, the command's one well estimate, verdict) of the config's initial datum.
 
-    classify measures the datum and decides its regime; the lambda/Lambda sampler handed to it is a
-    generator, which does no work unless the verdict reads it.
+    classify measures the datum and decides its regime; a high-energy verdict reads its lambda/Lambda
+    bounds off the same well's family.
     """
     g, H = make_grid(cfg["grid"]["n"]), cfg["physics"]["H"]
     wp = _well_parameters(cfg, g, H)
     u0, ic_desc = build_initial_condition(cfg, g, H, wp)
-    sampler = nehari.lambda_sampler(g, wp, cfg.get("seed", 0))
-    return u0, ic_desc, wp, classify.classify_initial(u0, wp, cfg["monitors"]["tol_d"], sampler)
+    return u0, ic_desc, wp, classify.classify_initial(u0, wp, cfg["monitors"]["tol_d"])
 
 
 def _verdict_artifact(verdict, ic_desc, wp) -> dict:

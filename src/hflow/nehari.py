@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import functionals
-from .fields import cutoff_weight, random_bandlimited
+from .fields import cutoff_weight
 from .grid import GridSpec, VectorField, l2_norm_sq
 
 
@@ -49,6 +49,7 @@ class WellParameters:
     family_table: list = field(default_factory=list)  # rows: {"label", "A", "B", "fiber_energy"}
     eps_grid: tuple = ()  # the family's scales, one per family_table row
     center: tuple = (0.5, 0.5)  # the family's bubble center
+    l2_sq: tuple = ()  # the members' squared L^2 norms, one per family_table row
 
 
 def fibering_coeffs(u: VectorField, H: float) -> FiberingCoefficients:
@@ -125,15 +126,17 @@ def estimate_d(H: float, g: GridSpec, eps_grid=None, center=(0.5, 0.5)) -> WellP
 
     The family is the cutoff bubble family at `center` over `eps_grid`
     (`default_eps_grid` when None), made one bubble at a time; the returned
-    parameters record both.  Members whose fiber energy has no interior
+    parameters record both, and each member's squared L^2 norm for
+    sample_lambda_Lambda.  Members whose fiber energy has no interior
     maximum (B >= 0) are skipped.
     """
     eps_grid = tuple(float(e) for e in (default_eps_grid(g) if eps_grid is None else eps_grid))
     if not eps_grid:
         raise EstimationError("empty direction family")
-    table = []
+    table, l2_sq = [], []
     for e, u in bubble_family(g, H, eps_grid, center):
         c = fibering_coeffs(u, H)
+        l2_sq.append(l2_norm_sq(u))
         row = {"label": f"eps={e:.6g}", "A": c.A, "B": c.B}
         try:
             row["fiber_energy"] = fiber_peak_energy(c)
@@ -148,7 +151,13 @@ def estimate_d(H: float, g: GridSpec, eps_grid=None, center=(0.5, 0.5)) -> WellP
         f"eps in [{eps_grid[0]:.6g}, {eps_grid[-1]:.6g}] ({len(eps_grid)} scales), n={g.nx}, H={H}"
     )
     return WellParameters(
-        H=H, d=min(usable), provenance=provenance, family_table=table, eps_grid=eps_grid, center=tuple(center)
+        H=H,
+        d=min(usable),
+        provenance=provenance,
+        family_table=table,
+        eps_grid=eps_grid,
+        center=tuple(center),
+        l2_sq=tuple(l2_sq),
     )
 
 
@@ -250,36 +259,23 @@ def golden_section_peak(u: VectorField, H: float, lo: float, hi: float, tol: flo
     return x
 
 
-def lambda_sampler(g: GridSpec, wp: WellParameters, seed: int, count: int = 200, kmax: int = 6):
-    """Band-limited random directions, then wp's bubble family: a generator, one at a time."""
-    yield from (random_bandlimited(g, seed + i, kmax=kmax) for i in range(count))
-    yield from (u for _, u in bubble_family(g, wp.H, wp.eps_grid, wp.center))
+def sample_lambda_Lambda(alpha: float, wp: WellParameters):
+    """Sampled bounds for the extreme L^2 norms over the truncated Nehari set, with the scales giving them.
 
-
-def sample_lambda_Lambda(alpha: float, d: float, H: float, sampler):
-    """Sampled bounds for the extreme L^2 norms over the truncated Nehari set.
-
-    Each direction with B < 0 is projected onto the Nehari manifold at
-    lambda*; projections with ||.||^2 < 6 alpha are kept and the min/max of
-    their L^2 norms returned.  These are an upper estimate of the infimum
-    and a lower estimate of the supremum (sampling, not optimization).
-    `sampler` is any iterable of directions, read once.
+    Each member of wp's bubble family with a fiber maximum is projected onto
+    the Nehari manifold at lambda*; projections with ||.||^2 < 6 alpha, i.e.
+    fiber peak below alpha, are kept and ((min, eps), (max, eps)) of their
+    L^2 norms returned.  These are an upper estimate of the infimum and a
+    lower estimate of the supremum (sampling, not optimization).  The family's
+    (A, B), peaks and norms are read off wp; no field is built.
     """
-    if alpha <= d:
-        raise ValueError(f"need alpha > d, got alpha={alpha}, d={d}")
-    lo = math.inf
-    hi = -math.inf
-    kept = 0
-    for u in sampler:
-        c = fibering_coeffs(u, H)
-        if c.A <= 0.0 or c.B >= 0.0:
-            continue
-        if fiber_peak_energy(c) >= alpha:  # equivalently ||lambda* u||^2 >= 6 alpha
-            continue
-        l2 = lambda_star(c) * math.sqrt(l2_norm_sq(u))
-        lo = min(lo, l2)
-        hi = max(hi, l2)
-        kept += 1
-    if kept == 0:
-        raise EstimationError(f"no sampled direction lands in the truncated Nehari set at alpha={alpha}")
-    return lo, hi
+    if alpha <= wp.d:
+        raise ValueError(f"need alpha > d, got alpha={alpha}, d={wp.d}")
+    kept = [
+        (lambda_star(FiberingCoefficients(A=row["A"], B=row["B"])) * math.sqrt(l2), e)
+        for row, e, l2 in zip(wp.family_table, wp.eps_grid, wp.l2_sq)
+        if row["fiber_energy"] is not None and row["fiber_energy"] < alpha
+    ]
+    if not kept:
+        raise EstimationError(f"no family member lands in the truncated Nehari set at alpha={alpha}")
+    return min(kept), max(kept)

@@ -26,6 +26,7 @@ from hflow.nehari import (
     fiber_peak_energy,
     fibering_coeffs,
     lambda_star,
+    sample_lambda_Lambda,
 )
 
 
@@ -116,42 +117,49 @@ def test_classify_high_energy_heuristics(g31, setup31, monkeypatch):
     u0 = eigenmode(g31, amplitude=30.0)
     assert energy_E(u0, H) > wp.d
     l2n = math.sqrt(l2_norm_sq(u0))
-    monkeypatch.setattr("hflow.classify.sample_lambda_Lambda", lambda *args: (2.0 * l2n, 4.0 * l2n))
-    v = classify_initial(u0, wp, sampler=iter(()))
+    monkeypatch.setattr("hflow.classify.sample_lambda_Lambda", lambda *args: ((2.0 * l2n, 0.1), (4.0 * l2n, 0.2)))
+    v = classify_initial(u0, wp)
     assert (v.energy_regime, v.applicable_theorem) == ("high", "t51.1")
     assert v.expected_outcome == GLOBAL_DECAY and v.heuristic
-    monkeypatch.setattr("hflow.classify.sample_lambda_Lambda", lambda *args: (0.1 * l2n, 0.5 * l2n))
-    v = classify_initial(u0, wp, sampler=iter(()))
+    assert (v.details["lambda_hat_eps"], v.details["Lambda_hat_eps"]) == (0.1, 0.2)
+    monkeypatch.setattr("hflow.classify.sample_lambda_Lambda", lambda *args: ((0.1 * l2n, 0.1), (0.5 * l2n, 0.2)))
+    v = classify_initial(u0, wp)
     # D > 0 with |u|_2 above the upper estimate: no case applies
     assert v.applicable_theorem == "none" and v.expected_outcome == UNDETERMINED
+    monkeypatch.undo()
     v = classify_initial(u0, wp)
     assert v.applicable_theorem == "none" and v.well == "outside"
+    # the bounds over wp's family, with the scales of the members that give them
+    lo, hi = sample_lambda_Lambda(v.details["energy"], wp)
+    assert lo == (v.details["lambda_hat"], v.details["lambda_hat_eps"])
+    assert hi == (v.details["Lambda_hat"], v.details["Lambda_hat_eps"])
 
 
-class _UnreadSampler:
-    def __iter__(self):
-        raise AssertionError("the lambda/Lambda sampler was read")
+def _unread_bounds(*args):
+    raise AssertionError("the lambda/Lambda bounds were read")
 
 
-def test_classify_reads_no_sampler_below_the_high_band_or_on_e54(g31):
+def test_classify_reads_no_sampler_below_the_high_band_or_on_e54(g31, monkeypatch):
     # low (t21, t22), critical (t31, t32) and e54 (t52) data settle without lambda^ / Lambda^
+    monkeypatch.setattr("hflow.classify.sample_lambda_Lambda", _unread_bounds)
     H = 1.0
     w = bubble_direction(g31, H, eps=0.25)
     c = fibering_coeffs(w, H)
     lam = lambda_star(c)
     wp = WellParameters(H=H, d=fiber_peak_energy(c), provenance="single direction")
     for mult, code in ((0.05, "t21"), (1.6, "t22"), (0.987, "t31"), (1.0129, "t32")):
-        assert classify_initial(w.scaled(mult * lam), wp, sampler=_UnreadSampler()).applicable_theorem == code
+        v = classify_initial(w.scaled(mult * lam), wp)
+        assert v.applicable_theorem == code and "lambda_hat_eps" not in v.details
     H8 = 8.0
     w8 = bubble_direction(g31, H8, eps=0.25)
     u8 = w8.scaled(1.15 * lambda_star(fibering_coeffs(w8, H8)))
-    v = classify_initial(u8, estimate_d(H8, g31), sampler=_UnreadSampler())
-    assert v.applicable_theorem == "t52"
+    v = classify_initial(u8, estimate_d(H8, g31))
+    assert v.applicable_theorem == "t52" and "lambda_hat_eps" not in v.details
 
 
 def test_classify_samples_bounds_at_the_high_band_edge(g31, monkeypatch):
     # E - d exceeds the band tol_d * d by one rounding, where d * (1 + tol_d) does not:
-    # the one regime decision calls this datum high energy, so its sampler is read
+    # the one regime decision calls this datum high energy, so its lambda/Lambda bounds are read
     d, e, tol_d = 8.003457162269354, 8.011460619431624, 1e-3
     assert e - d > tol_d * d and not e > d * (1.0 + tol_d)
     # dirichlet 1: the volume term is E - 1/2 and D = dirichlet + 3 volume
@@ -160,14 +168,19 @@ def test_classify_samples_bounds_at_the_high_band_edge(g31, monkeypatch):
     monkeypatch.setattr("hflow.functionals.report", lambda u, H: rep)
     reads = []
 
-    def sampler():
+    def counted(*args):
         reads.append(True)
-        yield from ()
+        return sample_lambda_Lambda(*args)
 
-    v = classify_initial(eigenmode(g31), WellParameters(H=1.0, d=d, provenance="synthetic"), tol_d, sampler())
+    monkeypatch.setattr("hflow.classify.sample_lambda_Lambda", counted)
+    # one family row at the depth, lambda* = 1 and |u|_2 = 2: both bounds are 2
+    row = {"label": "eps=0.1", "A": 6.0 * d, "B": -3.0 * d, "fiber_energy": d}
+    wp = WellParameters(H=1.0, d=d, provenance="synthetic", family_table=[row], eps_grid=(0.1,), l2_sq=(4.0,))
+    v = classify_initial(eigenmode(g31), wp, tol_d)
     assert v.energy_regime == "high" and "e54" in v.details
     assert reads == [True]
-    assert v.applicable_theorem == "none"  # no direction sampled, so no bounds
+    assert (v.details["lambda_hat"], v.details["Lambda_hat"], v.details["lambda_hat_eps"]) == (2.0, 2.0, 0.1)
+    assert v.applicable_theorem == "t51.1"  # D > 0 and |u|_2 = 1 <= lambda^
 
 
 def test_classify_e54_field_low_energy_route(setup31):

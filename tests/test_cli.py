@@ -27,8 +27,8 @@ from hflow.cli import (
     write_trajectory_csv,
 )
 from hflow.functionals import energy_E, isoperimetric_gap
-from hflow.grid import make_grid
-from hflow.nehari import bubble_family, fiber_peak_energy, fibering_coeffs, project_nehari_delta
+from hflow.grid import l2_norm_sq, make_grid
+from hflow.nehari import bubble_family, fiber_peak_energy, fibering_coeffs, lambda_star, project_nehari_delta
 
 
 def write_config(path, **overrides):
@@ -260,7 +260,7 @@ def _counting(calls, name, fn):
 
 
 def test_classify_t52_samples_no_bounds(tmp_path, monkeypatch):
-    # the e54 inequality settles t52, so the lambda/Lambda sampler is never run
+    # the e54 inequality settles t52, so the lambda/Lambda bounds are never read
     calls = []
     counted = _counting(calls, "sample_lambda_Lambda", nehari.sample_lambda_Lambda)
     monkeypatch.setattr(nehari, "sample_lambda_Lambda", counted)
@@ -309,6 +309,7 @@ PRESET_OUTCOMES = {
     "t22": ("blowup-suspected", "gradient-threshold"),
     "t32": ("blowup-suspected", "gradient-threshold"),
     "t52": ("blowup-suspected", "gradient-threshold"),
+    "t51_2": ("blowup-suspected", "gradient-threshold"),
 }
 
 
@@ -372,7 +373,7 @@ _INTEGER_FIELDS = [  # (field, command, config overrides that put the value in t
     ("ic.params.component", "classify", lambda v: {"ic": {"type": "eigenmode", "params": {"component": v}}}),
     ("ic.params.kmax", "classify", lambda v: {"ic": {"type": "random-bandlimited", "params": {"kmax": v}}, "seed": 3}),
     ("seed", "classify", lambda v: {"ic": {"type": "random-bandlimited", "params": {}}, "seed": v}),
-    ("seed", "classify", lambda v: {"seed": v}),  # the lambda/Lambda sampler's seed
+    ("seed", "classify", lambda v: {"seed": v}),  # checked at load, also where the command draws nothing from it
     ("monitors.record_every", "simulate", lambda v: {"monitors": {"record_every": v}}),
     ("sweep.max_workers", "sweep", lambda v: {"sweep": {"lambda_multiples": [0.2], "max_workers": v}}),
 ]
@@ -1169,20 +1170,37 @@ def test_energy_level_without_wp_reads_the_configured_well(tmp_path):
 
 
 def test_lambda_sampler_ends_on_the_configured_well(tmp_path):
-    # d and the high-energy bounds read one family: under an off-center well the sampler's last directions are
-    # that well's bubbles, and classify records the bounds over them, not over nehari's default family
+    # d and the high-energy bounds read one family: under an off-center well classify records the projected
+    # norms of that well's bubbles, not of nehari's default family
     overrides = _scaled({"direction": _DIRECTION, "lambda_multiple": 1.1})
-    path = write_config(tmp_path / "c.json", seed=1, well={"center": [0.3, 0.6]}, **overrides)
+    path = write_config(tmp_path / "c.json", well={"center": [0.3, 0.6]}, **overrides)
     cfg, g = load_config(path), make_grid(31)
     wp = cli._well_parameters(cfg, g, 1.0)
-    family = [u for _, u in bubble_family(g, 1.0, wp.eps_grid, (0.3, 0.6))]
-    tail = list(nehari.lambda_sampler(g, wp, 1))[-len(wp.eps_grid) :]
-    assert [u.values.tobytes() for u in tail] == [u.values.tobytes() for u in family]
     verdict = json.loads(_classify_verdict(tmp_path / "o", path))["verdict"]
-    directions = [fields.random_bandlimited(g, 1 + i, 6) for i in range(200)] + family
-    bounds = nehari.sample_lambda_Lambda(verdict["details"]["energy"], wp.d, 1.0, directions)
+    details = verdict["details"]
+    kept = []
+    for e, u in bubble_family(g, 1.0, wp.eps_grid, (0.3, 0.6)):
+        c = fibering_coeffs(u, 1.0)
+        if c.B < 0.0 and fiber_peak_energy(c) < details["energy"]:
+            kept.append((lambda_star(c) * math.sqrt(l2_norm_sq(u)), e))
     assert verdict["applicable_theorem"] == "t51.2"
-    assert (verdict["details"]["lambda_hat"], verdict["details"]["Lambda_hat"]) == bounds
+    assert (details["lambda_hat"], details["lambda_hat_eps"]) == min(kept)
+    assert (details["Lambda_hat"], details["Lambda_hat_eps"]) == max(kept)
+    centered = nehari.sample_lambda_Lambda(details["energy"], nehari.estimate_d(1.0, g))
+    assert (details["lambda_hat"], details["Lambda_hat"]) != (centered[0][0], centered[1][0])
+
+
+def test_classify_leaves_numpy_random_unloaded():
+    # the high-energy bounds are read off the well's rows, so a t51.2 verdict draws no random field
+    src = str(Path(hflow.__file__).resolve().parents[1])
+    code = (
+        "import sys, tempfile, hflow.cli\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    assert hflow.cli.main(['classify', '--config', 'presets/t51_2.json', '--out', out]) == 0\n"
+        "sys.exit('numpy.random' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_optimal_energy_level_on_the_peak_above_it_classifies_t32(tmp_path):
@@ -1200,7 +1218,7 @@ def test_optimal_energy_level_on_the_peak_above_it_classifies_t32(tmp_path):
 
 
 def test_preset_configs_parse():
-    for name in ("t21", "t22", "t31", "t32", "t52"):
+    for name in ("t21", "t22", "t31", "t32", "t52", "t51_2"):
         cfg = load_config(f"presets/{name}.json")
         assert cfg["ic"]["type"] == "scaled-direction"
         assert cfg["grid"]["n"] == 63
@@ -1211,7 +1229,7 @@ def test_preset_classifies_to_its_theorem(tmp_path, path):
     out = tmp_path / "o"
     assert main(["classify", "--config", str(path), "--out", str(out)]) == EXIT_OK
     verdict = json.loads((out / "verdict.json").read_text(encoding="utf-8"))["verdict"]
-    assert verdict["applicable_theorem"] == path.stem
+    assert verdict["applicable_theorem"] == path.stem.replace("_", ".")
 
 
 def test_energy_level_ic_mode(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -9,7 +10,7 @@ from hflow.classify import SIGN_TOL_FACTOR
 from hflow.cli import _amplitude_for_energy_level
 from hflow.fields import cutoff_weight, random_bandlimited
 from hflow.functionals import a_of_delta, energy_E, nehari_D, r_of_delta
-from hflow.grid import VectorField, h1_seminorm_sq, interior_coords, make_grid
+from hflow.grid import VectorField, h1_seminorm_sq, interior_coords, l2_norm_sq, make_grid
 from hflow.nehari import (
     EstimationError,
     FiberingCoefficients,
@@ -23,7 +24,6 @@ from hflow.nehari import (
     fiber_peak_energy,
     fibering_coeffs,
     golden_section_peak,
-    lambda_sampler,
     lambda_star,
     optimal_bubble,
     project_nehari_delta,
@@ -422,52 +422,71 @@ def test_delta_roots_match_an_exact_reference():
 def test_sample_lambda_Lambda_bubble_sampler(g63):
     H = 1.0
     wp = estimate_d(H, g63)
-    sampler = [bubble_direction(g63, H, eps=e) for e in default_eps_grid(g63)]
-    lo, hi = sample_lambda_Lambda(1.10 * wp.d, wp.d, H, sampler)
+    (lo, lo_eps), (hi, hi_eps) = sample_lambda_Lambda(1.10 * wp.d, wp)
     assert 0.0 < lo <= hi < math.inf
+    assert lo_eps in wp.eps_grid and hi_eps in wp.eps_grid
     # single direction: the two estimates coincide
-    single = [bubble_direction(g63, H, eps=0.25)]
-    alpha = 1.01 * fiber_peak_energy(fibering_coeffs(single[0], H))
-    lo1, hi1 = sample_lambda_Lambda(alpha, wp.d, H, single)
-    assert lo1 == hi1
-    # enlarging alpha with the same sampler widens the bracket
-    lo2, hi2 = sample_lambda_Lambda(2.20 * wp.d, wp.d, H, sampler)
+    single = estimate_d(H, g63, eps_grid=[0.25])
+    lo1, hi1 = sample_lambda_Lambda(1.01 * single.d, single)
+    assert lo1 == hi1 and lo1[1] == 0.25
+    # enlarging alpha over the same family widens the bracket
+    (lo2, _), (hi2, _) = sample_lambda_Lambda(2.20 * wp.d, wp)
     assert lo2 <= lo and hi2 >= hi
 
 
-def test_lambda_sampler_streams_the_list_it_replaced(g31, g63):
-    H, seed, count = 1.0, 5, 40
-    wp = estimate_d(H, g31)
-    sampler = lambda_sampler(g31, wp, seed, count=count)
-    assert iter(sampler) is sampler
-    listed = [random_bandlimited(g31, seed + i, kmax=6) for i in range(count)]
-    listed += [u for _, u in bubble_family(g31, H, default_eps_grid(g31), (0.5, 0.5))]
-    got = list(sampler)
-    assert len(got) == len(listed)
-    assert all(a.values.tobytes() == b.values.tobytes() for a, b in zip(got, listed))
+def _projected_norms(g, H, wp, alpha):
+    """(norm, eps) of each family bubble, built anew and projected at lambda*, with fiber peak below alpha."""
+    kept = []
+    for e, u in bubble_family(g, H, wp.eps_grid, wp.center):
+        c = fibering_coeffs(u, H)
+        if c.B < 0.0 and fiber_peak_energy(c) < alpha:
+            kept.append((lambda_star(c) * math.sqrt(l2_norm_sq(u)), e))
+    return kept
+
+
+def test_sample_lambda_Lambda_reads_the_family_it_projected(g31, g63):
+    # the bounds are the projected norms of the family's bubbles, bit for bit, read off the rows with no field built
+    H = 1.0
+    wp = estimate_d(H, g31, center=(0.3, 0.6))
+    assert len(wp.l2_sq) == len(wp.family_table) == len(wp.eps_grid)
     for alpha in (1.1 * wp.d, 100.0 * wp.d):
-        streamed = sample_lambda_Lambda(alpha, wp.d, H, lambda_sampler(g31, wp, seed, count=count))
-        assert streamed == sample_lambda_Lambda(alpha, wp.d, H, listed)
-    # one direction at a time: the peak stays far below the 200 fields of a list
+        kept = _projected_norms(g31, H, wp, alpha)
+        lo, hi = sample_lambda_Lambda(alpha, wp)
+        assert lo[0] == min(k[0] for k in kept) and hi[0] == max(k[0] for k in kept)
+        assert lo in kept and hi in kept
     wp = estimate_d(H, g63)
     field_bytes = 3 * 63 * 63 * 8
     tracemalloc.start()
     try:
-        sample_lambda_Lambda(100.0 * wp.d, wp.d, H, lambda_sampler(g63, wp, seed))
+        sample_lambda_Lambda(100.0 * wp.d, wp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20 * field_bytes
+    assert peak < field_bytes
+
+
+@pytest.mark.parametrize("n", [63, 127])
+@pytest.mark.parametrize("level", [1.2, 2.5, 3.8])
+def test_lambda_hat_is_the_4h_floor_bubble(n, level):
+    # the most concentrated resolvable bubble has the smallest projected norm, so lambda^ follows the grid floor
+    g = make_grid(n)
+    wp = estimate_d(1.0, g)
+    (lam_hat, lam_eps), _ = sample_lambda_Lambda(level * wp.d, wp)
+    assert lam_eps == wp.eps_grid[0] == 4.0 * g.h
+    floor = bubble_direction(g, 1.0, wp.center, 4.0 * g.h)
+    assert lam_hat == lambda_star(fibering_coeffs(floor, 1.0)) * math.sqrt(l2_norm_sq(floor))
 
 
 def test_sample_lambda_Lambda_errors(g63):
     H = 1.0
-    u = bubble_direction(g63, H, eps=0.25)
-    peak = fiber_peak_energy(fibering_coeffs(u, H))
+    wp = estimate_d(H, g63, eps_grid=[0.25])
+    # a hand-built well with no row below alpha
     with pytest.raises(EstimationError):
-        sample_lambda_Lambda(0.9 * peak, 0.5 * peak, H, [u])
+        sample_lambda_Lambda(0.9 * wp.d, dataclasses.replace(wp, d=0.5 * wp.d))
+    with pytest.raises(EstimationError):
+        sample_lambda_Lambda(2.0 * wp.d, dataclasses.replace(wp, family_table=[], eps_grid=(), l2_sq=()))
     with pytest.raises(ValueError):
-        sample_lambda_Lambda(1.0, 2.0, H, [u])
+        sample_lambda_Lambda(wp.d, wp)
 
 
 def test_projected_members_norm_bounds(g63):
