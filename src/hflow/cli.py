@@ -105,8 +105,8 @@ CONFIG_SCHEMA = {
     },
     "well": {"eps_min": Field(NUMBER, "4h", "> 0", words=("4h",)), "eps_max": Field(NUMBER, 0.35, "> 0"),
              "eps_count": Field(INTEGER, 12, ">= 1"), "center": _CENTER},
-    "corpus": {"count": Field(INTEGER, 50), "kmax": Field(INTEGER, 6, ">= 1"), "seed": Field(INTEGER, bounds=">= 0"),
-               "saturation_probe": Field(FLAG, False)},
+    "corpus": {"count": Field(INTEGER, 50, ">= 0"), "kmax": Field(INTEGER, 6, ">= 1"),
+               "seed": Field(INTEGER, bounds=">= 0"), "saturation_probe": Field(FLAG, False)},
     "output": {"path": Field(TEXT, "out")},
     "sweep": Field({"lambda_multiples": Field(SOME_NUMBERS, REQUIRED), "max_workers": Field(INTEGER, 0, ">= 0")}),
 }
@@ -178,26 +178,15 @@ def load_config(path) -> dict:
         raise ConfigError(f"monitors.delta_list: {exc}") from exc
     if "ic" in cfg:
         cfg["ic"]["params"] = _typed(cfg["ic"]["params"], IC_PARAMS[cfg["ic"]["type"]], "ic.params")
-    g = make_grid(cfg["grid"]["n"])
-    lo, hi = _eps_range(cfg, g)
-    if lo > hi:
-        if cfg["well"]["eps_min"] == "4h":
-            raise ConfigError(
-                f"grid n = {g.nx} is too coarse for the bubble family: eps_min = 4h = {lo:g} exceeds "
-                f"well.eps_max = {hi:g}; this range needs n >= {math.ceil(4.0 / hi - 1.0)}, "
-                "or set well.eps_min explicitly"
-            )
-        raise ConfigError(f"well.eps_min = {lo:g} exceeds well.eps_max = {hi:g}")
+    well = cfg["well"]
+    try:
+        nehari.family_scales(make_grid(cfg["grid"]["n"]), well["eps_min"], well["eps_max"], well["eps_count"])
+    except ValueError as exc:
+        raise ConfigError(f"well.eps_min / well.eps_max: {exc}") from exc
     _flow_params(cfg)
     if "sweep" in cfg:
         _sweep_cells(cfg["sweep"]["lambda_multiples"])
     return cfg
-
-
-def _eps_range(cfg, g: GridSpec) -> tuple[float, float]:
-    """(smallest, largest) scale of the well's bubble family on g; an eps_min of "4h" is the resolution floor."""
-    lo, hi = cfg["well"]["eps_min"], cfg["well"]["eps_max"]
-    return (4.0 * g.h if lo == "4h" else lo), hi
 
 
 def _flow_params(cfg: dict) -> flow.FlowParams:
@@ -310,8 +299,9 @@ def build_initial_condition(cfg: dict, g: GridSpec, H: float, wp=None):
 
 
 def _well_parameters(cfg, g: GridSpec, H: float) -> nehari.WellParameters:
-    eps_grid = np.geomspace(*_eps_range(cfg, g), cfg["well"]["eps_count"])
-    return nehari.estimate_d(H, g, eps_grid=eps_grid, center=tuple(cfg["well"]["center"]))
+    well = cfg["well"]
+    eps_grid = nehari.family_scales(g, well["eps_min"], well["eps_max"], well["eps_count"])
+    return nehari.estimate_d(H, g, eps_grid=eps_grid, center=tuple(well["center"]))
 
 
 def cmd_compute_well_depth(cfg: dict, out: Path) -> int:
@@ -525,7 +515,7 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
     # isoperimetric inequality, whose discrete gap exposes the resolution limit of the grid
     probe_size = 0
     if cfg["corpus"]["saturation_probe"]:
-        for j, (_, u) in enumerate(nehari.bubble_family(g, H, wp.eps_grid, wp.center)):
+        for j, (_, u) in enumerate(nehari.bubble_family(g, H, [row["eps"] for row in wp.family_table], wp.center)):
             probe_size += 1
             _check_isoperimetric(checks["isoperimetric"], corpus_size + j, *functionals._dirichlet_and_volume(u))
     for block in checks.values():  # a worst value no member reached

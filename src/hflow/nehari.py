@@ -46,10 +46,8 @@ class WellParameters:
     H: float
     d: float
     provenance: str
-    family_table: list = field(default_factory=list)  # rows: {"label", "A", "B", "fiber_energy"}
-    eps_grid: tuple = ()  # the family's scales, one per family_table row
+    family_table: list = field(default_factory=list)  # rows: {"label", "eps", "A", "B", "fiber_energy", "l2_sq"}
     center: tuple = (0.5, 0.5)  # the family's bubble center
-    l2_sq: tuple = ()  # the members' squared L^2 norms, one per family_table row
 
 
 def fibering_coeffs(u: VectorField, H: float) -> FiberingCoefficients:
@@ -110,9 +108,18 @@ def bubble_direction(g: GridSpec, H: float = 1.0, center=(0.5, 0.5), eps: float 
     return VectorField(g, vals)
 
 
-def default_eps_grid(g: GridSpec, count: int = 12, eps_max: float = 0.35) -> np.ndarray:
-    """Log-spaced scales from the resolution floor 4h up to eps_max."""
-    return np.geomspace(4.0 * g.h, eps_max, count)
+def family_scales(g: GridSpec, eps_min="4h", eps_max: float = 0.35, count: int = 12) -> np.ndarray:
+    """The bubble family's `count` scales, log-spaced from eps_min up to eps_max; an eps_min of "4h" is the
+    resolution floor of g.  A range whose lower end lies above eps_max is a ValueError."""
+    lo = 4.0 * g.h if eps_min == "4h" else eps_min
+    if lo > eps_max:
+        if eps_min == "4h":
+            raise ValueError(
+                f"grid n = {g.nx} is too coarse for the bubble family: its floor 4h = {lo:g} exceeds "
+                f"eps_max = {eps_max:g}; this range needs n >= {math.ceil(4.0 / eps_max - 1.0)}"
+            )
+        raise ValueError(f"eps_min = {lo:g} exceeds eps_max = {eps_max:g}")
+    return np.geomspace(lo, eps_max, count)
 
 
 def bubble_family(g: GridSpec, H: float, eps_grid, center):
@@ -125,19 +132,18 @@ def estimate_d(H: float, g: GridSpec, eps_grid=None, center=(0.5, 0.5)) -> WellP
     """Estimate the well depth as the family minimum of fiber peak energies.
 
     The family is the cutoff bubble family at `center` over `eps_grid`
-    (`default_eps_grid` when None), made one bubble at a time; the returned
-    parameters record both, and each member's squared L^2 norm for
-    sample_lambda_Lambda.  Members whose fiber energy has no interior
-    maximum (B >= 0) are skipped.
+    (`family_scales(g)` when None), made one bubble at a time; the returned
+    parameters record its center and one row per member: its scale, (A, B),
+    fiber peak and squared L^2 norm.  Members whose fiber energy has no
+    interior maximum (B >= 0) are skipped.
     """
-    eps_grid = tuple(float(e) for e in (default_eps_grid(g) if eps_grid is None else eps_grid))
+    eps_grid = tuple(float(e) for e in (family_scales(g) if eps_grid is None else eps_grid))
     if not eps_grid:
         raise EstimationError("empty direction family")
-    table, l2_sq = [], []
+    table = []
     for e, u in bubble_family(g, H, eps_grid, center):
         c = fibering_coeffs(u, H)
-        l2_sq.append(l2_norm_sq(u))
-        row = {"label": f"eps={e:.6g}", "A": c.A, "B": c.B}
+        row = {"label": f"eps={e:.6g}", "eps": e, "A": c.A, "B": c.B, "l2_sq": l2_norm_sq(u)}
         try:
             row["fiber_energy"] = fiber_peak_energy(c)
         except NoMaximizerError:
@@ -150,21 +156,13 @@ def estimate_d(H: float, g: GridSpec, eps_grid=None, center=(0.5, 0.5)) -> WellP
         f"cutoff pole-shifted stereographic bubbles, center={tuple(center)}, "
         f"eps in [{eps_grid[0]:.6g}, {eps_grid[-1]:.6g}] ({len(eps_grid)} scales), n={g.nx}, H={H}"
     )
-    return WellParameters(
-        H=H,
-        d=min(usable),
-        provenance=provenance,
-        family_table=table,
-        eps_grid=eps_grid,
-        center=tuple(center),
-        l2_sq=tuple(l2_sq),
-    )
+    return WellParameters(H=H, d=min(usable), provenance=provenance, family_table=table, center=tuple(center))
 
 
 def family_minimizer(wp: WellParameters) -> tuple[float, FiberingCoefficients]:
     """(eps, coefficients) of the first minimal row of wp's bubble-family table."""
-    i = [row["fiber_energy"] for row in wp.family_table].index(wp.d)
-    return wp.eps_grid[i], FiberingCoefficients(A=wp.family_table[i]["A"], B=wp.family_table[i]["B"])
+    row = wp.family_table[[r["fiber_energy"] for r in wp.family_table].index(wp.d)]
+    return row["eps"], FiberingCoefficients(A=row["A"], B=row["B"])
 
 
 def optimal_bubble(g: GridSpec, H: float, eps_grid=None, center=(0.5, 0.5)):
@@ -267,13 +265,13 @@ def sample_lambda_Lambda(alpha: float, wp: WellParameters):
     fiber peak below alpha, are kept and ((min, eps), (max, eps)) of their
     L^2 norms returned.  These are an upper estimate of the infimum and a
     lower estimate of the supremum (sampling, not optimization).  The family's
-    (A, B), peaks and norms are read off wp; no field is built.
+    rows are read off wp; no field is built.
     """
     if alpha <= wp.d:
         raise ValueError(f"need alpha > d, got alpha={alpha}, d={wp.d}")
     kept = [
-        (lambda_star(FiberingCoefficients(A=row["A"], B=row["B"])) * math.sqrt(l2), e)
-        for row, e, l2 in zip(wp.family_table, wp.eps_grid, wp.l2_sq)
+        (lambda_star(FiberingCoefficients(A=row["A"], B=row["B"])) * math.sqrt(row["l2_sq"]), row["eps"])
+        for row in wp.family_table
         if row["fiber_energy"] is not None and row["fiber_energy"] < alpha
     ]
     if not kept:

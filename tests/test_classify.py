@@ -174,8 +174,8 @@ def test_classify_samples_bounds_at_the_high_band_edge(g31, monkeypatch):
 
     monkeypatch.setattr("hflow.classify.sample_lambda_Lambda", counted)
     # one family row at the depth, lambda* = 1 and |u|_2 = 2: both bounds are 2
-    row = {"label": "eps=0.1", "A": 6.0 * d, "B": -3.0 * d, "fiber_energy": d}
-    wp = WellParameters(H=1.0, d=d, provenance="synthetic", family_table=[row], eps_grid=(0.1,), l2_sq=(4.0,))
+    row = {"label": "eps=0.1", "eps": 0.1, "A": 6.0 * d, "B": -3.0 * d, "fiber_energy": d, "l2_sq": 4.0}
+    wp = WellParameters(H=1.0, d=d, provenance="synthetic", family_table=[row])
     v = classify_initial(eigenmode(g31), wp, tol_d)
     assert v.energy_regime == "high" and "e54" in v.details
     assert reads == [True]

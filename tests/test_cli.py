@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -89,9 +90,8 @@ def test_grid_too_coarse_for_bubble_family(tmp_path, capsys, n):
     cfg = write_config(tmp_path / "c.json", grid={"n": n})
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"grid n = {n} is too coarse" in err
-    assert "4h" in err and "well.eps_max = 0.35" in err and "n >= 11" in err
-    assert "well.eps_min" in err
+    assert f"error: well.eps_min / well.eps_max: grid n = {n} is too coarse" in err
+    assert "4h" in err and "eps_max = 0.35" in err and "n >= 11" in err
     assert not (tmp_path / "o" / "verdict.json").exists()
 
 
@@ -100,6 +100,18 @@ def test_grid_at_bubble_family_minimum_runs(tmp_path):
     out = tmp_path / "o"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     assert (out / "verdict.json").exists()
+
+
+@pytest.mark.parametrize("n", [63, 127])
+def test_default_well_is_the_library_family(tmp_path, n):
+    # with no well block the command's well is estimate_d's default family, row for row and bit for bit
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"grid": {"n": n}, "physics": {"H": 1.7}}), encoding="utf-8")
+    g = make_grid(n)
+    wp, lib = cli._well_parameters(load_config(path), g, 1.7), nehari.estimate_d(1.7, g)
+    # repr, and so json, writes each float's shortest round-trip digits: equal text is equal bits
+    assert json.dumps(dataclasses.asdict(wp)) == json.dumps(dataclasses.asdict(lib))
+    assert len(wp.family_table) == 12
 
 
 def test_solve_residual_miss_exits_numeric(tmp_path, capsys, monkeypatch):
@@ -492,6 +504,8 @@ _REJECTED = [  # (command, config overrides, error): before the schema, each exi
     # naming no field, after the output directory was made
     ("classify", {"seed": -1}, "seed must be >= 0, got -1"),
     ("verify-lemmas", {"corpus": {"count": 2, "seed": -1}}, "corpus.seed must be >= 0, got -1"),
+    # a negative count ran no member and reported all_passed: true
+    ("verify-lemmas", {"corpus": {"count": -3}, "seed": 1}, "corpus.count must be >= 0, got -3"),
     (
         "classify",
         {"ic": {"type": "random-bandlimited", "params": {"seed": -5}}},
@@ -504,19 +518,27 @@ _REJECTED = [  # (command, config overrides, error): before the schema, each exi
     # it, so the sweep exited 2
     ("simulate", {"time": {"dt0": 1e-3, "dt_min": 1e-3}}, "need 0 < dt_min < dt0, got dt_min=0.001, dt0=0.001"),
     ("sweep", {"time": {"dt0": 1e-3, "dt_min": 2e-3}, **_SWEEP}, "need 0 < dt_min < dt0, got dt_min=0.002, dt0=0.001"),
-    ("simulate", {"well": {"eps_min": 0.3, "eps_max": 0.2}}, "well.eps_min = 0.3 exceeds well.eps_max = 0.2"),
-    ("sweep", {"well": {"eps_min": 0.25, "eps_max": 0.2}, **_SWEEP}, "well.eps_min = 0.25 exceeds well.eps_max = 0.2"),
+    (
+        "simulate",
+        {"well": {"eps_min": 0.3, "eps_max": 0.2}},
+        "well.eps_min / well.eps_max: eps_min = 0.3 exceeds eps_max = 0.2",
+    ),
+    (
+        "sweep",
+        {"well": {"eps_min": 0.25, "eps_max": 0.2}, **_SWEEP},
+        "well.eps_min / well.eps_max: eps_min = 0.25 exceeds eps_max = 0.2",
+    ),
     (
         "simulate",
         {"grid": {"n": 15}, "well": {"eps_max": 0.2}},
-        "grid n = 15 is too coarse for the bubble family: eps_min = 4h = 0.25 exceeds well.eps_max = 0.2; "
-        "this range needs n >= 19, or set well.eps_min explicitly",
+        "well.eps_min / well.eps_max: grid n = 15 is too coarse for the bubble family: its floor 4h = 0.25 "
+        "exceeds eps_max = 0.2; this range needs n >= 19",
     ),
     (
         "sweep",
         {"grid": {"n": 15}, "well": {"eps_max": 0.1}, **_SWEEP},
-        "grid n = 15 is too coarse for the bubble family: eps_min = 4h = 0.25 exceeds well.eps_max = 0.1; "
-        "this range needs n >= 39, or set well.eps_min explicitly",
+        "well.eps_min / well.eps_max: grid n = 15 is too coarse for the bubble family: its floor 4h = 0.25 "
+        "exceeds eps_max = 0.1; this range needs n >= 39",
     ),
     # an empty bubble family: it exited 2 once the well was estimated, and under sweep every cell failed on it
     ("compute-well-depth", {"well": {"eps_count": 0}}, "well.eps_count must be >= 1, got 0"),
@@ -779,7 +801,7 @@ def test_verify_lemmas_reuses_its_passes_with_the_same_bits(tmp_path, monkeypatc
     cfg = load_config(path)
     g = make_grid(31)
     wp = cli._well_parameters(cfg, g, H)
-    family = list(bubble_family(g, H, wp.eps_grid, wp.center))
+    family = list(bubble_family(g, H, [row["eps"] for row in wp.family_table], wp.center))
     probe = [u for _, u in family]
     gaps = [isoperimetric_gap(u) / fibering_coeffs(u, H).A for u in list(cli._corpus(cfg, g)) + probe]
     assert checks["isoperimetric"]["worst_gap_over_dirichlet"] == min(gaps)
@@ -1179,7 +1201,7 @@ def test_lambda_sampler_ends_on_the_configured_well(tmp_path):
     verdict = json.loads(_classify_verdict(tmp_path / "o", path))["verdict"]
     details = verdict["details"]
     kept = []
-    for e, u in bubble_family(g, 1.0, wp.eps_grid, (0.3, 0.6)):
+    for e, u in bubble_family(g, 1.0, [row["eps"] for row in wp.family_table], (0.3, 0.6)):
         c = fibering_coeffs(u, 1.0)
         if c.B < 0.0 and fiber_peak_energy(c) < details["energy"]:
             kept.append((lambda_star(c) * math.sqrt(l2_norm_sq(u)), e))

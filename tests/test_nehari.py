@@ -18,9 +18,9 @@ from hflow.nehari import (
     bubble_direction,
     bubble_family,
     d_of_delta,
-    default_eps_grid,
     delta_roots,
     estimate_d,
+    family_scales,
     fiber_peak_energy,
     fibering_coeffs,
     golden_section_peak,
@@ -31,6 +31,11 @@ from hflow.nehari import (
 )
 
 WELL_DEPTH_LIMIT = 4.0 * math.pi / 3.0  # concentration limit of the depth for H = 1
+
+
+def _scales(wp):
+    """The scales of wp's bubble family, one per row."""
+    return [row["eps"] for row in wp.family_table]
 
 
 def _negative_direction(g, seed):
@@ -225,7 +230,7 @@ def test_estimate_d_single_direction(g63):
     u = bubble_direction(g63, 1.0, eps=0.25)
     wp = estimate_d(1.0, g63, eps_grid=[0.25])
     assert wp.d == fiber_peak_energy(fibering_coeffs(u, 1.0))
-    assert (wp.eps_grid, wp.center) == ((0.25,), (0.5, 0.5))
+    assert (_scales(wp), wp.center) == ([0.25], (0.5, 0.5))
     assert "(1 scales)" in wp.provenance
 
 
@@ -295,11 +300,57 @@ def test_empty_scale_grid_is_an_estimation_error(g15, eps_grid):
         optimal_bubble(g15, 1.0, eps_grid=eps_grid)
 
 
+def test_family_scales_owns_the_floor_the_spacing_and_the_defaults(g63):
+    # 12 log-spaced scales from the 4h floor up to 0.35 by default, with np.geomspace's bits
+    assert family_scales(g63).tobytes() == np.geomspace(4.0 * g63.h, 0.35, 12).tobytes()
+    assert family_scales(g63, 0.08, 0.3, 7).tobytes() == np.geomspace(0.08, 0.3, 7).tobytes()
+    assert family_scales(g63, 0.2, 0.2, 3).tolist() == [0.2, 0.2, 0.2]
+
+
+@pytest.mark.parametrize("n, eps_max, fits", [(3, 0.35, 11), (15, 0.2, 19), (15, 0.1, 39)])
+def test_family_scales_refuses_a_floor_above_eps_max(n, eps_max, fits):
+    # the message names n, the floor, eps_max and the smallest n whose floor fits, and no config key
+    g = make_grid(n)
+    with pytest.raises(ValueError) as err:
+        family_scales(g, eps_max=eps_max)
+    assert str(err.value) == (
+        f"grid n = {n} is too coarse for the bubble family: its floor 4h = {4.0 * g.h:g} exceeds "
+        f"eps_max = {eps_max:g}; this range needs n >= {fits}"
+    )
+    assert family_scales(make_grid(fits), eps_max=eps_max)[0] <= eps_max
+    with pytest.raises(ValueError):
+        family_scales(make_grid(fits - 1), eps_max=eps_max)
+
+
+def test_family_scales_refuses_an_explicit_eps_min_above_eps_max(g63):
+    with pytest.raises(ValueError, match=r"^eps_min = 0.3 exceeds eps_max = 0.2$"):
+        family_scales(g63, 0.3, 0.2)
+
+
+def test_the_library_refuses_the_grid_the_cli_refuses():
+    # at n = 7 the 4h floor 0.5 lies above eps_max = 0.35: the default family came out decreasing
+    g = make_grid(7)
+    with pytest.raises(ValueError, match="n >= 11"):
+        estimate_d(1.0, g)
+    with pytest.raises(ValueError, match="n >= 11"):
+        optimal_bubble(g, 1.0)
+
+
+@pytest.mark.parametrize("center", [(0.5, 0.5), (0.3, 0.6)])
+def test_each_row_carries_its_members_scale_and_l2_norm(g31, center):
+    H = 1.3
+    wp = estimate_d(H, g31, center=center)
+    assert _scales(wp) == family_scales(g31).tolist()
+    for row in wp.family_table:
+        assert row["label"] == f"eps={row['eps']:.6g}"
+        assert row["l2_sq"] == l2_norm_sq(bubble_direction(g31, H, center, row["eps"]))
+
+
 def test_optimal_bubble_matches_family_min(g63):
     wp = estimate_d(1.0, g63)
     eps, u = optimal_bubble(g63, 1.0)
     assert fiber_peak_energy(fibering_coeffs(u, 1.0)) == pytest.approx(wp.d, rel=1e-13)
-    assert eps == pytest.approx(default_eps_grid(g63)[0])
+    assert eps == pytest.approx(family_scales(g63)[0])
 
 
 def test_d_of_delta_curve():
@@ -424,7 +475,7 @@ def test_sample_lambda_Lambda_bubble_sampler(g63):
     wp = estimate_d(H, g63)
     (lo, lo_eps), (hi, hi_eps) = sample_lambda_Lambda(1.10 * wp.d, wp)
     assert 0.0 < lo <= hi < math.inf
-    assert lo_eps in wp.eps_grid and hi_eps in wp.eps_grid
+    assert lo_eps in _scales(wp) and hi_eps in _scales(wp)
     # single direction: the two estimates coincide
     single = estimate_d(H, g63, eps_grid=[0.25])
     lo1, hi1 = sample_lambda_Lambda(1.01 * single.d, single)
@@ -437,7 +488,7 @@ def test_sample_lambda_Lambda_bubble_sampler(g63):
 def _projected_norms(g, H, wp, alpha):
     """(norm, eps) of each family bubble, built anew and projected at lambda*, with fiber peak below alpha."""
     kept = []
-    for e, u in bubble_family(g, H, wp.eps_grid, wp.center):
+    for e, u in bubble_family(g, H, _scales(wp), wp.center):
         c = fibering_coeffs(u, H)
         if c.B < 0.0 and fiber_peak_energy(c) < alpha:
             kept.append((lambda_star(c) * math.sqrt(l2_norm_sq(u)), e))
@@ -448,7 +499,6 @@ def test_sample_lambda_Lambda_reads_the_family_it_projected(g31, g63):
     # the bounds are the projected norms of the family's bubbles, bit for bit, read off the rows with no field built
     H = 1.0
     wp = estimate_d(H, g31, center=(0.3, 0.6))
-    assert len(wp.l2_sq) == len(wp.family_table) == len(wp.eps_grid)
     for alpha in (1.1 * wp.d, 100.0 * wp.d):
         kept = _projected_norms(g31, H, wp, alpha)
         lo, hi = sample_lambda_Lambda(alpha, wp)
@@ -472,7 +522,7 @@ def test_lambda_hat_is_the_4h_floor_bubble(n, level):
     g = make_grid(n)
     wp = estimate_d(1.0, g)
     (lam_hat, lam_eps), _ = sample_lambda_Lambda(level * wp.d, wp)
-    assert lam_eps == wp.eps_grid[0] == 4.0 * g.h
+    assert lam_eps == wp.family_table[0]["eps"] == 4.0 * g.h
     floor = bubble_direction(g, 1.0, wp.center, 4.0 * g.h)
     assert lam_hat == lambda_star(fibering_coeffs(floor, 1.0)) * math.sqrt(l2_norm_sq(floor))
 
@@ -484,7 +534,7 @@ def test_sample_lambda_Lambda_errors(g63):
     with pytest.raises(EstimationError):
         sample_lambda_Lambda(0.9 * wp.d, dataclasses.replace(wp, d=0.5 * wp.d))
     with pytest.raises(EstimationError):
-        sample_lambda_Lambda(2.0 * wp.d, dataclasses.replace(wp, family_table=[], eps_grid=(), l2_sq=()))
+        sample_lambda_Lambda(2.0 * wp.d, dataclasses.replace(wp, family_table=[]))
     with pytest.raises(ValueError):
         sample_lambda_Lambda(wp.d, wp)
 
