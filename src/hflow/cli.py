@@ -21,6 +21,7 @@ import dataclasses
 import json
 import math
 import operator
+import os
 import sys
 from pathlib import Path
 
@@ -68,7 +69,7 @@ class Field:
     words: tuple = ()
 
 
-_CENTER = Field(PAIR, [0.5, 0.5])
+_CENTER = Field(PAIR, [0.5, 0.5], "> 0, < 1")  # a point of the unit square
 
 IC_PARAMS = {  # ic.params of each ic.type
     "zero": {},
@@ -180,7 +181,7 @@ def load_config(path) -> dict:
         cfg["ic"]["params"] = _typed(cfg["ic"]["params"], IC_PARAMS[cfg["ic"]["type"]], "ic.params")
     well = cfg["well"]
     try:
-        nehari.family_scales(make_grid(cfg["grid"]["n"]), well["eps_min"], well["eps_max"], well["eps_count"])
+        nehari.family_floor(make_grid(cfg["grid"]["n"]), well["eps_min"], well["eps_max"])
     except ValueError as exc:
         raise ConfigError(f"well.eps_min / well.eps_max: {exc}") from exc
     _flow_params(cfg)
@@ -310,7 +311,7 @@ def cmd_compute_well_depth(cfg: dict, out: Path) -> int:
     r1 = functionals.r_of_delta(1.0, H)
     artifact = {
         "H": H,
-        "n": g.nx,
+        "n": g.n,
         "d": wp.d,
         "lower_bound": functionals.a_of_delta(1.0) * r1 * r1,
         "family": wp.family_table,
@@ -498,9 +499,8 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
     # its sign with B < 0: the flip negates B exactly, so the flipped coefficients are (A, -B).
     # The Nehari sign checks read D_delta along the direction's ray off that pair; only the
     # fiber map, which checks the fiber identity against the grid, builds the flipped field
-    corpus_size = 0
+    corpus_size = cfg["corpus"]["count"]
     for i, u in enumerate(members):
-        corpus_size += 1
         a, v = functionals._dirichlet_and_volume(u)
         c = nehari.FiberingCoefficients(A=a, B=H * v)
         _check_isoperimetric(checks["isoperimetric"], i, a, v)
@@ -513,20 +513,18 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
                 _check_fiber_map(checks["fiber_map"], u if c.B < 0.0 else u.scaled(-1.0), cw, H)
     # the saturation probe is the well's own family: near-extremal directions that saturate the
     # isoperimetric inequality, whose discrete gap exposes the resolution limit of the grid
-    probe_size = 0
-    if cfg["corpus"]["saturation_probe"]:
-        for j, (_, u) in enumerate(nehari.bubble_family(g, H, [row["eps"] for row in wp.family_table], wp.center)):
-            probe_size += 1
-            _check_isoperimetric(checks["isoperimetric"], corpus_size + j, *functionals._dirichlet_and_volume(u))
+    probe = [row["eps"] for row in wp.family_table] if cfg["corpus"]["saturation_probe"] else []
+    for j, (_, u) in enumerate(nehari.bubble_family(g, H, probe, wp.center)):
+        _check_isoperimetric(checks["isoperimetric"], corpus_size + j, *functionals._dirichlet_and_volume(u))
     for block in checks.values():  # a worst value no member reached
         block.update({key: None for key, val in block.items() if val is math.inf})
 
     all_passed = all(c["passed"] for c in checks.values())
     artifact = {
-        "n": g.nx,
+        "n": g.n,
         "H": H,
         "corpus_size": corpus_size,
-        "probe_size": probe_size,
+        "probe_size": len(probe),
         "checks": checks,
         "all_passed": all_passed,
     }
@@ -581,7 +579,9 @@ def cmd_sweep(cfg: dict, out: Path) -> int:
         cell_cfg.pop("sweep", None)
         jobs.append((cell_cfg, str(out / f"cell_lm_{name}"), f"lambda_multiple={name}"))
 
-    workers = min(cfg["sweep"]["max_workers"] or 4, len(jobs))  # a worker beyond the cells would idle
+    # 0 workers: one per CPU this process may run on; a worker beyond the cells would idle
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cfg["sweep"]["max_workers"] or cpus, len(jobs))
     if workers > 1:
         # imported here, so that no other command pays for loading the process pool
         from concurrent.futures import ProcessPoolExecutor

@@ -17,7 +17,7 @@ def eigenmode(g: GridSpec, kx: int = 1, ky: int = 1, component: int = 0, amplitu
     if component not in (0, 1, 2):
         raise ValueError(f"component must be 0, 1 or 2, got {component}")
     X, Y = interior_coords(g)
-    vals = np.zeros((3, g.nx, g.ny))
+    vals = np.zeros((3, g.n, g.n))
     vals[component] = amplitude * np.sin(kx * math.pi * X) * np.sin(ky * math.pi * Y)
     return VectorField(g, vals)
 
@@ -25,12 +25,10 @@ def eigenmode(g: GridSpec, kx: int = 1, ky: int = 1, component: int = 0, amplitu
 def discrete_laplacian_eigenvalue(g: GridSpec, kx=1, ky=1):
     """Eigenvalue mu of -Laplacian_h on the (kx, ky) sine mode; kx, ky may be broadcast arrays.
 
-    The mode is sin(kx pi i / (nx + 1)) sin(ky pi j / (ny + 1)) on the interior
-    nodes (i, j), which on the unit-square grid of `make_grid` is `eigenmode`.
+    The mode is `eigenmode`, sin(kx pi x) sin(ky pi y) on the nodes.
     """
     h = g.h
-    hx, hy = 1.0 / (g.nx + 1), 1.0 / (g.ny + 1)
-    s = np.sin(kx * math.pi * hx / 2.0) ** 2 + np.sin(ky * math.pi * hy / 2.0) ** 2
+    s = np.sin(kx * math.pi * h / 2.0) ** 2 + np.sin(ky * math.pi * h / 2.0) ** 2
     return 4.0 / (h * h) * s
 
 
@@ -56,10 +54,8 @@ def random_bandlimited(g: GridSpec, seed: int, kmax: int = 6, h1_norm: float | N
     coeffs = rng.standard_normal((3, kmax, kmax))
     k = np.arange(1, kmax + 1)
     coeffs /= k[:, None] ** 2 + k[None, :] ** 2
-    x = g.h * np.arange(1, g.nx + 1)
-    sx = np.sin(math.pi * np.outer(x, k))  # (nx, kmax)
-    y = g.h * np.arange(1, g.ny + 1)
-    sy = np.sin(math.pi * np.outer(k, y))  # (kmax, ny)
+    sx = np.sin(math.pi * np.outer(g.nodes(), k))  # (n, kmax)
+    sy = np.ascontiguousarray(sx.T)  # (kmax, n)
     # y-sines, then x-sines: einsum without `optimize` never calls BLAS, whose thread count moves bits
     vals = np.einsum("ik,ckj->cij", sx, np.einsum("ckl,lj->ckj", coeffs, sy))
     u = VectorField(g, vals)

@@ -132,7 +132,7 @@ class _Workspace:
     the real FFT of a zero-padded row [0, a, 0 ... 0] of length 2m + 2, whose
     imaginary part is -sqrt((m + 1)/2) times the orthonormal DST-I of a
     (Cooley, Lewis & Welch, J. Sound Vib. 12, 1970).  Two passes give
-    sqrt(scale) S_x S_y a with scale = (nx + 1)(ny + 1)/4, and that scale is
+    sqrt(scale) S_x S_y a with scale = (n + 1)^2/4, and that scale is
     folded into the cached denominator and into the spectral energies.
     """
 
@@ -141,35 +141,36 @@ class _Workspace:
     )
 
     def __init__(self, g: GridSpec):
-        nx, ny = g.nx, g.ny
+        n = g.n
         self.grid = g
         # eigenvalues mu_kl of -Lap_h on the sine modes
-        self.mu = discrete_laplacian_eigenvalue(g, np.arange(1, nx + 1)[:, None], np.arange(1, ny + 1)[None, :])
+        k = np.arange(1, n + 1)
+        self.mu = discrete_laplacian_eigenvalue(g, k[:, None], k[None, :])
         # the square of the two passes' gain over the orthonormal transform
-        self.scale = (nx + 1) * (ny + 1) / 4.0
+        self.scale = (n + 1) ** 2 / 4.0
         # the solve's scale (1 + dt mu), for self.dt
         self.dt = None
-        self.den = np.empty((nx, ny))
+        self.den = np.empty((n, n))
         # zero-padded rows of the y pass (along the last axis) and of the x pass (along axis 1); only
-        # the input slots [1 : m + 1] are ever written, so the padding stays zero
-        self.ypad = np.zeros((3, nx, 2 * ny + 2))
-        self.xpad = np.zeros((3, 2 * nx + 2, ny))
+        # the input slots [1 : n + 1] are ever written, so the padding stays zero
+        self.ypad = np.zeros((3, n, 2 * n + 2))
+        self.xpad = np.zeros((3, 2 * n + 2, n))
         # the passes' real FFTs share one buffer: the x pass overwrites the y pass's output once it is read
-        out = np.empty(3 * max(nx * (ny + 2), (nx + 2) * ny), dtype=complex)
-        self.yspec = out[: 3 * nx * (ny + 2)].reshape(3, nx, ny + 2)
-        self.xspec = out[: 3 * (nx + 2) * ny].reshape(3, nx + 2, ny)
+        out = np.empty(3 * n * (n + 2), dtype=complex)
+        self.yspec = out.reshape(3, n, n + 2)
+        self.xspec = out.reshape(3, n + 2, n)
         # the residual (mid) and spectrum (spec) of a solve, in a state pass u_x and u_y; run's rhs
-        self.mid, self.spec, self.rhs = _scratch_for((3, nx, ny))
+        self.mid, self.spec, self.rhs = _scratch_for((3, n, n))
         self.energies = None  # (|w|_2^2, h1_forward_sq(w)) of the last solution w
 
     def _transform(self, a: np.ndarray) -> np.ndarray:
         """sqrt(scale) S_x S_y a over the last two axes, as a view into self.xspec (valid until the next call)."""
-        nx, ny = a.shape[-2:]
-        self.ypad[..., 1 : ny + 1] = a
+        n = self.grid.n
+        self.ypad[..., 1 : n + 1] = a
         np.fft.rfft(self.ypad, out=self.yspec)
-        self.xpad[:, 1 : nx + 1] = self.yspec.imag[..., 1 : ny + 1]
+        self.xpad[:, 1 : n + 1] = self.yspec.imag[..., 1 : n + 1]
         np.fft.rfft(self.xpad, axis=1, out=self.xspec)
-        return self.xspec.imag[:, 1 : nx + 1]
+        return self.xspec.imag[:, 1 : n + 1]
 
     def spectral_energies(self, spec: np.ndarray) -> tuple[float, float]:
         """(|u|_2^2, h1_forward_sq(u)) = h^2 scale (sum s^2, sum mu s^2) of the solve's spectrum s of u,

@@ -49,7 +49,7 @@ def _check_delta(delta: float, closed_right: bool = False):
 
 def _dirichlet_and_volume(u: VectorField, out=None) -> tuple[float, float]:
     """(dirichlet, integral u . u_x ^ u_y) from one derivative pass in the grid's kept scratch, or in
-    `out` (three C-contiguous (3, nx, ny) arrays), which it leaves holding the wedge in out[2]."""
+    `out` (three C-contiguous (3, n, n) arrays), which it leaves holding the wedge in out[2]."""
     h = u.grid.h
     ux, uy, w = derivs(u.values, h, out=_scratch_for(u.values.shape) if out is None else out)
     dirichlet = _dirichlet_sum(ux, uy, h)

@@ -47,11 +47,22 @@ import numpy as np
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Interior node counts and spacing of a uniform square grid."""
+    """The unit square's n-by-n interior grid: spacing h = 1/(n+1), nodes i*h (i = 1..n) on each axis."""
 
-    nx: int
-    ny: int
-    h: float
+    n: int
+
+    def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)) or self.n < 3:
+            raise ValueError(f"invalid grid: need integer n >= 3, got {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))  # a Python int, as the JSON artifacts write it
+
+    @property
+    def h(self) -> float:
+        return 1.0 / (self.n + 1)
+
+    def nodes(self) -> np.ndarray:
+        """The node coordinates i*h, i = 1..n, of either axis."""
+        return self.h * np.arange(1, self.n + 1)
 
 
 @dataclass
@@ -59,11 +70,11 @@ class VectorField:
     """R^3-valued field on the interior nodes; boundary implicitly zero."""
 
     grid: GridSpec
-    values: np.ndarray  # shape (3, nx, ny)
+    values: np.ndarray  # shape (3, n, n)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        expected = (3, self.grid.nx, self.grid.ny)
+        expected = (3, self.grid.n, self.grid.n)
         if self.values.shape != expected:
             raise ValueError(f"field shape {self.values.shape} != {expected}")
 
@@ -72,27 +83,15 @@ class VectorField:
 
     @staticmethod
     def zeros(g: GridSpec) -> "VectorField":
-        return VectorField(g, np.zeros((3, g.nx, g.ny)))
+        return VectorField(g, np.zeros((3, g.n, g.n)))
 
 
-def make_grid(n: int) -> GridSpec:
-    """Uniform n-by-n interior grid on (0,1)^2 with spacing h = 1/(n+1)."""
-    if not isinstance(n, (int, np.integer)) or n < 3:
-        raise ValueError(f"invalid grid: need integer n >= 3, got {n!r}")
-    return GridSpec(nx=int(n), ny=int(n), h=1.0 / (n + 1))
+make_grid = GridSpec  # make_grid(n): the constructor by the name its callers use
 
 
 def interior_coords(g: GridSpec):
-    x = g.h * np.arange(1, g.nx + 1)
-    y = g.h * np.arange(1, g.ny + 1)
-    return np.meshgrid(x, y, indexing="ij")
-
-
-def lattice_coords(g: GridSpec):
-    """Full lattice including the boundary ring (shape (nx+2, ny+2))."""
-    x = g.h * np.arange(0, g.nx + 2)
-    y = g.h * np.arange(0, g.ny + 2)
-    return np.meshgrid(x, y, indexing="ij")
+    x = g.nodes()
+    return np.meshgrid(x, x, indexing="ij")
 
 
 def _evaluate_expr(expr, X, Y) -> np.ndarray:
@@ -108,7 +107,7 @@ def _evaluate_expr(expr, X, Y) -> np.ndarray:
 def sample(expr, g: GridSpec) -> VectorField:
     """Sample an analytic field on the interior nodes.
 
-    `expr` is a callable (X, Y) -> (3, nx, ny).  Boundary values of the
+    `expr` is a callable (X, Y) -> (3, n, n).  Boundary values of the
     expression are discarded (the field is zero on the boundary regardless),
     which clips non-H_0^1 expressions.
     """
@@ -116,8 +115,9 @@ def sample(expr, g: GridSpec) -> VectorField:
 
 
 def sample_on_lattice(expr, g: GridSpec) -> np.ndarray:
-    """Sample on the full lattice, keeping true boundary values (oracle path)."""
-    return _evaluate_expr(expr, *lattice_coords(g))
+    """Sample on the full (n+2)-by-(n+2) lattice, keeping true boundary values (oracle path)."""
+    x = g.h * np.arange(0, g.n + 2)
+    return _evaluate_expr(expr, *np.meshgrid(x, x, indexing="ij"))
 
 
 _scratch = threading.local()  # per thread: three buffers for the last shape asked for
@@ -144,29 +144,26 @@ def _divide(a: np.ndarray, c: float, out: np.ndarray | None = None) -> np.ndarra
 
 
 def _differences(values: np.ndarray, h: float, ux: np.ndarray, uy: np.ndarray) -> None:
-    """Central differences u_x, u_y of a raw (3, nx, ny) array, zero boundary, into C-contiguous ux, uy."""
-    ny = values.shape[2]
+    """Central differences u_x, u_y of a raw (3, p, q) array (p, q >= 2), zero boundary, into C-contiguous ux, uy."""
+    q = values.shape[2]
     flat = values.reshape(-1)
     # differences along the flattened array; a node next to the boundary picks up a
     # neighbour from another row, column or component and is rewritten against the
     # zero ring: v - 0.0 is v itself, and 0.0 - v (not -v) keeps the +0.0 of a zero node
-    np.subtract(flat[2 * ny :], flat[: -2 * ny], out=ux.reshape(-1)[ny:-ny])
+    np.subtract(flat[2 * q :], flat[: -2 * q], out=ux.reshape(-1)[q:-q])
     np.subtract(flat[2:], flat[:-2], out=uy.reshape(-1)[1:-1])
     for v, d in ((values, ux), (values.swapaxes(1, 2), uy.swapaxes(1, 2))):
-        if v.shape[1] > 1:
-            d[:, 0] = v[:, 1]
-            np.subtract(0.0, v[:, -2], out=d[:, -1])
-        else:
-            d[:, 0] = 0.0
+        d[:, 0] = v[:, 1]
+        np.subtract(0.0, v[:, -2], out=d[:, -1])
     _divide(ux, 2.0 * h)
     _divide(uy, 2.0 * h)
 
 
 def derivs(values: np.ndarray, h: float, out=None):
-    """Central-difference (u_x, u_y, u_x ^ u_y) of a raw (3, nx, ny) array, zero boundary.
+    """Central-difference (u_x, u_y, u_x ^ u_y) of a raw (3, p, q) array (p, q >= 2), zero boundary.
 
     The one derivative kernel of the interior path.  `out` is an optional triple
-    of C-contiguous (3, nx, ny) arrays to write into; without it they are fresh.
+    of C-contiguous (3, p, q) arrays to write into; without it they are fresh.
     """
     ux, uy, w = (np.empty(values.shape) for _ in range(3)) if out is None else out
     _differences(values, h, ux, uy)
@@ -183,15 +180,12 @@ def _dirichlet_sum(ux: np.ndarray, uy: np.ndarray, h: float) -> float:
 
 
 def laplacian_stencil(values: np.ndarray, h: float) -> np.ndarray:
-    """5-point Laplacian with zero boundary on a raw (3, nx, ny) array, with the bits of the zero-padded sum.
+    """5-point Laplacian with zero boundary on a raw (3, p, q) array (p, q >= 2), with the bits of the zero-padded sum.
     The result is fresh; its 4v term is formed in `_scratch_for(values.shape)[0]`, which values must not be."""
     out = np.empty(values.shape)
-    if values.shape[1] > 1:
-        np.add(values[:, 2:], values[:, :-2], out=out[:, 1:-1])
-        np.add(values[:, 1], 0.0, out=out[:, 0])
-        np.add(0.0, values[:, -2], out=out[:, -1])
-    else:
-        out[:] = 0.0
+    np.add(values[:, 2:], values[:, :-2], out=out[:, 1:-1])
+    np.add(values[:, 1], 0.0, out=out[:, 0])
+    np.add(0.0, values[:, -2], out=out[:, -1])
     # neighbours in the order x+1, x-1, y+1, y-1, a boundary one adding 0.0; along the flattened
     # array the last (first) column picks up a node of another row and is put back to sum + 0.0
     flat, o = np.ascontiguousarray(values).reshape(-1), out.reshape(-1)

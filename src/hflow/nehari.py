@@ -94,11 +94,11 @@ def bubble_direction(g: GridSpec, H: float = 1.0, center=(0.5, 0.5), eps: float 
         raise ValueError(f"need eps > 0, got {eps}")
     # the nodes of interior_coords as a column and a row: each n x n value is formed once, in the result,
     # by the same operations in the same order as on the meshgrid, so the bits are the meshgrid's
-    x = g.h * np.arange(1, g.nx + 1)[:, None]
-    y = g.h * np.arange(1, g.ny + 1)[None, :]
+    x = g.nodes()[:, None]
+    y = x.T
     z1 = (x - center[0]) / eps
     z2 = (y - center[1]) / eps
-    vals = np.empty((3, g.nx, g.ny))
+    vals = np.empty((3, g.n, g.n))
     den = np.add(1.0 + z1 * z1, z2 * z2, out=vals[2])
     np.divide(2.0 * z1, den, out=vals[0])
     np.divide(2.0 * z2, den, out=vals[1])
@@ -108,18 +108,23 @@ def bubble_direction(g: GridSpec, H: float = 1.0, center=(0.5, 0.5), eps: float 
     return VectorField(g, vals)
 
 
-def family_scales(g: GridSpec, eps_min="4h", eps_max: float = 0.35, count: int = 12) -> np.ndarray:
-    """The bubble family's `count` scales, log-spaced from eps_min up to eps_max; an eps_min of "4h" is the
-    resolution floor of g.  A range whose lower end lies above eps_max is a ValueError."""
+def family_floor(g: GridSpec, eps_min="4h", eps_max: float = 0.35) -> float:
+    """The bubble family's smallest scale: eps_min, where "4h" is the resolution floor of g.  A floor above
+    eps_max is a ValueError."""
     lo = 4.0 * g.h if eps_min == "4h" else eps_min
     if lo > eps_max:
         if eps_min == "4h":
             raise ValueError(
-                f"grid n = {g.nx} is too coarse for the bubble family: its floor 4h = {lo:g} exceeds "
+                f"grid n = {g.n} is too coarse for the bubble family: its floor 4h = {lo:g} exceeds "
                 f"eps_max = {eps_max:g}; this range needs n >= {math.ceil(4.0 / eps_max - 1.0)}"
             )
         raise ValueError(f"eps_min = {lo:g} exceeds eps_max = {eps_max:g}")
-    return np.geomspace(lo, eps_max, count)
+    return lo
+
+
+def family_scales(g: GridSpec, eps_min="4h", eps_max: float = 0.35, count: int = 12) -> np.ndarray:
+    """The bubble family's `count` scales, log-spaced from `family_floor` up to eps_max."""
+    return np.geomspace(family_floor(g, eps_min, eps_max), eps_max, count)
 
 
 def bubble_family(g: GridSpec, H: float, eps_grid, center):
@@ -154,7 +159,7 @@ def estimate_d(H: float, g: GridSpec, eps_grid=None, center=(0.5, 0.5)) -> WellP
         raise EstimationError("no family member has a fiber maximum (all B >= 0)")
     provenance = (
         f"cutoff pole-shifted stereographic bubbles, center={tuple(center)}, "
-        f"eps in [{eps_grid[0]:.6g}, {eps_grid[-1]:.6g}] ({len(eps_grid)} scales), n={g.nx}, H={H}"
+        f"eps in [{eps_grid[0]:.6g}, {eps_grid[-1]:.6g}] ({len(eps_grid)} scales), n={g.n}, H={H}"
     )
     return WellParameters(H=H, d=min(usable), provenance=provenance, family_table=table, center=tuple(center))
 

@@ -95,6 +95,17 @@ def test_grid_too_coarse_for_bubble_family(tmp_path, capsys, n):
     assert not (tmp_path / "o" / "verdict.json").exists()
 
 
+def test_load_config_checks_the_family_range_without_its_scales(tmp_path, monkeypatch):
+    # the check needs only the family's floor: a first np.geomspace at load grew each forked sweep worker
+    def geomspace(*args, **kwargs):
+        raise AssertionError("load_config built the bubble family's scales")
+
+    monkeypatch.setattr(np, "geomspace", geomspace)
+    assert load_config(write_config(tmp_path / "good.json"))["grid"]["n"] == 31
+    with pytest.raises(ConfigError, match="well.eps_min / well.eps_max: grid n = 7 is too coarse"):
+        load_config(write_config(tmp_path / "coarse.json", grid={"n": 7}))
+
+
 def test_grid_at_bubble_family_minimum_runs(tmp_path):
     cfg = write_config(tmp_path / "c.json", grid={"n": 11})
     out = tmp_path / "o"
@@ -476,6 +487,19 @@ _REJECTED = [  # (command, config overrides, error): before the schema, each exi
     ),
     ("classify", {"well": {"center": [0.5]}}, "well.center must be a list of two numbers, got [0.5]"),
     ("classify", {"well": {"center": "ab"}}, "well.center must be a list of two numbers, got 'ab'"),
+    # a center outside the unit square: well.center [3, 3] estimated d = 3,037,305 at n = 31, and a
+    # lambda_multiple 1.2 datum classified as t22, low energy, where the default well gives t51.2
+    ("classify", {"well": {"center": [3.0, 3.0]}}, "each of well.center must be < 1, got 3.0"),
+    (
+        "classify",
+        {"ic": {"type": "bubble", "params": {"center": [0.5, 0.0]}}},
+        "each of ic.params.center must be > 0, got 0.0",
+    ),
+    (
+        "classify",
+        _scaled({"direction": {"center": [-0.2, 0.5]}, "lambda_multiple": 1.0}),
+        "each of ic.params.direction.center must be > 0, got -0.2",
+    ),
     ("simulate", {"monitors": {"delta_list": "0.5"}}, "monitors.delta_list must be a list of numbers, got '0.5'"),
     ("simulate", {"monitors": {"delta_list": 0.5}}, "monitors.delta_list must be a list of numbers, got 0.5"),
     ("simulate", {"monitors": {"delta_list": [2.0]}}, "each of monitors.delta_list must be < 1.5, got 2.0"),
@@ -1099,10 +1123,12 @@ def test_simulate_bytes_independent_of_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_sweep_pool_capped_at_cell_count(tmp_path, monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of each process pool a sweep asks for; the pool runs the cells here, so no process starts."""
     asked = []
 
-    class InlinePool:  # records its size and runs the cells here, so no process starts
+    class InlinePool:
         def __init__(self, max_workers):
             asked.append(max_workers)
 
@@ -1116,9 +1142,34 @@ def test_sweep_pool_capped_at_cell_count(tmp_path, monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    return asked
+
+
+def test_sweep_pool_capped_at_cell_count(tmp_path, pool_sizes):
     cfg = write_config(tmp_path / "c.json", sweep={"lambda_multiples": [0.2, 1.6], "max_workers": 4})
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
-    assert asked == [2]
+    assert pool_sizes == [2]
+
+
+@pytest.mark.parametrize(
+    "affinity, cpu_count, pools",
+    [
+        ({0, 1, 2}, 64, [3]),  # the CPUs this process may run on, not all the machine's
+        ({0, 1, 2, 3, 4, 5}, 6, [4]),  # capped at the cell count
+        (None, 3, [3]),  # no affinity mask: the machine's CPUs
+        (None, None, []),  # an unknown CPU count: one worker, so no pool
+    ],
+)
+def test_sweep_zero_workers_counts_the_cpus(tmp_path, monkeypatch, pool_sizes, affinity, cpu_count, pools):
+    # max_workers 0 took 4 workers whatever the CPUs
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    cfg = write_config(tmp_path / "c.json", sweep={"lambda_multiples": [0.1, 0.2, 0.3, 0.4], "max_workers": 0})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
+    assert pool_sizes == pools
 
 
 def test_unreadable_config_and_unmakeable_out_exit_config(tmp_path, capsys):

@@ -30,23 +30,20 @@ from hflow.grid import (
     h1_forward_sq,
     h1_seminorm_sq,
     laplacian_stencil,
+    make_grid,
 )
 from hflow.nehari import fibering_coeffs
 
-GRIDS = [GridSpec(n, n, 1.0 / (n + 1)) for n in (1, 2, 3, 15, 31, 63)] + [
-    GridSpec(15, 9, 1.0 / 16),
-    GridSpec(9, 31, 1.0 / 32),
-    GridSpec(1, 5, 1.0 / 6),
-    GridSpec(20, 20, 1.0 / 21),  # 2h and h^2 not powers of two: the kernels divide
-]
+# at n = 4, 9 and 20, 2h and h^2 are not powers of two: the kernels divide
+GRIDS = [make_grid(n) for n in (3, 4, 7, 9, 15, 20, 31, 63)]
 FIELDS = ("bandlimited", "white", "white-F", "zero", "negative-zero", "signed-zeros", "boundary-ring", "subnormal")
 
 
 def _field(g: GridSpec, kind: str) -> np.ndarray:
-    rng = np.random.default_rng(1000 * g.nx + g.ny)
-    shape = (3, g.nx, g.ny)
+    rng = np.random.default_rng(1001 * g.n)
+    shape = (3, g.n, g.n)
     if kind == "bandlimited":
-        return random_bandlimited(g, 100 * g.nx + g.ny, kmax=6).values
+        return random_bandlimited(g, 101 * g.n, kmax=6).values
     if kind == "white":
         return rng.standard_normal(shape)
     if kind == "white-F":
@@ -128,12 +125,12 @@ def _same(got, want):
 
 
 @pytest.mark.parametrize("kind", FIELDS)
-@pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+@pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"{g.n}x{g.n}")
 def test_routed_functions_match_padded_compositions_bitwise(g, kind):
     v = _field(g, kind)
     u = VectorField(g, v)
     h = g.h
-    H = 1.0 + 0.37 * g.nx
+    H = 1.0 + 0.37 * g.n
     ux, uy = _ref_gradient(v, h)
     w = _ref_wedge(ux, uy)
     h1 = _ref_h1(ux, uy, h)
@@ -177,7 +174,7 @@ def test_routed_functions_match_padded_compositions_bitwise(g, kind):
     _same(s.D, rep.nehari)
 
 
-@pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"{g.nx}x{g.ny}")
+@pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"{g.n}x{g.n}")
 def test_zero_field_gives_positive_zeros(g):
     u = VectorField.zeros(g)
     arrays = list(derivs(u.values, g.h)) + [_State(u, 2.0, _Workspace(g)).wedge]
@@ -192,8 +189,20 @@ def test_zero_field_gives_positive_zeros(g):
     assert all(x == 0.0 and math.copysign(1.0, x) == 1.0 for x in scalars)
 
 
+@pytest.mark.parametrize("shape", [(3, 2, 2), (3, 2, 5), (3, 9, 2), (3, 15, 9), (3, 9, 31)], ids=str)
+@pytest.mark.parametrize("h", [1.0 / 16, 1.0 / 21])
+def test_kernels_take_raw_arrays_of_two_or_more_nodes_per_axis(shape, h):
+    # the kernels read only the array, so any axis of at least 2 nodes works, square or not
+    rng = np.random.default_rng(sum(shape))
+    for v in (rng.standard_normal(shape), np.where(rng.random(shape) < 0.5, -0.0, 0.0)):
+        ux, uy = _ref_gradient(v, h)
+        for got, want in zip(derivs(v, h), (ux, uy, _ref_wedge(ux, uy))):
+            _same(got, want)
+        _same(laplacian_stencil(v, h), _ref_laplacian(v, h))
+
+
 def test_derivs_writes_into_given_buffers():
-    g = GridSpec(15, 9, 1.0 / 16)
+    g = make_grid(9)
     v = _field(g, "white")
     out = tuple(np.full(v.shape, np.nan) for _ in range(3))
     got = derivs(v, g.h, out=out)
@@ -218,7 +227,7 @@ def test_each_entry_point_takes_one_derivative_pass(monkeypatch):
     for mod in (grid, functionals, nehari, flow):
         if hasattr(mod, "derivs"):
             monkeypatch.setattr(mod, "derivs", wrapped)
-    g = GridSpec(15, 15, 1.0 / 16)
+    g = make_grid(15)
     u = VectorField(g, _field(g, "bandlimited"))
     ws = _Workspace(g)
     entries = {
@@ -281,7 +290,7 @@ def _in_fresh_thread(f, *args):
     return out[0]
 
 
-INTERLEAVED = [GRIDS[i] for i in (4, 6, 4, 7, 5, 6, 4, 8, 7, 4)]
+INTERLEAVED = [make_grid(n) for n in (31, 9, 31, 7, 63, 9, 31, 3, 7, 31)]
 
 
 def test_scratch_bitwise_across_interleaved_grid_shapes():
@@ -301,14 +310,14 @@ def test_scratch_bitwise_across_interleaved_grid_shapes():
 
 def test_workspace_borrows_the_grid_scratch():
     # one owner of full-grid scratch: a run keeps no second set beside the grid's
-    for g in (GRIDS[4], GRIDS[7]):
+    for g in (make_grid(31), make_grid(9)):
         ws = _Workspace(g)
-        bufs = grid._scratch_for((3, g.nx, g.ny))
+        bufs = grid._scratch_for((3, g.n, g.n))
         assert all(a is b for a, b in zip((ws.mid, ws.spec, ws.rhs), bufs, strict=True))
 
 
 def test_no_result_aliases_the_scratch():
-    g = GridSpec(15, 9, 1.0 / 16)
+    g = make_grid(9)
     u = VectorField(g, _field(g, "white"))
     energy_E(u, 1.0)
     scratch = grid._scratch.bufs
@@ -325,7 +334,7 @@ def test_no_result_aliases_the_scratch():
 def test_scratch_is_per_thread():
     # each thread keeps its own buffers: threads that evaluate on different grids at
     # once must each get the single-thread bits
-    jobs = [(GRIDS[i], kind) for i in (4, 6, 7, 5) for kind in ("white", "white-F", "bandlimited")]
+    jobs = [(make_grid(n), kind) for n in (31, 9, 7, 63) for kind in ("white", "white-F", "bandlimited")]
     want = [_bits(_scalars(VectorField(g, _field(g, kind)), 1.5)) for g, kind in jobs]
     got = [None] * len(jobs)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -25,13 +27,23 @@ def test_make_grid_spacing():
     assert make_grid(3).h == 0.25
     assert make_grid(63).h == 1.0 / 64.0
     g = make_grid(63)
-    assert g.h * (g.nx + 1) == 1.0
+    assert g.h * (g.n + 1) == 1.0
+    assert np.array_equal(g.nodes(), g.h * np.arange(1, 64))
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, -5])
-def test_make_grid_rejects_small(n):
-    with pytest.raises(ValueError):
-        make_grid(n)
+@pytest.mark.parametrize("n", [0, 1, 2, -5, 15.0, "15"])
+@pytest.mark.parametrize("build", [make_grid, GridSpec], ids=["make_grid", "GridSpec"])
+def test_make_grid_rejects_small(build, n):
+    # no grid below n = 3 can be built, by either name
+    with pytest.raises(ValueError, match="need integer n >= 3"):
+        build(n)
+
+
+def test_grid_size_is_a_python_int():
+    # the artifacts write n to JSON, which takes no numpy integer
+    g = make_grid(np.int64(63))
+    assert type(g.n) is int and g == make_grid(63)
+    assert json.dumps({"n": g.n}) == '{"n": 63}'
 
 
 def test_sample_zero_and_values(g63):
@@ -113,13 +125,13 @@ def test_laplacian_eigenmode_identity(g63):
     assert np.allclose(lap, -mu * u.values, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("g", [GridSpec(15, 9, 1.0 / 16), GridSpec(7, 7, 0.05)], ids=str)
-def test_laplacian_sine_mode_identity_off_unit_square(g):
-    # on any grid the sine modes are sin(k pi i / (nx + 1)) sin(l pi j / (ny + 1))
-    i = np.arange(1, g.nx + 1)[:, None]
-    j = np.arange(1, g.ny + 1)[None, :]
+@pytest.mark.parametrize("g", [make_grid(9), make_grid(20)], ids=str)
+def test_laplacian_sine_mode_identity_where_the_stencil_divides(g):
+    # at n + 1 = 10 and 21, h^2 is no power of two; the sine modes are sin(k pi i / (n + 1)) sin(l pi j / (n + 1))
+    i = np.arange(1, g.n + 1)[:, None]
+    j = i.T
     for kx, ky in ((1, 1), (3, 2)):
-        mode = np.sin(kx * np.pi * i / (g.nx + 1)) * np.sin(ky * np.pi * j / (g.ny + 1))
+        mode = np.sin(kx * np.pi * i / (g.n + 1)) * np.sin(ky * np.pi * j / (g.n + 1))
         u = VectorField(g, np.stack([mode, 0.0 * mode, -mode]))
         mu = discrete_laplacian_eigenvalue(g, kx, ky)
         assert np.allclose(laplacian_stencil(u.values, g.h), -mu * u.values, rtol=1e-12, atol=1e-12 * mu)
@@ -130,14 +142,6 @@ def test_laplacian_continuum_limit_second_order():
     e1 = abs(discrete_laplacian_eigenvalue(make_grid(31)) - 2.0 * np.pi**2)
     e2 = abs(discrete_laplacian_eigenvalue(make_grid(63)) - 2.0 * np.pi**2)
     assert 3.2 <= e1 / e2 <= 4.8
-
-
-def test_laplacian_single_node_stencil_oracle():
-    # n = 1 is below the grid precondition; construct the spec directly
-    g = GridSpec(nx=1, ny=1, h=0.5)
-    u = VectorField(g, np.full((3, 1, 1), 2.0))
-    lap = laplacian_stencil(u.values, g.h)
-    assert np.allclose(lap, -4.0 * 2.0 / 0.25)  # -4 v / h^2
 
 
 def test_wedge_unit_vectors_and_antisymmetry(g31):
@@ -266,7 +270,7 @@ def test_norm_convergence_for_vanishing_smooth_field():
 
 
 @pytest.mark.parametrize(
-    "g", [make_grid(15), make_grid(63), make_grid(127), make_grid(255), GridSpec(15, 9, 1.0 / 16)], ids=str
+    "g", [make_grid(9), make_grid(15), make_grid(63), make_grid(127), make_grid(255)], ids=str
 )
 def test_random_bandlimited_matches_three_operand_synthesis(g):
     for seed, kmax in ((1, 1), (7, 6), (123, 11)):
@@ -274,9 +278,8 @@ def test_random_bandlimited_matches_three_operand_synthesis(g):
         coeffs = rng.standard_normal((3, kmax, kmax))
         k = np.arange(1, kmax + 1)
         coeffs /= k[:, None] ** 2 + k[None, :] ** 2
-        sx = np.sin(np.pi * np.outer(k, g.h * np.arange(1, g.nx + 1)))
-        sy = np.sin(np.pi * np.outer(k, g.h * np.arange(1, g.ny + 1)))
-        ref = np.einsum("ckl,ki,lj->cij", coeffs, sx, sy)
+        s = np.sin(np.pi * np.outer(k, g.h * np.arange(1, g.n + 1)))
+        ref = np.einsum("ckl,ki,lj->cij", coeffs, s, s)
         got = random_bandlimited(g, seed, kmax).values
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
