@@ -72,8 +72,9 @@ class FlowParams:
             raise ValueError(f"need 0 < dt_min < dt0, got dt_min={self.dt_min}, dt0={self.dt0}")
         if self.t_end <= 0.0:
             raise ValueError(f"need t_end > 0, got {self.t_end}")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1, got {self.record_every}")
+        every = self.record_every
+        if isinstance(every, bool) or not isinstance(every, (int, np.integer)) or every < 1:
+            raise ValueError(f"record_every must be an integer >= 1, got {every!r}")
         if self.blowup_gradient_factor <= 0.0 or self.decay_l2_floor <= 0.0:
             raise ValueError("thresholds must be positive")
 
@@ -131,14 +132,14 @@ class _Workspace:
     The solve's two 2-D sine transforms are unnormalised: each axis pass is
     the real FFT of a zero-padded row [0, a, 0 ... 0] of length 2m + 2, whose
     imaginary part is -sqrt((m + 1)/2) times the orthonormal DST-I of a
-    (Cooley, Lewis & Welch, J. Sound Vib. 12, 1970).  Two passes give
+    (Cooley, Lewis & Welch, J. Sound Vib. 12, 1970).  Both passes run along
+    the last axis of one zero-padded row buffer (pad) into one FFT output
+    (out); the x pass reads the y pass's output transposed.  Two passes give
     sqrt(scale) S_x S_y a with scale = (n + 1)^2/4, and that scale is
     folded into the cached denominator and into the spectral energies.
     """
 
-    __slots__ = (
-        "grid", "mu", "scale", "dt", "den", "ypad", "yspec", "xpad", "xspec", "mid", "spec", "energies", "rhs"
-    )
+    __slots__ = ("grid", "mu", "scale", "dt", "den", "pad", "out", "mid", "spec", "energies", "rhs")
 
     def __init__(self, g: GridSpec):
         n = g.n
@@ -151,26 +152,22 @@ class _Workspace:
         # the solve's scale (1 + dt mu), for self.dt
         self.dt = None
         self.den = np.empty((n, n))
-        # zero-padded rows of the y pass (along the last axis) and of the x pass (along axis 1); only
-        # the input slots [1 : n + 1] are ever written, so the padding stays zero
-        self.ypad = np.zeros((3, n, 2 * n + 2))
-        self.xpad = np.zeros((3, 2 * n + 2, n))
-        # the passes' real FFTs share one buffer: the x pass overwrites the y pass's output once it is read
-        out = np.empty(3 * n * (n + 2), dtype=complex)
-        self.yspec = out.reshape(3, n, n + 2)
-        self.xspec = out.reshape(3, n + 2, n)
+        # the zero-padded rows of both passes; only the input slots [1 : n + 1] are ever written, so the
+        # padding stays zero.  Their real FFTs share out: a pass copies its input in before it overwrites it
+        self.pad = np.zeros((3, n, 2 * n + 2))
+        self.out = np.empty((3, n, n + 2), dtype=complex)
         # the residual (mid) and spectrum (spec) of a solve, in a state pass u_x and u_y; run's rhs
         self.mid, self.spec, self.rhs = _scratch_for((3, n, n))
         self.energies = None  # (|w|_2^2, h1_forward_sq(w)) of the last solution w
 
     def _transform(self, a: np.ndarray) -> np.ndarray:
-        """sqrt(scale) S_x S_y a over the last two axes, as a view into self.xspec (valid until the next call)."""
+        """sqrt(scale) S_x S_y a over the last two axes, a transposed view into self.out (valid until the next call)."""
         n = self.grid.n
-        self.ypad[..., 1 : n + 1] = a
-        np.fft.rfft(self.ypad, out=self.yspec)
-        self.xpad[:, 1 : n + 1] = self.yspec.imag[..., 1 : n + 1]
-        np.fft.rfft(self.xpad, axis=1, out=self.xspec)
-        return self.xspec.imag[:, 1 : n + 1]
+        for _ in range(2):
+            self.pad[..., 1 : n + 1] = a
+            np.fft.rfft(self.pad, out=self.out)
+            a = self.out.imag[..., 1 : n + 1].transpose(0, 2, 1)
+        return a
 
     def spectral_energies(self, spec: np.ndarray) -> tuple[float, float]:
         """(|u|_2^2, h1_forward_sq(u)) = h^2 scale (sum s^2, sum mu s^2) of the solve's spectrum s of u,

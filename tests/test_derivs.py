@@ -109,9 +109,9 @@ def _ref_h1_forward(v, h):
 
 def _spectral_energies(v, g):
     """(w sum s^2, w sum mu s^2), w = h^2 scale, of the solve's spectrum s = T(v) / scale of v at dt = 0,
-    in the order `_State` sums them."""
+    in the order `_State` sums them: divided into a fresh C-ordered array, as `_State` divides into ws.spec."""
     ws = _Workspace(g)
-    sq = np.square(ws._transform(v) / ws.scale)
+    sq = np.square(np.divide(ws._transform(v), ws.scale, out=np.empty(v.shape)))
     weight = g.h * g.h * ws.scale
     return weight * float(np.sum(sq)), weight * float(np.sum(sq * ws.mu))
 

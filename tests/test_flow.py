@@ -45,6 +45,11 @@ def test_flow_params_validation():
             FlowParams(H=1.0, dt0=bad, t_end=1.0)
         with pytest.raises(ValueError, match="H must be finite"):
             FlowParams(H=bad, dt0=1e-3, t_end=1.0)
+    # a float step count would record on a drifting grid, and a bool is not a count
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="record_every must be an integer"):
+            FlowParams(H=1.0, dt0=1e-3, t_end=0.01, record_every=bad)
+    assert FlowParams(H=1.0, dt0=1e-3, t_end=0.01, record_every=np.int64(2)).record_every == 2
 
 
 def _dense_sine_matrix(n):
@@ -86,6 +91,40 @@ def test_sine_transform_is_accurate_to_round_off(n):
     fast = ws._transform(x) / math.sqrt(ws.scale)
     ref = _longdouble_sine_matrix(n) @ x.astype(np.longdouble) @ _longdouble_sine_matrix(n)
     assert float(np.max(np.abs(fast - ref)) / np.max(np.abs(ref))) <= 8e-16
+
+
+def _two_pad_transform(a):
+    """sqrt(scale) S_x S_y a with a pad per pass: the y pass along the last axis of a (3, n, 2n+2) pad, the x
+    pass with axis=1 over a (3, 2n+2, n) pad."""
+    n = a.shape[-1]
+    ypad = np.zeros((3, n, 2 * n + 2))
+    ypad[..., 1 : n + 1] = a
+    xpad = np.zeros((3, 2 * n + 2, n))
+    xpad[:, 1 : n + 1] = np.fft.rfft(ypad).imag[..., 1 : n + 1]
+    return np.fft.rfft(xpad, axis=1).imag[:, 1 : n + 1]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 15, 16, 63, 127])
+def test_one_pad_transform_matches_two_pad_composition_bitwise(n):
+    # the x pass along the last axis of the y pass's output transposed has the bits of the x pass
+    # along axis 1, and so do the solve's w and the spectral energies read off its spectrum
+    rng = np.random.default_rng(n)
+    g = make_grid(n)
+    ws = _Workspace(g)
+    b = rng.standard_normal((3, n, n))
+    dt = 1e-3
+    assert _bits(ws._transform(b)) == _bits(_two_pad_transform(b))
+    spec = np.divide(_two_pad_transform(b), (ws.mu * dt + 1.0) * ws.scale, out=np.empty((3, n, n)))
+    w = _two_pad_transform(spec)
+    weight = g.h * g.h * ws.scale
+    sq = np.square(spec)
+    energies = (weight * float(sq.sum()), weight * float((sq * ws.mu).sum()))
+    assert _bits(solve_helmholtz(VectorField(g, b), dt, _workspace=ws).values) == _bits(w)
+    assert _bits(ws.energies) == _bits(energies)
 
 
 @pytest.mark.parametrize("n", [15, 31, 63])
@@ -153,7 +192,7 @@ def test_solve_makes_four_real_ffts_and_one_stencil(monkeypatch):
 
     def counting(name, f):
         def wrapped(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, args, kwargs))
             return f(*args, **kwargs)
 
         return wrapped
@@ -166,7 +205,12 @@ def test_solve_makes_four_real_ffts_and_one_stencil(monkeypatch):
     for dt in (1e-3, 1e-3, 5e-4):
         calls.clear()
         solve_helmholtz(rhs, dt, _workspace=ws)
-        assert sorted(calls) == ["rfft"] * 4 + ["stencil"]
+        assert sorted(name for name, _, _ in calls) == ["rfft"] * 4 + ["stencil"]
+        # every pass runs along the last axis of the one pad, into the one FFT output
+        for name, args, kwargs in calls:
+            if name == "rfft":
+                assert len(args) == 1 and args[0] is ws.pad
+                assert kwargs.keys() == {"out"} and kwargs["out"] is ws.out
 
 
 def test_solve_helmholtz_residual_bound(g31):
@@ -250,6 +294,25 @@ def test_run_raises_on_solve_residual_miss(g15, monkeypatch):
     p = FlowParams(H=1.0, dt0=1e-3, t_end=0.01)
     with pytest.raises(SolverError):
         run(eigenmode(g15), p)
+
+
+def test_wrong_but_finite_solve_raises(g15, monkeypatch):
+    # a transform off by 1e-6 leaves w off by about 2e-6 relative, far above the residual bound; on a
+    # finite datum run re-raises that at its first attempt instead of halving dt
+    transform = _Workspace._transform
+    monkeypatch.setattr(_Workspace, "_transform", lambda ws, a: (1.0 + 1e-6) * transform(ws, a))
+    with pytest.raises(SolverError):
+        solve_helmholtz(eigenmode(g15), 1e-3)
+    dts = []
+
+    def recording(rhs, dt, **kwargs):
+        dts.append(dt)
+        return solve_helmholtz(rhs, dt, **kwargs)
+
+    monkeypatch.setattr(flow, "solve_helmholtz", recording)
+    with pytest.raises(SolverError):
+        run(eigenmode(g15), FlowParams(H=1.0, dt0=1e-3, t_end=0.01))
+    assert dts == [1e-3]
 
 
 def test_run_non_finite_rhs_is_rejected(g15):
