@@ -73,8 +73,8 @@ _CENTER = Field(PAIR, [0.5, 0.5], "> 0, < 1")  # a point of the unit square
 
 IC_PARAMS = {  # ic.params of each ic.type
     "zero": {},
-    "eigenmode": {"kx": Field(INTEGER, 1), "ky": Field(INTEGER, 1), "amplitude": Field(NUMBER, 1.0),
-                  "component": Field(INTEGER, 0, ">= 0, <= 2")},
+    "eigenmode": {"kx": Field(INTEGER, 1, ">= 1"), "ky": Field(INTEGER, 1, ">= 1"),  # <= n: checked as it is built
+                  "amplitude": Field(NUMBER, 1.0), "component": Field(INTEGER, 0, ">= 0, <= 2")},
     "bubble": {"center": _CENTER, "eps": Field(NUMBER, 0.25, "> 0"), "amplitude": Field(NUMBER, 1.0)},
     "random-bandlimited": {"seed": Field(INTEGER, bounds=">= 0"), "kmax": Field(INTEGER, 6, ">= 1"),
                            "h1_norm": Field(NUMBER, None, "> 0", words=(None,))},  # null: no rescaling
@@ -205,7 +205,7 @@ def _flow_params(cfg: dict) -> flow.FlowParams:
 
 
 def write_json(path: Path, obj) -> None:
-    """Strict JSON: a NaN or an infinity anywhere raises NonFiniteError and writes nothing."""
+    """Strict JSON, its directory made as needed; a NaN or an infinity raises NonFiniteError, making nothing."""
     try:
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
@@ -215,7 +215,7 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_trajectory_csv(path: Path, tr: flow.TrajectoryRecord) -> None:
-    """Every recorded series, nan and inf included, as 17-significant-digit rows."""
+    """Every recorded series, nan and inf included, as 17-significant-digit rows; the directory made as needed."""
     columns, cols = zip(*tr.series())
     row_format = ",".join(["%.17g"] * len(columns)) + "\n"  # the bytes of format(v, ".17g")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -623,8 +623,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    made = []  # the directories this call makes for the output, deepest first
-    code = None  # stays None if an exception escapes
     try:
         cfg = load_config(args.config)
         if args.seed is not None:  # --seed outranks the top-level seed, and a random ic's own
@@ -632,27 +630,14 @@ def main(argv=None) -> int:
             if cfg.get("ic", {}).get("type") == "random-bandlimited":
                 cfg["ic"]["params"]["seed"] = cfg["seed"]
         out = Path(args.out) if args.out else Path(cfg["output"]["path"])
-        made = [d for d in (out, *out.parents) if not d.exists()]
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot make output directory {out}: {exc.strerror or exc}") from exc
         # called by its name in this module, so that a wrapper bound over it there (a profiler's) sees the call
-        code = globals()[COMMANDS[args.command].__name__](cfg, out)
-    except (ConfigError, ValueError, KeyError, TypeError) as exc:
+        return globals()[COMMANDS[args.command].__name__](cfg, out)
+    except (ConfigError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_CONFIG
+        return EXIT_CONFIG
     except (flow.SolverError, nehari.EstimationError, NonFiniteError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        code = EXIT_NUMERIC
-    finally:
-        if code != EXIT_OK:  # a failed command leaves no empty directory of its own making behind
-            for d in made:
-                try:
-                    d.rmdir()
-                except OSError:  # it holds a file (a failed sweep's index.json, a lemma report) or is gone
-                    pass
-    return code
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -16,6 +16,8 @@ def eigenmode(g: GridSpec, kx: int = 1, ky: int = 1, component: int = 0, amplitu
     """
     if component not in (0, 1, 2):
         raise ValueError(f"component must be 0, 1 or 2, got {component}")
+    if not (1 <= kx <= g.n and 1 <= ky <= g.n):  # beyond n a mode is round-off or a lower mode negated
+        raise ValueError(f"eigenmode kx and ky must be 1 to n = {g.n}, got kx = {kx}, ky = {ky}")
     X, Y = interior_coords(g)
     vals = np.zeros((3, g.n, g.n))
     vals[component] = amplitude * np.sin(kx * math.pi * X) * np.sin(ky * math.pi * Y)

@@ -235,7 +235,7 @@ def test_non_finite_trajectory_exits_numeric(tmp_path, capsys, lambda_multiple):
     else:
         assert code == EXIT_NUMERIC
         assert failure in err
-        assert not out.exists()  # neither artifact is written, and the empty directory goes
+        assert not out.exists()  # neither artifact is written, so --out is never made
     if lambda_multiple == 1e101:
         assert "non-finite" in err and "concavity from t = 0" in err
 
@@ -568,6 +568,15 @@ _REJECTED = [  # (command, config overrides, error): before the schema, each exi
     ("compute-well-depth", {"well": {"eps_count": 0}}, "well.eps_count must be >= 1, got 0"),
     ("sweep", {"well": {"eps_count": 0}, **_SWEEP}, "well.eps_count must be >= 1, got 0"),
     ("classify", {"well": {"eps_count": -2}}, "well.eps_count must be >= 1, got -2"),
+    # an eigenmode index outside 1..n: kx 0 built the zero datum, and kx 16 at n = 15 a round-off field
+    # classified as a real datum; an index above n is refused as the datum is built, once the well is known
+    ("classify", {"ic": {"type": "eigenmode", "params": {"kx": 0}}}, "ic.params.kx must be >= 1, got 0"),
+    ("classify", {"ic": {"type": "eigenmode", "params": {"ky": -2}}}, "ic.params.ky must be >= 1, got -2"),
+    (
+        "classify",
+        {"grid": {"n": 15}, "ic": {"type": "eigenmode", "params": {"kx": 16}}},
+        "eigenmode kx and ky must be 1 to n = 15, got kx = 16, ky = 1",
+    ),
     # a negative h1_norm was taken as its absolute value
     (
         "classify",
@@ -1186,6 +1195,41 @@ def test_unreadable_config_and_unmakeable_out_exit_config(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+_EVERY_COMMAND = {  # each command's config overrides at n = 15, beside write_config's base
+    "simulate": {},
+    "classify": {},
+    "compute-well-depth": {},
+    "verify-lemmas": {"corpus": {"count": 2}, "seed": 1},
+    "sweep": {"sweep": {"lambda_multiples": [0.2], "max_workers": 1}},
+}
+
+
+@pytest.mark.parametrize("command", _EVERY_COMMAND)
+def test_out_below_a_file_is_one_error_line_and_makes_nothing(tmp_path, capsys, command):
+    # the first artifact's write finds --out unmakeable: exit 1, one error: line naming --out, no traceback
+    cfg = write_config(tmp_path / "c.json", grid={"n": 15}, **_EVERY_COMMAND[command])
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    out = taken / "sub"
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err, err
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_two_worker_sweep_makes_an_absent_nested_out(tmp_path):
+    # each of the two workers makes its cell's missing parents, racing the other on the shared ones
+    cfg = write_config(tmp_path / "c.json", grid={"n": 15}, sweep={"lambda_multiples": [0.2, 1.6], "max_workers": 2})
+    out = tmp_path / "a" / "b" / "sweep"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    cells = json.loads((out / "index.json").read_text(encoding="utf-8"))["cells"]
+    assert sorted(Path(cell["artifacts"]).name for cell in cells.values()) == ["cell_lm_0.2", "cell_lm_1.6"]
+    for name in ("cell_lm_0.2", "cell_lm_1.6"):
+        assert (out / name / "trajectory.csv").is_file() and (out / name / "verdict.json").is_file()
+
+
 def test_sweep_requires_scaled_direction(tmp_path):
     cfg = write_config(
         tmp_path / "c.json",
@@ -1337,8 +1381,8 @@ def test_energy_level_ic_mode(tmp_path, capsys):
     with pytest.raises(ValueError, match="unreachable") as err:
         build_initial_condition(cfg, g, H, wp=wp)
     assert str(err.value) == "ic.params.energy_level = 100 is unreachable on this fiber: its peak is 1.43·d"
-    # through main it exits 1 once the well is known, after --out was made: the directories main made go
-    # again, while an --out that was there before stays
+    # through main it exits 1 once the well is known, before the first artifact: --out is never made,
+    # while an --out that was there before stays as it was
     t31 = json.loads(Path("presets/t31.json").read_text(encoding="utf-8"))
     t31["grid"]["n"] = 15
     t31["ic"]["params"]["energy_level"] = 5.0

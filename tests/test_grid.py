@@ -123,6 +123,12 @@ def test_laplacian_eigenmode_identity(g63):
     mu = discrete_laplacian_eigenvalue(g63, 2, 3)
     lap = laplacian_stencil(u.values, g63.h)
     assert np.allclose(lap, -mu * u.values, rtol=1e-12, atol=1e-12)
+    # the highest mode is still one; beyond n a mode is round-off (n + 1) or a lower mode negated
+    top, mu = eigenmode(g63, kx=63, ky=63), discrete_laplacian_eigenvalue(g63, 63, 63)
+    assert np.allclose(laplacian_stencil(top.values, g63.h), -mu * top.values, rtol=1e-12, atol=1e-12 * mu)
+    for kx, ky in ((0, 1), (1, 0), (64, 1), (1, 65), (-1, 2)):
+        with pytest.raises(ValueError, match="must be 1 to n = 63"):
+            eigenmode(g63, kx=kx, ky=ky)
 
 
 @pytest.mark.parametrize("g", [make_grid(9), make_grid(20)], ids=str)
