@@ -344,8 +344,10 @@ def _verdict_artifact(verdict, ic_desc, wp) -> dict:
 
 def _simulate_into(cfg: dict, out: Path) -> dict:
     """Classify, integrate, then write trajectory.csv and verdict.json; a non-finite series writes neither."""
-    u0, ic_desc, wp, verdict = _classified_datum(cfg)
-    tr = flow.run(u0, _flow_params(cfg), cfg["monitors"]["delta_list"])
+    # the datum reaches run out of a one-item list, so no name here keeps it once run's first state owns it;
+    # Python 3.10 keeps a call's arguments on the caller's stack until it returns, so there it lives all run
+    *datum, ic_desc, wp, verdict = _classified_datum(cfg)
+    tr = flow.run(datum.pop(), _flow_params(cfg), cfg["monitors"]["delta_list"])
     finite = [(name, np.isfinite(series)) for name, series in tr.series()]
     bad = [f"{name} from t = {tr.t[~ok][0]:.17g}" for name, ok in finite if not ok.all()]
     if bad:
@@ -630,6 +632,11 @@ def main(argv=None) -> int:
             if cfg.get("ic", {}).get("type") == "random-bandlimited":
                 cfg["ic"]["params"]["seed"] = cfg["seed"]
         out = Path(args.out) if args.out else Path(cfg["output"]["path"])
+        # a command writes only after its work (a sweep's cells, a run's whole flow), so an --out that cannot
+        # be made fails here, before any of it
+        base = next(p for p in (out, *out.parents) if p.exists())
+        if not base.is_dir():
+            raise NotADirectoryError(f"cannot make output directory {out}: {base} is not a directory")
         # called by its name in this module, so that a wrapper bound over it there (a profiler's) sees the call
         return globals()[COMMANDS[args.command].__name__](cfg, out)
     except (ConfigError, ValueError, KeyError, TypeError, OSError) as exc:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import functionals
 from .fields import discrete_laplacian_eigenvalue
-from .grid import GridSpec, VectorField, _scratch_for, laplacian_stencil
+from .grid import GridSpec, VectorField, _neighbour_sum, _scratch_for
 
 REACHED_HORIZON = "reached-horizon"
 BLOWUP_SUSPECTED = "blowup-suspected"
@@ -125,9 +125,11 @@ class _Workspace:
 
     `run` builds one and reuses it in every step; `solve_helmholtz` called
     without one builds a one-off set.  No result is kept in them past a step:
-    each solution, and the wedge of each state, is allocated fresh.  mid, spec
-    and rhs are this thread's `grid._scratch_for` buffers: nothing that takes
-    them may run between an attempt's rhs write and its solve.
+    a solve allocates its solution and nothing else, its residual check runs
+    in the scratch, and `run` hands each state's wedge buffer on to the next
+    state.  mid, spec and rhs are this thread's `grid._scratch_for` buffers:
+    nothing that takes them may run between an attempt's rhs write and its
+    solve.
 
     The solve's two 2-D sine transforms are unnormalised: each axis pass is
     the real FFT of a zero-padded row [0, a, 0 ... 0] of length 2m + 2, whose
@@ -156,7 +158,8 @@ class _Workspace:
         # padding stays zero.  Their real FFTs share out: a pass copies its input in before it overwrites it
         self.pad = np.zeros((3, n, 2 * n + 2))
         self.out = np.empty((3, n, n + 2), dtype=complex)
-        # the residual (mid) and spectrum (spec) of a solve, in a state pass u_x and u_y; run's rhs
+        # a solve's spectrum (spec), then its residual (spec) and scaled neighbour sum (mid); in a state
+        # pass u_x and u_y; run's rhs
         self.mid, self.spec, self.rhs = _scratch_for((3, n, n))
         self.energies = None  # (|w|_2^2, h1_forward_sq(w)) of the last solution w
 
@@ -178,6 +181,17 @@ class _Workspace:
         sq *= self.mu
         return l2, weight * float(sq.sum())
 
+    def residual(self, w: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
+        """w - dt Lap_h(w) - b as (1 + 4c) w - c N(w) - b, c = dt/h^2 and N(w) the sum of each node's four
+        neighbours, in spec (returned) with mid as scratch; w and b must be neither."""
+        c = dt / (self.grid.h * self.grid.h)
+        cn = _neighbour_sum(w, self.mid)
+        cn *= c
+        r = np.multiply(w, 1.0 + 4.0 * c, out=self.spec)
+        r -= cn
+        r -= b
+        return r
+
     def solve(self, b: np.ndarray, dt: float) -> np.ndarray:
         """Fresh solution w of (I - dt Lap_h) w = b; see `solve_helmholtz`."""
         if dt != self.dt:
@@ -189,14 +203,10 @@ class _Workspace:
         # every trajectory's bits
         np.divide(self._transform(b), self.den, out=self.spec)
         w = self._transform(self.spec).copy()
-        # before the residual check overwrites spec; the stencil's 4v term takes mid, which is written after it
-        self.energies = self.spectral_energies(self.spec)
-        r = laplacian_stencil(w, self.grid.h)
-        r *= dt
-        r = np.subtract(w, r, out=self.mid)
-        r -= b
+        self.energies = self.spectral_energies(self.spec)  # before the residual overwrites spec
+        r = self.residual(w, b, dt)
         resid = np.sqrt(np.square(r, out=r).sum(axis=(1, 2)))
-        bound = SOLVE_RESIDUAL_BOUND * np.sqrt(np.multiply(b, b, out=self.spec).sum(axis=(1, 2)))
+        bound = SOLVE_RESIDUAL_BOUND * np.sqrt(np.multiply(b, b, out=self.mid).sum(axis=(1, 2)))
         if not (resid <= bound).all():
             raise SolverError(f"solve residual {resid} exceeds the residual bound {bound} per component")
         return w
@@ -210,11 +220,13 @@ def solve_helmholtz(rhs: VectorField, dt: float, *, _workspace: _Workspace | Non
     transformed back (fast direct Poisson solver).  Both transforms are the
     workspace's unnormalised FFT passes, 4 real FFTs in all; the square of
     their gain is folded into the divisor, so the second transform's output
-    is w with no further scaling.  One stencil apply then
-    checks the relative residual of each component against the fixed
-    SOLVE_RESIDUAL_BOUND and raises SolverError above it, which also catches
-    non-finite input.  The workspace's scratch is the grid's (`_Workspace`), so
-    nothing that takes it may run between `run`'s rhs write and this solve.
+    is w with no further scaling.  The residual (`_Workspace.residual`) is
+    then formed in the workspace's scratch from one neighbour sum, and a
+    component whose relative residual exceeds the fixed SOLVE_RESIDUAL_BOUND
+    raises SolverError; so does non-finite input and, for a rhs of finite
+    norm, any non-finite w.  The workspace's scratch is the grid's
+    (`_Workspace`), so nothing that takes it may run between `run`'s rhs
+    write and this solve.
     """
     if not 0.0 < dt < math.inf:  # also false for NaN
         raise ValueError(f"need finite dt > 0, got {dt}")
@@ -224,16 +236,19 @@ def solve_helmholtz(rhs: VectorField, dt: float, *, _workspace: _Workspace | Non
 
 class _State:
     """Per-accepted-state quantities of u in the buffers of ws: h1, vol and the wedge from the functionals'
-    pass; l2 and h1_fwd from `energies`, the solve's `ws.energies` of u, or else from the solve's spectrum of
-    u at dt = 0, `ws._transform(u) / ws.scale`."""
+    pass, the wedge into `wedge` (the retiring state's, handed on) or a fresh array; l2 and h1_fwd from
+    `energies`, the solve's `ws.energies` of u, or else from the solve's spectrum of u at dt = 0,
+    `ws._transform(u) / ws.scale`."""
 
     __slots__ = ("u", "wedge", "l2", "h1", "h1_fwd", "vol", "E_fwd", "D")
 
-    def __init__(self, u: VectorField, H: float, ws: _Workspace, energies: tuple[float, float] | None = None):
+    def __init__(
+        self, u: VectorField, H: float, ws: _Workspace, energies: tuple[float, float] | None = None, wedge=None
+    ):
         if energies is None:
             energies = ws.spectral_energies(np.divide(ws._transform(u.values), ws.scale, out=ws.spec))
         self.u = u
-        self.wedge = np.empty(u.values.shape)
+        self.wedge = np.empty(u.values.shape) if wedge is None else wedge
         self.l2, self.h1_fwd = energies
         self.h1, self.vol = functionals._dirichlet_and_volume(u, out=(ws.mid, ws.spec, self.wedge))
         self.E_fwd = functionals.energy_of(self.h1_fwd, self.vol, H)
@@ -253,9 +268,11 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
         functionals._check_delta(d)
     ncols = len(trajectory_columns(delta_list))
     H = p.H
-    h2 = u0.grid.h ** 2
-    ws = _Workspace(u0.grid)
+    g = u0.grid
+    h2 = g.h ** 2
+    ws = _Workspace(g)
     state = _State(u0, H, ws)
+    del u0  # the first state owns the datum, which goes when that state retires
     l2_initial = state.l2
     h1_initial = state.h1
     grad_cap = p.blowup_gradient_factor * max(1.0, h1_initial)
@@ -287,26 +304,28 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
             dt_step = min(dt, p.t_end - t)
             # rhs = u - 2 dt H (u_x ^ u_y), in the kept buffer
             b = np.multiply(state.wedge, 2.0 * dt_step * H, out=ws.rhs)
-            rhs = VectorField(u0.grid, np.subtract(state.u.values, b, out=b))
-            rel = math.nan  # a failed solve or a non-finite candidate stays NaN, which rejects
+            rhs = VectorField(g, np.subtract(state.u.values, b, out=b))
+            # a failed solve stays NaN, which rejects; a returned candidate passed the residual check, and one
+            # that is non-finite all the same (its rhs's norm overflowed) has a NaN or infinite increment
+            rel = math.nan
             try:
                 cand = solve_helmholtz(rhs, dt_step, _workspace=ws)
             except SolverError:
                 if np.isfinite(rhs.values).all():
                     raise  # a residual miss on finite input is a numeric fault, not blow-up
             else:
-                if np.isfinite(cand.values).all():
-                    inc = np.subtract(cand.values, state.u.values, out=ws.mid)
-                    inc_sq = float(np.square(inc, out=inc).sum())
-                    diff, base = math.sqrt(h2 * inc_sq), math.sqrt(state.l2)
-                    rel = 0.0 if diff == 0.0 else (math.inf if base == 0.0 else diff / base)
+                inc = np.subtract(cand.values, state.u.values, out=ws.mid)
+                inc_sq = float(np.square(inc, out=inc).sum())
+                diff, base = math.sqrt(h2 * inc_sq), math.sqrt(state.l2)
+                rel = 0.0 if diff == 0.0 else (math.inf if base == 0.0 else diff / base)
             if not rel <= RELATIVE_INCREMENT_CAP:
+                cand = None  # the next attempt's solve allocates only its own candidate
                 dt *= 0.5
                 if dt < p.dt_min:
                     status, stop_reason = BLOWUP_SUSPECTED, "dt-collapse"
                 continue
 
-            new_state = _State(cand, H, ws, ws.energies)
+            new_state = _State(cand, H, ws, ws.energies, state.wedge)  # state's wedge was spent on rhs
             ut_sq = h2 * inc_sq / (dt_step * dt_step)
             cum_residual += abs(dt_step * ut_sq + new_state.E_fwd - state.E_fwd)
             f += 0.5 * dt_step * (state.l2 + new_state.l2)

@@ -13,7 +13,9 @@ Two evaluation paths are provided:
   midpoint quadrature h^2 * sum; second-order accurate for smooth fields
   whose relevant integrands vanish on the boundary.  Every central
   difference of this path goes through the one kernel `derivs` (its first
-  half `_differences` where no wedge is needed);
+  half `_differences` where no wedge is needed), and the stencil's
+  neighbour sum through `_neighbour_sum`, which the flow's solve also
+  calls for its residual;
 * a boundary-inclusive lattice path (`sample_on_lattice`,
   `lattice_gradient`, `lattice_integrate`, `lattice_wedge`) that keeps the
   true boundary values and integrates with trapezoid weights.  It is the
@@ -179,10 +181,9 @@ def _dirichlet_sum(ux: np.ndarray, uy: np.ndarray, h: float) -> float:
     return h ** 2 * float(np.square(ux, out=ux).sum() + np.square(uy, out=uy).sum())
 
 
-def laplacian_stencil(values: np.ndarray, h: float) -> np.ndarray:
-    """5-point Laplacian with zero boundary on a raw (3, p, q) array (p, q >= 2), with the bits of the zero-padded sum.
-    The result is fresh; its 4v term is formed in `_scratch_for(values.shape)[0]`, which values must not be."""
-    out = np.empty(values.shape)
+def _neighbour_sum(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each node's four neighbours summed, zero boundary, of a raw (3, p, q) array (p, q >= 2) into the
+    C-contiguous out, which values must not be; the bits of the zero-padded sum."""
     np.add(values[:, 2:], values[:, :-2], out=out[:, 1:-1])
     np.add(values[:, 1], 0.0, out=out[:, 0])
     np.add(0.0, values[:, -2], out=out[:, -1])
@@ -195,6 +196,13 @@ def laplacian_stencil(values: np.ndarray, h: float) -> np.ndarray:
     first = np.add(out[:, :, 0], 0.0)
     o[1:] += flat[:-1]
     out[:, :, 0] = first
+    return out
+
+
+def laplacian_stencil(values: np.ndarray, h: float) -> np.ndarray:
+    """5-point Laplacian with zero boundary on a raw (3, p, q) array (p, q >= 2), with the bits of the zero-padded sum.
+    The result is fresh; its 4v term is formed in `_scratch_for(values.shape)[0]`, which values must not be."""
+    out = _neighbour_sum(values, np.empty(values.shape))
     out -= np.multiply(values, 4.0, out=_scratch_for(values.shape)[0])
     return _divide(out, h * h)
 

@@ -1219,6 +1219,61 @@ def test_out_below_a_file_is_one_error_line_and_makes_nothing(tmp_path, capsys, 
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("command", _EVERY_COMMAND)
+def test_out_below_a_file_runs_no_work(tmp_path, capsys, monkeypatch, command):
+    # every command's work starts with the well estimate; main's check of --out comes before it
+    estimated = []
+    monkeypatch.setattr(cli, "_well_parameters", lambda *args: estimated.append(args))
+    cfg = write_config(tmp_path / "c.json", grid={"n": 15}, **_EVERY_COMMAND[command])
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(taken / "sub")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    assert estimated == []
+
+
+def test_sweep_below_a_file_runs_no_cell(tmp_path, capsys, monkeypatch):
+    # the check of --out's nearest existing ancestor comes before the first cell's classification and flow
+    ran = []
+    monkeypatch.setattr(cli, "_simulate_into", lambda cfg, out: ran.append(out))
+    cfg = write_config(tmp_path / "c.json", grid={"n": 15}, **_EVERY_COMMAND["sweep"])
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for out in (taken, taken / "sub", taken / "sub" / "deeper"):
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(taken) in err, err
+    assert ran == []
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="Python 3.10 keeps a call's arguments on the caller's stack until it returns"
+)
+def test_simulate_lets_the_datum_go(tmp_path, monkeypatch):
+    # once the run's first state retires, neither run nor _simulate_into holds the datum built by
+    # build_initial_condition: it is dead at every later derivative pass of the run.  From Python 3.11 an
+    # inlined call moves its arguments into the callee's frame; 3.10 keeps _simulate_into's datum.pop() alive
+    refs, alive = [], []
+    build, passes = cli.build_initial_condition, functionals._dirichlet_and_volume
+
+    def building(*args, **kwargs):
+        u0, desc = build(*args, **kwargs)
+        refs.append(weakref.ref(u0))
+        return u0, desc
+
+    def counting(u, out=None):
+        alive.extend(ref() is not None for ref in refs)
+        return passes(u, out=out)
+
+    monkeypatch.setattr(cli, "build_initial_condition", building)
+    monkeypatch.setattr(functionals, "_dirichlet_and_volume", counting)
+    path = write_config(tmp_path / "c.json", grid={"n": 15}, time={"dt0": 1e-3, "t_end": 0.01})
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
+    # ten accepted steps at dt0 (no halving at this amplitude), so the run's last eleven passes are its states';
+    # the first and second state's see the datum, and no later one does
+    assert alive[-11:] == [True, True] + [False] * 9
+
+
 def test_two_worker_sweep_makes_an_absent_nested_out(tmp_path):
     # each of the two workers makes its cell's missing parents, racing the other on the shared ones
     cfg = write_config(tmp_path / "c.json", grid={"n": 15}, sweep={"lambda_multiples": [0.2, 1.6], "max_workers": 2})

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
+import numpy.fft  # noqa: F401  numpy loads it on first use; loaded here, test_run_working_set_at_n127 does not trace it
 import pytest
 
-from hflow import flow
+from hflow import flow, grid
 from hflow.fields import discrete_laplacian_eigenvalue, eigenmode, random_bandlimited
 from hflow.flow import (
     BLOWUP_SUSPECTED,
@@ -187,7 +189,7 @@ def test_solve_helmholtz_eigenmode(g31):
     assert np.allclose(w.values, u.values / (1.0 + dt * mu), rtol=1e-9)
 
 
-def test_solve_makes_four_real_ffts_and_one_stencil(monkeypatch):
+def test_solve_makes_four_real_ffts_and_one_neighbour_sum(monkeypatch):
     calls = []
 
     def counting(name, f):
@@ -198,19 +200,40 @@ def test_solve_makes_four_real_ffts_and_one_stencil(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(np.fft, "rfft", counting("rfft", np.fft.rfft))
-    monkeypatch.setattr(flow, "laplacian_stencil", counting("stencil", flow.laplacian_stencil))
+    monkeypatch.setattr(flow, "_neighbour_sum", counting("neighbours", flow._neighbour_sum))
+    monkeypatch.setattr(grid, "laplacian_stencil", counting("stencil", grid.laplacian_stencil))
     g = make_grid(9)
     ws = _Workspace(g)
     rhs = random_bandlimited(g, 3, kmax=4)
     for dt in (1e-3, 1e-3, 5e-4):
         calls.clear()
         solve_helmholtz(rhs, dt, _workspace=ws)
-        assert sorted(name for name, _, _ in calls) == ["rfft"] * 4 + ["stencil"]
-        # every pass runs along the last axis of the one pad, into the one FFT output
+        assert sorted(name for name, _, _ in calls) == ["neighbours"] + ["rfft"] * 4
+        # every pass runs along the last axis of the one pad, into the one FFT output; the residual's
+        # neighbour sum goes into the kept scratch
         for name, args, kwargs in calls:
             if name == "rfft":
                 assert len(args) == 1 and args[0] is ws.pad
                 assert kwargs.keys() == {"out"} and kwargs["out"] is ws.out
+            else:
+                assert args[1] is ws.mid and not kwargs
+
+
+@pytest.mark.parametrize("n", [15, 63, 127])
+def test_checked_residual_is_the_stencils(n):
+    # the solve's (1 + 4c) w - c N(w) - b, c = dt/h^2, against w - dt Lap_h(w) - b, on fields far from a solution
+    rng = np.random.default_rng(100 + n)
+    g = make_grid(n)
+    ws = _Workspace(g)
+    for log_dt in (-6.0, -3.0, -1.0):
+        dt = 10.0**log_dt
+        w = random_bandlimited(g, int(rng.integers(1 << 20)), kmax=6).values
+        b = rng.standard_normal((3, n, n))
+        expected = w - dt * laplacian_stencil(w, g.h) - b
+        got = ws.residual(w, b, dt)
+        assert got is ws.spec
+        for k in range(3):
+            assert np.linalg.norm(got[k] - expected[k]) <= 1e-12 * np.linalg.norm(expected[k])
 
 
 def test_solve_helmholtz_residual_bound(g31):
@@ -257,6 +280,26 @@ def _run_with_public_solve(u0, p):
         u, t = w, t + dt_step
         dts.append(dt_step)
     return u, dts, halvings
+
+
+@pytest.mark.parametrize("amplitude, status", [(0.5, REACHED_HORIZON), (3.0, BLOWUP_SUSPECTED)])
+def test_run_working_set_at_n127(amplitude, status):
+    # a run holds its workspace (about 4.7 grid arrays: pad, out, mu, den), the state's u and wedge, one candidate
+    # and the derivative pass's one-component temporary; a second wedge, a residual array or, in the blow-up
+    # run's retries after rejected attempts, a rejected candidate beside the next would pass 8.5
+    n = 127
+    g = make_grid(n)
+    u0 = random_bandlimited(g, 3, 6).scaled(amplitude)
+    grid._scratch_for((3, n, n))
+    p = FlowParams(H=1.0, dt0=5e-4, t_end=0.01, record_every=1)
+    tracemalloc.start()
+    try:
+        tr = run(u0, p, (0.25,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.status == status and len(tr) > 2
+    assert peak <= 8.5 * (3 * n * n * 8)
 
 
 @pytest.mark.parametrize("g", [make_grid(9), make_grid(15), make_grid(16)], ids=str)
