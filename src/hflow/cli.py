@@ -11,7 +11,8 @@ Subcommands (all take --config <path>, optional --out <dir> and --seed):
 Exit codes: 0 success, 1 config/usage error, 2 numerical hard failure,
 3 lemma-verification failure.  Artifacts are UTF-8: CSV with a fixed column
 order and 17-significant-digit floats, JSON with sorted keys; identical
-configs produce byte-identical outputs.
+configs run into the same --out produce byte-identical outputs (a sweep's
+index.json records each cell's directory under --out as given).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 from . import classify, fields, flow, functionals, nehari
 from .flow import trajectory_columns  # noqa: F401 -- the CSV header, part of the CLI's interface
 from .functionals import NonFiniteError
-from .grid import GridSpec, VectorField, l2_norm_sq, make_grid
+from .grid import GridSpec, VectorField, dirichlet_and_volume, l2_norm_sq, make_grid
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -285,7 +286,9 @@ def build_initial_condition(cfg: dict, g: GridSpec, H: float, wp=None):
         amp = _amplitude_for_energy_level(coeffs, params["energy_level"], wp.d, params["branch"])
         desc = {"energy_level": params["energy_level"], "branch": params["branch"]}
     elif "e54_margin" in params:
-        # |c w|_2 < -(c^3/3) B needs c^2 > 3 |w|_2 / (-B); E(c w) <= 0 needs c >= 1.5 lambda*
+        # |c w|_2 < -(c^3/3) B needs c^2 > 3 |w|_2 / (-B); E(c w) <= 0 needs c >= 1.5 lambda*.  The
+        # margin makes c > 1.5 lambda*, so E(c w) = c^2 (A/2 + 2 c B/3) < 0 and D(c w) < 0 at every H: classify
+        # reads the datum as low-energy t22, and never reaches the high-energy t52 check
         c_vol = math.sqrt(3.0 * math.sqrt(l2_norm_sq(w)) / (-coeffs.B))
         amp = params["e54_margin"] * max(1.5 * lam, c_vol)
         desc = {"e54_margin": params["e54_margin"]}
@@ -447,7 +450,7 @@ def _check_fiber_map(block: dict, w: VectorField, cw: nehari.FiberingCoefficient
     rel = abs(nehari.golden_section_peak(w, H, 0.0, 4.0 * lam, tol=1e-7 * lam) - lam) / lam
     block["worst_lambda_rel_err"] = max(block["worst_lambda_rel_err"], rel)
     # (E, D) at (0.25, 0.5, 1, 2, 4) lambda*, one derivative pass each
-    pairs = [functionals._dirichlet_and_volume(w.scaled(s * lam)) for s in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    pairs = [dirichlet_and_volume(w.scaled(s * lam)) for s in (0.25, 0.5, 1.0, 2.0, 4.0)]
     energy_at = [functionals.energy_of(a, v, H) for a, v in pairs]
     nehari_at = [functionals.nehari_of(a, v, H) for a, v in pairs]
     if rel > 1e-6 or not (
@@ -503,7 +506,7 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
     # fiber map, which checks the fiber identity against the grid, builds the flipped field
     corpus_size = cfg["corpus"]["count"]
     for i, u in enumerate(members):
-        a, v = functionals._dirichlet_and_volume(u)
+        a, v = dirichlet_and_volume(u)
         c = nehari.FiberingCoefficients(A=a, B=H * v)
         _check_isoperimetric(checks["isoperimetric"], i, a, v)
         _check_projected_norm_cap(checks["projected_norm_cap"], c, wp.d)
@@ -517,7 +520,7 @@ def cmd_verify_lemmas(cfg: dict, out: Path) -> int:
     # isoperimetric inequality, whose discrete gap exposes the resolution limit of the grid
     probe = [row["eps"] for row in wp.family_table] if cfg["corpus"]["saturation_probe"] else []
     for j, (_, u) in enumerate(nehari.bubble_family(g, H, probe, wp.center)):
-        _check_isoperimetric(checks["isoperimetric"], corpus_size + j, *functionals._dirichlet_and_volume(u))
+        _check_isoperimetric(checks["isoperimetric"], corpus_size + j, *dirichlet_and_volume(u))
     for block in checks.values():  # a worst value no member reached
         block.update({key: None for key, val in block.items() if val is math.inf})
 
@@ -639,7 +642,7 @@ def main(argv=None) -> int:
             raise NotADirectoryError(f"cannot make output directory {out}: {base} is not a directory")
         # called by its name in this module, so that a wrapper bound over it there (a profiler's) sees the call
         return globals()[COMMANDS[args.command].__name__](cfg, out)
-    except (ConfigError, ValueError, KeyError, TypeError, OSError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (flow.SolverError, nehari.EstimationError, NonFiniteError) as exc:

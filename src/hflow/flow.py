@@ -20,8 +20,9 @@ is the solve's at dt = 0.  With this pairing the per-step defect
     |dt |u_t|_2^2 + E_fwd(t+dt) - E_fwd(t)|
 
 is O(dt^2) per step, so the accumulated residual is O(dt) over a fixed
-horizon and halves when dt0 halves.  h1_sq and V come from the functionals'
-own pass, so h1_sq and D = nehari_of(h1_sq, V, H) have the bits of `report`.
+horizon and halves when dt0 halves.  h1_sq and V come from the grid's one
+central pass, `dirichlet_and_volume`, which `report` also reads, so h1_sq and
+D = nehari_of(h1_sq, V, H) have the bits of `report`.
 
 Blow-up is reported as evidence (dt collapse below dt_min, or the gradient
 exceeding blowup_gradient_factor times its initial size), never as a proven
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import functionals
 from .fields import discrete_laplacian_eigenvalue
-from .grid import GridSpec, VectorField, _neighbour_sum, _scratch_for
+from .grid import GridSpec, VectorField, _neighbour_sum, _scratch_for, dirichlet_and_volume
 
 REACHED_HORIZON = "reached-horizon"
 BLOWUP_SUSPECTED = "blowup-suspected"
@@ -127,8 +128,10 @@ class _Workspace:
     without one builds a one-off set.  No result is kept in them past a step:
     a solve allocates its solution and nothing else, its residual check runs
     in the scratch, and `run` hands each state's wedge buffer on to the next
-    state.  mid, spec and rhs are this thread's `grid._scratch_for` buffers:
-    nothing that takes them may run between an attempt's rhs write and its
+    state.  mid, spec and rhs are this thread's `grid._scratch_for` buffers
+    0, 1 and 2; their only other borrower is the grid's central pass
+    `dirichlet_and_volume`, which takes mid and spec in the state pass.
+    Nothing that takes them may run between an attempt's rhs write and its
     solve.
 
     The solve's two 2-D sine transforms are unnormalised: each axis pass is
@@ -235,10 +238,10 @@ def solve_helmholtz(rhs: VectorField, dt: float, *, _workspace: _Workspace | Non
 
 
 class _State:
-    """Per-accepted-state quantities of u in the buffers of ws: h1, vol and the wedge from the functionals'
-    pass, the wedge into `wedge` (the retiring state's, handed on) or a fresh array; l2 and h1_fwd from
-    `energies`, the solve's `ws.energies` of u, or else from the solve's spectrum of u at dt = 0,
-    `ws._transform(u) / ws.scale`."""
+    """Per-accepted-state quantities of u in the buffers of ws: h1, vol and the wedge from the grid's central
+    pass (u_x, u_y in ws.mid, ws.spec), the wedge into `wedge` (the retiring state's, handed on) or a fresh
+    array; l2 and h1_fwd from `energies`, the solve's `ws.energies` of u, or else from the solve's spectrum
+    of u at dt = 0, `ws._transform(u) / ws.scale`."""
 
     __slots__ = ("u", "wedge", "l2", "h1", "h1_fwd", "vol", "E_fwd", "D")
 
@@ -250,7 +253,7 @@ class _State:
         self.u = u
         self.wedge = np.empty(u.values.shape) if wedge is None else wedge
         self.l2, self.h1_fwd = energies
-        self.h1, self.vol = functionals._dirichlet_and_volume(u, out=(ws.mid, ws.spec, self.wedge))
+        self.h1, self.vol = dirichlet_and_volume(u, self.wedge)
         self.E_fwd = functionals.energy_of(self.h1_fwd, self.vol, H)
         self.D = functionals.nehari_of(self.h1, self.vol, H)
 

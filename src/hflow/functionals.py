@@ -1,7 +1,8 @@
 """Energy, volume and Nehari functionals for the H-system on discrete fields.
 
-Each functional is a function of the pair (A, V) that one derivative pass
-reads off a field u (H is the constant mean curvature, H > 0):
+Each functional is a function of the pair (A, V) that the grid's one
+central pass, `grid.dirichlet_and_volume`, reads off a field u (H is the
+constant mean curvature, H > 0):
 
     A = dirichlet(u) = integral |grad u|^2       (central differences)
     V                = integral u . u_x ^ u_y    (report's volume is (2/3) H V)
@@ -17,9 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .grid import VectorField, _dirichlet_sum, _scratch_for, derivs, l2_norm_sq
+from .grid import VectorField, dirichlet_and_volume, l2_norm_sq
 
 # constant of the isoperimetric inequality for H_0^1(Omega; R^3)
 ISOPERIMETRIC_CONST = (32.0 * math.pi) ** (1.0 / 3.0)
@@ -47,23 +46,13 @@ def _check_delta(delta: float, closed_right: bool = False):
         raise ValueError(f"delta = {delta} outside {rng}")
 
 
-def _dirichlet_and_volume(u: VectorField, out=None) -> tuple[float, float]:
-    """(dirichlet, integral u . u_x ^ u_y) from one derivative pass in the grid's kept scratch, or in
-    `out` (three C-contiguous (3, n, n) arrays), which it leaves holding the wedge in out[2]."""
-    h = u.grid.h
-    ux, uy, w = derivs(u.values, h, out=_scratch_for(u.values.shape) if out is None else out)
-    dirichlet = _dirichlet_sum(ux, uy, h)
-    dots = np.multiply(u.values, w, out=ux).sum(axis=0, out=uy[0])  # summed over components first
-    return dirichlet, h ** 2 * float(dots.sum())
-
-
 def energy_E(u: VectorField, H: float) -> float:
-    return energy_of(*_dirichlet_and_volume(u), H)
+    return energy_of(*dirichlet_and_volume(u), H)
 
 
 def nehari_D(u: VectorField, H: float, delta: float = 1.0) -> float:
     _check_delta(delta)
-    return nehari_of(*_dirichlet_and_volume(u), H, delta)
+    return nehari_of(*dirichlet_and_volume(u), H, delta)
 
 
 def r_of_delta(delta: float, H: float) -> float:
@@ -85,7 +74,7 @@ def isoperimetric_gap(u: VectorField) -> float:
 
     Nonnegative for resolved fields, up to discretization slack.
     """
-    return isoperimetric_gap_of(*_dirichlet_and_volume(u))
+    return isoperimetric_gap_of(*dirichlet_and_volume(u))
 
 
 def isoperimetric_gap_of(dirichlet: float, volume: float) -> float:
@@ -105,7 +94,7 @@ def nehari_of(a: float, v: float, H: float, delta: float = 1.0) -> float:
 
 def report(u: VectorField, H: float) -> FunctionalReport:
     """All functionals in one pass over the field."""
-    dirichlet, vol_int = _dirichlet_and_volume(u)
+    dirichlet, vol_int = dirichlet_and_volume(u)
     return FunctionalReport(
         dirichlet=dirichlet,
         volume=(2.0 / 3.0) * H * vol_int,

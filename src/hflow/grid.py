@@ -8,14 +8,15 @@ clipped (documented behaviour of `sample`).
 
 Two evaluation paths are provided:
 
-* the interior path (`derivs`, `laplacian_stencil`, `h1_seminorm_sq`,
-  `l2_norm_sq`) used by the functionals and the time integrator, with
-  midpoint quadrature h^2 * sum; second-order accurate for smooth fields
-  whose relevant integrands vanish on the boundary.  Every central
-  difference of this path goes through the one kernel `derivs` (its first
-  half `_differences` where no wedge is needed), and the stencil's
-  neighbour sum through `_neighbour_sum`, which the flow's solve also
-  calls for its residual;
+* the interior path (`derivs`, `dirichlet_and_volume`, `laplacian_stencil`,
+  `h1_seminorm_sq`, `l2_norm_sq`) used by the functionals and the time
+  integrator, with midpoint quadrature h^2 * sum; second-order accurate for
+  smooth fields whose relevant integrands vanish on the boundary.  Every
+  central difference of this path goes through the one kernel `derivs`, and
+  every central Dirichlet form and volume integral through the one pass
+  `dirichlet_and_volume` over it (`h1_seminorm_sq` is its first element);
+  the stencil's neighbour sum goes through `_neighbour_sum`, which the
+  flow's solve also calls for its residual;
 * a boundary-inclusive lattice path (`sample_on_lattice`,
   `lattice_gradient`, `lattice_integrate`, `lattice_wedge`) that keeps the
   true boundary values and integrates with trapezoid weights.  It is the
@@ -33,9 +34,9 @@ the exact reciprocal when the divisor is a power of two, as on every grid
 with n + 1 a power of two, and divides otherwise, with the quotient's bits
 either way.
 
-`_scratch_for(shape)` owns the thread's full-grid scratch: the float-valued
-passes, the stencil's 4v term (buffer 0) and the flow's workspace borrow it,
-and nothing that takes it may run between the flow's rhs write and its solve.
+`_scratch_for(shape)` owns the thread's full-grid scratch.  It has two
+borrowers, `dirichlet_and_volume` and the flow's `_Workspace`, and nothing
+that takes it may run between the flow's rhs write and its solve.
 """
 
 from __future__ import annotations
@@ -145,8 +146,13 @@ def _divide(a: np.ndarray, c: float, out: np.ndarray | None = None) -> np.ndarra
     return np.divide(a, c, out=out)
 
 
-def _differences(values: np.ndarray, h: float, ux: np.ndarray, uy: np.ndarray) -> None:
-    """Central differences u_x, u_y of a raw (3, p, q) array (p, q >= 2), zero boundary, into C-contiguous ux, uy."""
+def derivs(values: np.ndarray, h: float, out=None):
+    """Central-difference (u_x, u_y, u_x ^ u_y) of a raw (3, p, q) array (p, q >= 2), zero boundary.
+
+    The one derivative kernel of the interior path.  `out` is an optional triple
+    of C-contiguous (3, p, q) arrays to write into; without it they are fresh.
+    """
+    ux, uy, w = (np.empty(values.shape) for _ in range(3)) if out is None else out
     q = values.shape[2]
     flat = values.reshape(-1)
     # differences along the flattened array; a node next to the boundary picks up a
@@ -159,16 +165,6 @@ def _differences(values: np.ndarray, h: float, ux: np.ndarray, uy: np.ndarray) -
         np.subtract(0.0, v[:, -2], out=d[:, -1])
     _divide(ux, 2.0 * h)
     _divide(uy, 2.0 * h)
-
-
-def derivs(values: np.ndarray, h: float, out=None):
-    """Central-difference (u_x, u_y, u_x ^ u_y) of a raw (3, p, q) array (p, q >= 2), zero boundary.
-
-    The one derivative kernel of the interior path.  `out` is an optional triple
-    of C-contiguous (3, p, q) arrays to write into; without it they are fresh.
-    """
-    ux, uy, w = (np.empty(values.shape) for _ in range(3)) if out is None else out
-    _differences(values, h, ux, uy)
     tmp = np.empty(values.shape[1:])
     for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
         np.multiply(ux[i], uy[j], out=w[k])
@@ -176,9 +172,17 @@ def derivs(values: np.ndarray, h: float, out=None):
     return ux, uy, w
 
 
-def _dirichlet_sum(ux: np.ndarray, uy: np.ndarray, h: float) -> float:
-    """h^2 (sum u_x^2 + sum u_y^2) of spent difference arrays, which it squares in place."""
-    return h ** 2 * float(np.square(ux, out=ux).sum() + np.square(uy, out=uy).sum())
+def dirichlet_and_volume(u: VectorField, wedge: np.ndarray | None = None) -> tuple[float, float]:
+    """(integral |grad u|^2, integral u . u_x ^ u_y) of u from one `derivs` pass: the central pass.
+
+    u_x and u_y go into this thread's kept scratch (buffers 0 and 1), and the wedge into `wedge`, a
+    C-contiguous (3, n, n) array left holding it, or else into buffer 2.
+    """
+    h, bufs = u.grid.h, _scratch_for(u.values.shape)
+    ux, uy, w = derivs(u.values, h, out=bufs if wedge is None else (*bufs[:2], wedge))
+    dirichlet = h**2 * float(np.square(ux, out=ux).sum() + np.square(uy, out=uy).sum())
+    dots = np.multiply(u.values, w, out=ux).sum(axis=0, out=uy[0])  # summed over components first
+    return dirichlet, h**2 * float(dots.sum())
 
 
 def _neighbour_sum(values: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -201,9 +205,9 @@ def _neighbour_sum(values: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def laplacian_stencil(values: np.ndarray, h: float) -> np.ndarray:
     """5-point Laplacian with zero boundary on a raw (3, p, q) array (p, q >= 2), with the bits of the zero-padded sum.
-    The result is fresh; its 4v term is formed in `_scratch_for(values.shape)[0]`, which values must not be."""
+    A reference (the flow's solve forms its residual from `_neighbour_sum`): the result and its 4v term are fresh."""
     out = _neighbour_sum(values, np.empty(values.shape))
-    out -= np.multiply(values, 4.0, out=_scratch_for(values.shape)[0])
+    out -= 4.0 * values
     return _divide(out, h * h)
 
 
@@ -213,9 +217,7 @@ def l2_norm_sq(u: VectorField) -> float:
 
 def h1_seminorm_sq(u: VectorField) -> float:
     """Central-difference Dirichlet integral; this is the norm ||u||^2."""
-    ux, uy, _ = _scratch_for(u.values.shape)
-    _differences(u.values, u.grid.h, ux, uy)
-    return _dirichlet_sum(ux, uy, u.grid.h)
+    return dirichlet_and_volume(u)[0]
 
 
 def h1_forward_sq(u: VectorField) -> float:

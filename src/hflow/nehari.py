@@ -24,7 +24,7 @@ import numpy as np
 
 from . import functionals
 from .fields import cutoff_weight
-from .grid import GridSpec, VectorField, l2_norm_sq
+from .grid import GridSpec, VectorField, dirichlet_and_volume, l2_norm_sq
 
 
 class NoMaximizerError(ValueError):
@@ -51,7 +51,7 @@ class WellParameters:
 
 
 def fibering_coeffs(u: VectorField, H: float) -> FiberingCoefficients:
-    a, v = functionals._dirichlet_and_volume(u)
+    a, v = dirichlet_and_volume(u)
     return FiberingCoefficients(A=a, B=H * v)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import hflow
-from hflow import cli, fields, flow, functionals, nehari
+from hflow import classify, cli, fields, flow, functionals, grid, nehari
 from hflow.cli import (
     EXIT_CONFIG,
     EXIT_LEMMA,
@@ -594,6 +594,15 @@ _REJECTED = [  # (command, config overrides, error): before the schema, each exi
         {"sweep": {"lambda_multiples": [0.1234567, 0.1234568], "max_workers": 1}},
         "sweep.lambda_multiples: 0.1234567 and 0.1234568 share the cell name 0.123457",
     ),
+    # a block that is not an object, a scaled-direction datum with no amplitude (refused as it is built,
+    # once the well is known) and a sweep with no sweep block
+    ("classify", {"grid": 5}, "grid must be a JSON object, got 5"),
+    (
+        "simulate",
+        {"ic": {"params": {"direction": {"eps": 0.25}}}},
+        "scaled-direction needs lambda_multiple, energy_level or e54_margin",
+    ),
+    ("sweep", {}, "sweep config needs sweep.lambda_multiples"),
 ]
 
 
@@ -877,8 +886,9 @@ def test_verify_lemmas_takes_one_pass_per_member_and_scale(tmp_path, monkeypatch
     monkeypatch.setattr(nehari, "estimate_d", scope("estimate_d", nehari.estimate_d))
     monkeypatch.setattr(nehari, "golden_section_peak", scope("search", nehari.golden_section_peak))
     monkeypatch.setattr(nehari, "fibering_coeffs", counting("fibering_coeffs", nehari.fibering_coeffs))
-    for name in ("report", "energy_E", "nehari_D", "derivs"):
+    for name in ("report", "energy_E", "nehari_D"):
         monkeypatch.setattr(functionals, name, counting(name, getattr(functionals, name)))
+    monkeypatch.setattr(grid, "derivs", counting("derivs", grid.derivs))  # the kernel of the one central pass
     count = 8
     cfg = write_config(tmp_path / "c.json", grid={"n": 15}, corpus={"count": count, "kmax": 5}, seed=7)
     assert main(["verify-lemmas", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_OK
@@ -1254,19 +1264,19 @@ def test_simulate_lets_the_datum_go(tmp_path, monkeypatch):
     # build_initial_condition: it is dead at every later derivative pass of the run.  From Python 3.11 an
     # inlined call moves its arguments into the callee's frame; 3.10 keeps _simulate_into's datum.pop() alive
     refs, alive = [], []
-    build, passes = cli.build_initial_condition, functionals._dirichlet_and_volume
+    build, passes = cli.build_initial_condition, flow.dirichlet_and_volume
 
     def building(*args, **kwargs):
         u0, desc = build(*args, **kwargs)
         refs.append(weakref.ref(u0))
         return u0, desc
 
-    def counting(u, out=None):
+    def counting(u, wedge=None):
         alive.extend(ref() is not None for ref in refs)
-        return passes(u, out=out)
+        return passes(u, wedge)
 
     monkeypatch.setattr(cli, "build_initial_condition", building)
-    monkeypatch.setattr(functionals, "_dirichlet_and_volume", counting)
+    monkeypatch.setattr(flow, "dirichlet_and_volume", counting)
     path = write_config(tmp_path / "c.json", grid={"n": 15}, time={"dt0": 1e-3, "t_end": 0.01})
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
     # ten accepted steps at dt0 (no halving at this amplitude), so the run's last eleven passes are its states';
@@ -1451,3 +1461,47 @@ def test_energy_level_ic_mode(tmp_path, capsys):
         assert err == "error: ic.params.energy_level = 5 is unreachable on this fiber: its peak is 0.448·d\n"
     assert not (tmp_path / "a").exists()
     assert kept.is_dir() and not any(kept.iterdir())
+
+
+@pytest.mark.parametrize("H", [1.0, 8.0])
+def test_e54_margin_datum_is_low_energy_t22(tmp_path, H):
+    # the e54_margin amplitude c exceeds 1.5 lambda*, so E(c w) = c^2 (A/2 + 2 c B/3) < 0 and D(c w) < 0 at
+    # every H: the datum meets the high-energy blow-up inequality, and classify reads it as low-energy t22
+    for margin in (1.1, 2.0, 5.0):
+        ic = {"type": "scaled-direction", "params": {"direction": {"eps": 0.25}, "e54_margin": margin}}
+        cfg = load_config(write_config(tmp_path / "c.json", physics={"H": H}, ic=ic))
+        u0, desc, wp, verdict = cli._classified_datum(cfg)  # the datum from build_initial_condition
+        assert desc["e54_margin"] == margin
+        energy = energy_E(u0, H)
+        assert energy <= 0.0 and verdict.details["energy"] == energy
+        ok, meas = classify.check_e54(u0, H)
+        assert ok and meas["energy"] == energy
+        assert (verdict.energy_regime, verdict.applicable_theorem) == ("low", "t22")
+
+
+def test_bubble_ic_at_the_scaled_direction_amplitude_runs_the_same(tmp_path):
+    # a bubble ic whose amplitude is the ic.amplitude a scaled-direction run wrote is the same datum: the
+    # same trajectory bytes, verdict and run block
+    scaled = write_config(tmp_path / "scaled.json", ic={"params": {"direction": {"eps": 0.25}, "lambda_multiple": 1.6}})
+    assert main(["simulate", "--config", str(scaled), "--out", str(tmp_path / "scaled")]) == EXIT_OK
+    art = json.loads((tmp_path / "scaled" / "verdict.json").read_text(encoding="utf-8"))
+    ic = {"type": "bubble", "params": {"center": [0.5, 0.5], "eps": 0.25, "amplitude": art["ic"]["amplitude"]}}
+    bubble = write_config(tmp_path / "bubble.json", ic=ic)
+    assert main(["simulate", "--config", str(bubble), "--out", str(tmp_path / "bubble")]) == EXIT_OK
+    got = json.loads((tmp_path / "bubble" / "verdict.json").read_text(encoding="utf-8"))
+    assert got["ic"]["type"] == "bubble" and art["run"]["status"] == "blowup-suspected"
+    assert (got["verdict"], got["run"]) == (art["verdict"], art["run"])
+    csv = [(tmp_path / side / "trajectory.csv").read_bytes() for side in ("scaled", "bubble")]
+    assert csv[0] == csv[1]
+
+
+@pytest.mark.parametrize("fault", [TypeError, KeyError])
+def test_a_fault_inside_a_command_propagates_out_of_main(tmp_path, monkeypatch, fault):
+    # only a ConfigError, ValueError or OSError is a config error; a programming fault is not passed off as one
+    def failing(cfg, out):
+        raise fault("a fault in the command")
+
+    monkeypatch.setattr(cli, "cmd_classify", failing)
+    cfg = write_config(tmp_path / "c.json")
+    with pytest.raises(fault, match="a fault in the command"):
+        main(["classify", "--config", str(cfg), "--out", str(tmp_path / "out")])

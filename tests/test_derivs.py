@@ -17,7 +17,6 @@ from hflow.fields import random_bandlimited
 from hflow.flow import _State, _Workspace, solve_helmholtz
 from hflow.functionals import (
     ISOPERIMETRIC_CONST,
-    _dirichlet_and_volume,
     energy_E,
     isoperimetric_gap,
     nehari_D,
@@ -27,6 +26,7 @@ from hflow.grid import (
     GridSpec,
     VectorField,
     derivs,
+    dirichlet_and_volume,
     h1_forward_sq,
     h1_seminorm_sq,
     laplacian_stencil,
@@ -140,7 +140,7 @@ def test_routed_functions_match_padded_compositions_bitwise(g, kind):
     for got, want in ((kx, ux), (ky, uy), (kw, w)):
         _same(got, want)
     _same(h1_seminorm_sq(u), h1)
-    _same(_dirichlet_and_volume(u)[1], vol)
+    _same(dirichlet_and_volume(u)[1], vol)
     _same(energy_E(u, H), 0.5 * h1 + (2.0 / 3.0) * H * vol)
     _same(nehari_D(u, H), h1 + 2.0 * H * vol)
     _same(nehari_D(u, H, 0.75), 0.75 * h1 + 2.0 * H * vol)
@@ -182,7 +182,7 @@ def test_zero_field_gives_positive_zeros(g):
     rep = report(u, 2.0)
     c = fibering_coeffs(u, 2.0)
     scalars = [
-        h1_seminorm_sq(u), _dirichlet_and_volume(u)[1], energy_E(u, 2.0), nehari_D(u, 2.0),
+        h1_seminorm_sq(u), dirichlet_and_volume(u)[1], energy_E(u, 2.0), nehari_D(u, 2.0),
         nehari_D(u, 2.0, 0.5), isoperimetric_gap(u), c.A, c.B,
         rep.dirichlet, rep.volume, rep.energy, rep.nehari, rep.l2_sq,
     ]  # fmt: skip
@@ -212,21 +212,16 @@ def test_derivs_writes_into_given_buffers():
 
 
 def test_each_entry_point_takes_one_derivative_pass(monkeypatch):
-    # every central difference goes through grid._differences; derivs adds the wedge to it
-    calls = {"_differences": [], "derivs": []}
+    # every central difference goes through grid.derivs, which the one central pass calls once
+    calls, real = [], grid.derivs
 
-    def counting(name, real):
-        def f(*args, **kwargs):
-            calls[name].append(1)
-            return real(*args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
 
-        return f
-
-    monkeypatch.setattr(grid, "_differences", counting("_differences", grid._differences))
-    wrapped = counting("derivs", grid.derivs)
     for mod in (grid, functionals, nehari, flow):
         if hasattr(mod, "derivs"):
-            monkeypatch.setattr(mod, "derivs", wrapped)
+            monkeypatch.setattr(mod, "derivs", counting)
     g = make_grid(15)
     u = VectorField(g, _field(g, "bandlimited"))
     ws = _Workspace(g)
@@ -235,7 +230,7 @@ def test_each_entry_point_takes_one_derivative_pass(monkeypatch):
         "nehari_D": lambda: nehari_D(u, 1.0),
         "nehari_D at delta 0.5": lambda: nehari_D(u, 1.0, 0.5),
         "isoperimetric_gap": lambda: isoperimetric_gap(u),
-        "_dirichlet_and_volume": lambda: _dirichlet_and_volume(u)[1],
+        "dirichlet_and_volume": lambda: dirichlet_and_volume(u)[1],
         "fibering_coeffs": lambda: fibering_coeffs(u, 1.0),
         "report": lambda: report(u, 1.0),
         "_State": lambda: _State(u, 1.0, ws),
@@ -243,11 +238,10 @@ def test_each_entry_point_takes_one_derivative_pass(monkeypatch):
     }
     counts = {}
     for name, f in entries.items():
-        for c in calls.values():
-            c.clear()
+        calls.clear()
         f()
-        counts[name] = (len(calls["_differences"]), len(calls["derivs"]))
-    assert counts == {name: (1, 0 if name == "h1_seminorm_sq" else 1) for name in entries}
+        counts[name] = len(calls)
+    assert counts == dict.fromkeys(entries, 1)
 
 
 # the kept per-thread scratch of the float-valued functions
@@ -257,7 +251,7 @@ def _scalars(u, H):
     c = fibering_coeffs(u, H)
     rep = report(u, H)
     return [
-        h1_seminorm_sq(u), _dirichlet_and_volume(u)[1], energy_E(u, H), nehari_D(u, H), nehari_D(u, H, 0.5),
+        h1_seminorm_sq(u), dirichlet_and_volume(u)[1], energy_E(u, H), nehari_D(u, H), nehari_D(u, H, 0.5),
         isoperimetric_gap(u), c.A, c.B, rep.dirichlet, rep.volume, rep.energy, rep.nehari, rep.l2_sq,
     ]  # fmt: skip
 

@@ -21,10 +21,11 @@ from hflow.flow import (
     solve_helmholtz,
     trajectory_columns,
 )
-from hflow.functionals import _dirichlet_and_volume, nehari_D, report
+from hflow.functionals import nehari_D, report
 from hflow.grid import (
     VectorField,
     derivs,
+    dirichlet_and_volume,
     h1_forward_sq,
     l2_norm_sq,
     laplacian_stencil,
@@ -140,7 +141,7 @@ def test_state_matches_reference_functionals(n):
         u = random_bandlimited(g, seed, kmax, h1_norm=float(rng.uniform(0.1, 10.0)))
         s = _State(u, H, ws)
         rep = report(u, H)
-        vol = _dirichlet_and_volume(u)[1]
+        vol = dirichlet_and_volume(u)[1]
         # a sum with cancellation is compared on the scale of its terms
         scale = rep.dirichlet + 2.0 * H * abs(vol)
         assert s.u is u

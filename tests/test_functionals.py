@@ -7,7 +7,6 @@ from hflow.fields import cutoff_weight, eigenmode, random_bandlimited
 from hflow.flow import FlowParams, _State, _Workspace, run
 from hflow.functionals import (
     ISOPERIMETRIC_CONST,
-    _dirichlet_and_volume,
     a_of_delta,
     energy_E,
     energy_of,
@@ -19,6 +18,7 @@ from hflow.functionals import (
 )
 from hflow.grid import (
     VectorField,
+    dirichlet_and_volume,
     h1_forward_sq,
     h1_seminorm_sq,
     l2_norm_sq,
@@ -68,7 +68,7 @@ def test_clipped_path_matches_lattice_for_h01_fields(g63):
     u = sample(expr, g63)
     a_lat, b_lat = _lattice_A_B(expr, g63)
     assert h1_seminorm_sq(u) == pytest.approx(a_lat, rel=2e-3)
-    assert _dirichlet_and_volume(u)[1] == pytest.approx(b_lat / 1.0, rel=2e-3)
+    assert dirichlet_and_volume(u)[1] == pytest.approx(b_lat / 1.0, rel=2e-3)
 
 
 def test_report_consistency_identities(g31):
@@ -96,7 +96,7 @@ def test_energy_nehari_split_random_fields(n):
         else:
             u = random_bandlimited(g, int(rng.integers(1 << 20)), int(rng.integers(1, 12)))
         rep = report(u, H)
-        scale = rep.dirichlet + 2.0 * H * abs(_dirichlet_and_volume(u)[1])  # a sum with cancellation
+        scale = rep.dirichlet + 2.0 * H * abs(dirichlet_and_volume(u)[1])  # a sum with cancellation
         assert rep.energy == pytest.approx(rep.dirichlet / 6.0 + rep.nehari / 3.0, abs=1e-12 * scale)
         split = h1_seminorm_sq(u) / 6.0 + nehari_D(u, H) / 3.0
         assert energy_E(u, H) == pytest.approx(split, abs=1e-12 * scale)
@@ -111,7 +111,7 @@ def test_functionals_are_the_pair_functions_of_their_pass(g31, kind):
         u = bubble_direction(g31, H, (0.5, 0.5), 0.2).scaled(2.0)
     else:
         u = random_bandlimited(g31, seed=int(kind[-1]), kmax=5, h1_norm=3.0)
-    a, v = _dirichlet_and_volume(u)
+    a, v = dirichlet_and_volume(u)
     assert v != 0.0
     rep = report(u, H)
     assert (rep.energy, rep.nehari) == (energy_of(a, v, H), nehari_of(a, v, H))
@@ -162,7 +162,7 @@ def test_isoperimetric_gap_single_component(g63):
     c = 2.0
     u = eigenmode(g63, amplitude=c)
     gap = isoperimetric_gap(u)
-    assert _dirichlet_and_volume(u)[1] == pytest.approx(0.0, abs=1e-14)
+    assert dirichlet_and_volume(u)[1] == pytest.approx(0.0, abs=1e-14)
     assert gap == pytest.approx(h1_seminorm_sq(u), rel=1e-12)
     # and for the polynomial, via the lattice oracle: 8/3 - (32 pi)^(1/3) (1/4)^(2/3)
     a, b = _lattice_A_B(poly_xyxy, g63)
@@ -195,12 +195,12 @@ def test_negative_nehari_forces_large_norm(g63):
     H = 1.0
     for seed in range(8):
         u = random_bandlimited(g63, seed=seed)
-        b = _dirichlet_and_volume(u)[1]
+        b = dirichlet_and_volume(u)[1]
         if b == 0.0:
             continue
         w = u if b < 0.0 else u.scaled(-1.0)
         a = h1_seminorm_sq(w)
-        bw = H * _dirichlet_and_volume(w)[1]
+        bw = H * dirichlet_and_volume(w)[1]
         for delta in (0.5, 1.0, 1.25):
             s = 1.5 * (-delta * a / (2.0 * bw))  # past the delta-Nehari crossing
             scaled = w.scaled(s)
@@ -217,6 +217,6 @@ def test_central_form_has_a_null_mode(n):
     v = np.zeros((3, n, n))
     v[:, ::2, ::2] = c[:, None, None]
     u = VectorField(make_grid(n), v)
-    assert _dirichlet_and_volume(u) == (0.0, 0.0)
+    assert dirichlet_and_volume(u) == (0.0, 0.0)
     assert l2_norm_sq(u) == pytest.approx(0.25 * float(c @ c), rel=1e-14)
     assert h1_forward_sq(u) > 0.0
