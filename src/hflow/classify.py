@@ -230,12 +230,8 @@ def fit_decay_rate(tr: TrajectoryRecord, delta1: float | None = None) -> DecayFi
 def blowup_report(tr: TrajectoryRecord) -> BlowupReport:
     """Blow-up evidence: stop cause, trailing concavity window, gradient peak."""
     conc = tr.concavity
-    start = len(conc)
-    for k in range(len(conc) - 1, -1, -1):
-        if conc[k] > 0.0:
-            start = k
-        else:
-            break
+    not_positive = np.flatnonzero(~(conc > 0.0))  # nan included
+    start = int(not_positive[-1]) + 1 if not_positive.size else 0
     return BlowupReport(
         suspected=tr.status == BLOWUP_SUSPECTED,
         t_last=float(tr.t[-1]),

@@ -46,6 +46,11 @@ class ConfigError(ValueError):
     pass
 
 
+# the two failure families: main exits 1 or 2 on them, and a sweep cell records either; anything else is a fault
+CONFIG_FAILURES = (ValueError, OSError)  # ValueError covers ConfigError
+NUMERIC_FAILURES = (flow.SolverError, nehari.EstimationError, NonFiniteError)
+
+
 # ---------------------------------------------------------------------------
 # config schema: every field's kind, default and bounds, checked once when the config loads
 
@@ -216,15 +221,12 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_trajectory_csv(path: Path, tr: flow.TrajectoryRecord) -> None:
-    """Every recorded series, nan and inf included, as 17-significant-digit rows; the directory made as needed."""
+    """The header, then one row per sample of every recorded series, nan and inf included, each float in
+    the bytes of format(v, ".17g"); np.savetxt formats row by row.  The directory is made as needed."""
     columns, cols = zip(*tr.series())
-    row_format = ",".join(["%.17g"] * len(columns)) + "\n"  # the bytes of format(v, ".17g")
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        # blocks of rows, so that a long run's floats never all exist as Python objects at once
-        for k in range(0, len(tr), 256):
-            fh.writelines(row_format % row for row in zip(*(col[k : k + 256].tolist() for col in cols)))
+        np.savetxt(fh, np.column_stack(cols), fmt="%.17g", delimiter=",", header=",".join(columns), comments="")
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +568,7 @@ def _sweep_cell(args):
             "expected_outcome": art["verdict"]["expected_outcome"],
             "artifacts": out_dir,
         }
-    except Exception as exc:  # per-cell failures are recorded, not fatal
+    except CONFIG_FAILURES + NUMERIC_FAILURES as exc:  # recorded, not fatal
         return key, {"error": f"{type(exc).__name__}: {exc}", "artifacts": out_dir}
 
 
@@ -642,10 +644,10 @@ def main(argv=None) -> int:
             raise NotADirectoryError(f"cannot make output directory {out}: {base} is not a directory")
         # called by its name in this module, so that a wrapper bound over it there (a profiler's) sees the call
         return globals()[COMMANDS[args.command].__name__](cfg, out)
-    except (ConfigError, ValueError, OSError) as exc:
+    except CONFIG_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (flow.SolverError, nehari.EstimationError, NonFiniteError) as exc:
+    except NUMERIC_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -346,6 +346,25 @@ def test_blowup_report_decay_and_blowup(setup31, g31):
     assert rep.gradient_max >= tr.h1_sq[0] * 1e4
 
 
+@pytest.mark.parametrize(
+    "conc, start",
+    [
+        ([1.0, 2.0, 3.0], 0),  # positive throughout: the window is the whole record
+        ([1.0, 2.0, 0.0], None),  # a last sample <= 0 closes every window
+        ([1.0, 2.0, -1.0], None),
+        ([-1.0, 0.0], None),
+        ([1.0, math.nan, 2.0, 3.0], 2),  # nan is not positive: the window starts after it
+        ([1.0, 2.0, -1.0, 0.5, 3.0], 3),  # two positive runs: the trailing one
+        ([1.0, -0.0, 2.0], 2),
+    ],
+)
+def test_blowup_report_trailing_concavity_window(conc, start):
+    t = np.linspace(0.0, 1.0, len(conc))
+    rep = blowup_report(_synthetic_record(t, l2=np.ones(len(conc)), conc=conc))
+    assert rep.concavity_positive_from == start
+    assert rep.concavity_positive_from is None or type(rep.concavity_positive_from) is int
+
+
 def test_blowup_report_zero_run(g31):
     p = FlowParams(H=1.0, dt0=1e-2, t_end=0.05)
     tr = run(VectorField.zeros(g31), p)

@@ -996,7 +996,9 @@ def test_saturation_probe_is_the_wells_family(tmp_path, monkeypatch):
 
 
 def test_trajectory_csv_fields_are_17_significant_digits(tmp_path):
-    values = np.array([0.1, 1.0 / 3.0, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 2.0**-1074 * 3])
+    edges = np.array([0.1, 1.0 / 3.0, -0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf, 2.0**-1074 * 3])
+    # the edge values tiled to 3 * 256 + 5 rows, so that a writer batching rows is checked across its batch bounds
+    values = np.resize(edges, 3 * 256 + 5)
     delta_list = (0.25, 1.25)
     cols = [np.roll(values, j) for j in range(len(trajectory_columns(delta_list)))]
     tr = flow.TrajectoryRecord(
@@ -1104,6 +1106,18 @@ def test_sweep_solve_residual_miss_records_error(tmp_path, monkeypatch):
     cell = json.loads((out / "index.json").read_text(encoding="utf-8"))["cells"]["lambda_multiple=0.2"]
     assert cell["error"].startswith("SolverError: solve residual")
     assert "status" not in cell
+
+
+def test_a_fault_inside_a_sweep_cell_propagates_out_of_main(tmp_path, monkeypatch):
+    # a cell records only a config or numerical failure; a programming fault aborts the sweep as it does simulate
+    def failing(*args, **kwargs):
+        raise TypeError("a fault in the flow")
+
+    monkeypatch.setattr(flow, "run", failing)  # one worker: the cell runs in this process
+    cfg = write_config(tmp_path / "c.json", sweep={"lambda_multiples": [0.2], "max_workers": 1})
+    with pytest.raises(TypeError, match="a fault in the flow"):
+        main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert not (tmp_path / "o" / "index.json").exists()
 
 
 def test_simulate_bytes_independent_of_blas_threads(tmp_path):

@@ -307,9 +307,6 @@ def test_divide_keeps_the_quotient_bits(c):
     with np.errstate(over="ignore"):  # 1e300 / 2^-1074
         want = (a / c).tobytes()
         inplace = a.copy()
-        out = np.empty_like(a)
         assert _divide(inplace, c) is inplace
-        assert _divide(a, c, out=out) is out
     assert inplace.tobytes() == want
-    assert out.tobytes() == want
     assert a.tobytes() == a_bits
