@@ -111,7 +111,7 @@ def _spectral_energies(v, g):
     """(w sum s^2, w sum mu s^2), w = h^2 scale, of the solve's spectrum s = T(v) / scale of v at dt = 0,
     in the order `_State` sums them: divided into a fresh C-ordered array, as `_State` divides into ws.spec."""
     ws = _Workspace(g)
-    sq = np.square(np.divide(ws._transform(v), ws.scale, out=np.empty(v.shape)))
+    sq = np.square(ws._transform(v, np.empty(v.shape)) / ws.scale)
     weight = g.h * g.h * ws.scale
     return weight * float(np.sum(sq)), weight * float(np.sum(sq * ws.mu))
 
