@@ -9,10 +9,11 @@ Subcommands (all take --config <path>, optional --out <dir> and --seed):
     sweep               grid of scaled-direction amplitudes, one run per cell
 
 Exit codes: 0 success, 1 config/usage error, 2 numerical hard failure,
-3 lemma-verification failure.  Artifacts are UTF-8: CSV with a fixed column
-order and 17-significant-digit floats, JSON with sorted keys; identical
-configs run into the same --out produce byte-identical outputs (a sweep's
-index.json records each cell's directory under --out as given).
+3 lemma-verification failure.  Artifacts are UTF-8: CSV, the run's record
+table row by row in a fixed column order, with 17-significant-digit floats,
+JSON with sorted keys; identical configs run into the same --out produce
+byte-identical outputs (a sweep's index.json records each cell's directory
+under --out as given).
 """
 
 from __future__ import annotations
@@ -221,12 +222,11 @@ def write_json(path: Path, obj) -> None:
 
 
 def write_trajectory_csv(path: Path, tr: flow.TrajectoryRecord) -> None:
-    """The header, then one row per sample of every recorded series, nan and inf included, each float in
-    the bytes of format(v, ".17g"); np.savetxt formats row by row.  The directory is made as needed."""
-    columns, cols = zip(*tr.series())
+    """The header, then the record's table as it stands, np.savetxt formatting a row at a time, nan and inf
+    included, each float in the bytes of format(v, ".17g").  The directory is made as needed."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        np.savetxt(fh, np.column_stack(cols), fmt="%.17g", delimiter=",", header=",".join(columns), comments="")
+        np.savetxt(fh, tr.table, fmt="%.17g", delimiter=",", header=",".join(tr.columns), comments="")
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +353,8 @@ def _simulate_into(cfg: dict, out: Path) -> dict:
     # Python 3.10 keeps a call's arguments on the caller's stack until it returns, so there it lives all run
     *datum, ic_desc, wp, verdict = _classified_datum(cfg)
     tr = flow.run(datum.pop(), _flow_params(cfg), cfg["monitors"]["delta_list"])
-    finite = [(name, np.isfinite(series)) for name, series in tr.series()]
-    bad = [f"{name} from t = {tr.t[~ok][0]:.17g}" for name, ok in finite if not ok.all()]
+    finite = np.isfinite(tr.table)
+    bad = [f"{name} from t = {tr.t[~ok][0]:.17g}" for name, ok in zip(tr.columns, finite.T) if not ok.all()]
     if bad:
         raise NonFiniteError(f"trajectory has non-finite series: {', '.join(bad)}")
     write_trajectory_csv(out / "trajectory.csv", tr)

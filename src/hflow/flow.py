@@ -28,7 +28,8 @@ D = nehari_of(h1_sq, V, H) have the bits of `report`.
 
 Blow-up is reported as evidence (dt collapse below dt_min, or the gradient
 exceeding blowup_gradient_factor times its initial size), never as a proven
-singularity.
+singularity.  The record is one table: the step loop appends each sample's
+row to one buffer, which `run` hands on as `TrajectoryRecord.table`.
 """
 
 from __future__ import annotations
@@ -95,33 +96,32 @@ def trajectory_columns(delta_list) -> list[str]:
     return names
 
 
+def _column(i):
+    return property(lambda self: self.table[:, i])
+
+
 @dataclass
 class TrajectoryRecord:
+    """A run's samples as one table, a row per sample in the order of `columns`; the named series are
+    column views of it, the D_delta block (samples, len(delta_list)) being the columns between D and f."""
+
     params: FlowParams
     delta_list: tuple
-    t: np.ndarray
-    dt: np.ndarray
-    l2_sq: np.ndarray
-    h1_sq: np.ndarray
-    E: np.ndarray
-    D: np.ndarray
-    D_delta: np.ndarray  # shape (samples, len(delta_list))
-    f: np.ndarray
-    fprime: np.ndarray
-    fsecond: np.ndarray
-    concavity: np.ndarray
-    energy_residual: np.ndarray  # cumulative
+    table: np.ndarray  # shape (samples, len(columns))
     status: str
     stop_reason: str | None = None
     final_state: VectorField | None = None
 
-    def __len__(self):
-        return len(self.t)
+    t, dt, l2_sq, h1_sq, E, D = (_column(i) for i in range(len(_HEAD)))
+    D_delta = _column(slice(len(_HEAD), -len(_TAIL)))
+    f, fprime, fsecond, concavity, energy_residual = (_column(i) for i in range(-len(_TAIL), 0))  # the last cumulative
 
-    def series(self):
-        """(column name, recorded series) pairs in the CSV's column order."""
-        cols = [getattr(self, name) for name in _HEAD] + list(self.D_delta.T) + [getattr(self, name) for name in _TAIL]
-        return list(zip(trajectory_columns(self.delta_list), cols))
+    @property
+    def columns(self) -> list[str]:
+        return trajectory_columns(self.delta_list)
+
+    def __len__(self):
+        return len(self.table)
 
 
 class _Workspace:
@@ -133,7 +133,8 @@ class _Workspace:
     in the scratch, and `run` hands each state's wedge buffer on to the next
     state.  mid, spec and rhs are this thread's `grid._scratch_for` buffers
     0, 1 and 2; their only other borrower is the grid's central pass
-    `dirichlet_and_volume`, which takes mid and spec in the state pass.
+    `dirichlet_and_volume`, which takes mid and spec in the state pass, and
+    rhs's first component, spent by then, for the wedge's second products.
     Nothing that takes them may run between an attempt's rhs write and its
     solve.
 
@@ -362,16 +363,5 @@ def run(u0: VectorField, p: FlowParams, delta_list=()) -> TrajectoryRecord:
     if t != last_recorded_t:  # the stop row; t moved only if a step was accepted, which set dt_step
         record(dt_step, state)
 
-    cols = np.frombuffer(rows).reshape(-1, ncols).T.copy()  # one contiguous series per column
-    k, end = len(_HEAD), len(_HEAD) + len(delta_list)
-    return TrajectoryRecord(
-        params=p,
-        delta_list=delta_list,
-        **dict(zip(_HEAD, cols[:k])),
-        D_delta=cols[k:end].T,
-        **dict(zip(_TAIL, cols[end:])),
-        status=status,
-        stop_reason=stop_reason,
-        final_state=state.u,
-    )
-
+    table = np.frombuffer(rows).reshape(-1, ncols)  # the rows' own buffer, not a copy
+    return TrajectoryRecord(p, delta_list, table, status, stop_reason, state.u)

@@ -37,7 +37,8 @@ either way.
 
 `_scratch_for(shape)` owns the thread's full-grid scratch.  It has two
 borrowers, `dirichlet_and_volume` and the flow's `_Workspace`, and nothing
-that takes it may run between the flow's rhs write and its solve.
+that takes it may run between the flow's rhs write and its solve; the
+central pass given a wedge array takes only buffer 2's first component.
 """
 
 from __future__ import annotations
@@ -146,11 +147,13 @@ def _divide(a: np.ndarray, c: float) -> np.ndarray:
     return np.divide(a, c, out=a)
 
 
-def derivs(values: np.ndarray, h: float, out=None):
+def derivs(values: np.ndarray, h: float, out=None, tmp=None):
     """Central-difference (u_x, u_y, u_x ^ u_y) of a raw (3, p, q) array (p, q >= 2), zero boundary.
 
     The one derivative kernel of the interior path.  `out` is an optional triple
     of C-contiguous (3, p, q) arrays to write into; without it they are fresh.
+    `tmp`, an optional (p, q) array apart from values and out, takes each second
+    product of the wedge; without it that temporary is fresh.
     """
     ux, uy, w = (np.empty(values.shape) for _ in range(3)) if out is None else out
     q = values.shape[2]
@@ -165,7 +168,7 @@ def derivs(values: np.ndarray, h: float, out=None):
         np.subtract(0.0, v[:, -2], out=d[:, -1])
     _divide(ux, 2.0 * h)
     _divide(uy, 2.0 * h)
-    tmp = np.empty(values.shape[1:])
+    tmp = np.empty(values.shape[1:]) if tmp is None else tmp
     for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
         np.multiply(ux[i], uy[j], out=w[k])
         w[k] -= np.multiply(ux[j], uy[i], out=tmp)
@@ -176,10 +179,12 @@ def dirichlet_and_volume(u: VectorField, wedge: np.ndarray | None = None) -> tup
     """(integral |grad u|^2, integral u . u_x ^ u_y) of u from one `derivs` pass: the central pass.
 
     u_x and u_y go into this thread's kept scratch (buffers 0 and 1), and the wedge into `wedge`, a
-    C-contiguous (3, n, n) array left holding it, or else into buffer 2.
+    C-contiguous (3, n, n) array left holding it, while its second products go into buffer 2's first
+    component; without `wedge` the wedge goes into buffer 2 and its second products into a fresh array.
     """
-    h, bufs = u.grid.h, _scratch_for(u.values.shape)
-    ux, uy, w = derivs(u.values, h, out=bufs if wedge is None else (*bufs[:2], wedge))
+    h, (ux, uy, buf2) = u.grid.h, _scratch_for(u.values.shape)
+    w = buf2 if wedge is None else wedge
+    derivs(u.values, h, out=(ux, uy, w), tmp=None if wedge is None else buf2[0])
     dirichlet = h**2 * float(np.square(ux, out=ux).sum() + np.square(uy, out=uy).sum())
     dots = np.multiply(u.values, w, out=ux).sum(axis=0, out=uy[0])  # summed over components first
     return dirichlet, h**2 * float(dots.sum())

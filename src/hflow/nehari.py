@@ -216,8 +216,13 @@ def golden_section_peak(u: VectorField, H: float, lo: float, hi: float, tol: flo
     without Derivatives, 1973, ch. 5).  Returns the best point once the
     bracket is no wider than `tol`.  Evaluates the energy functional
     directly on scaled fields and never reads (A, B); serves as the
-    independent cross-check of lambda_star.
+    independent cross-check of lambda_star.  Raises ValueError unless
+    lo < hi are finite and tol is finite and positive.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need a finite bracket lo < hi, got lo={lo}, hi={hi}")
+    if not 0.0 < tol < math.inf:  # also false for NaN
+        raise ValueError(f"need finite tol > 0, got tol={tol}")
     golden = (3.0 - math.sqrt(5.0)) / 2.0
     step_min = 0.25 * tol  # no two evaluations closer; the bracket closes to 4 step_min around x
 

@@ -267,26 +267,25 @@ def test_sign_persistence_zero_run(g31):
     assert reports[0].persistent and reports[0].sign == 0
 
 
-def _synthetic_record(t, l2, h1=None, D=None, conc=None, status=REACHED_HORIZON, floor=1e-16):
+def _synthetic_record(t, l2, h1=None, D=None, conc=None, status=REACHED_HORIZON, floor=1e-16, D_delta=None):
+    """A record whose table holds the given series, zeros where none is given; D_delta maps delta to its series."""
     n = len(t)
     p = FlowParams(H=1.0, dt0=1e-3, t_end=max(float(t[-1]), 1e-6) + 1e-9, decay_l2_floor=floor)
     zeros = np.zeros(n)
     l2 = np.asarray(l2, dtype=float)
     D = zeros if D is None else np.asarray(D, dtype=float)
-    return TrajectoryRecord(
-        params=p, delta_list=(), t=np.asarray(t, dtype=float), dt=np.full(n, 1e-3),
-        l2_sq=l2, h1_sq=l2 if h1 is None else np.asarray(h1, dtype=float),
-        E=zeros, D=D, D_delta=np.zeros((n, 0)), f=zeros, fprime=l2,
-        fsecond=-2.0 * D, concavity=zeros if conc is None else np.asarray(conc, dtype=float),
-        energy_residual=zeros, status=status,
-    )
+    D_delta = {} if D_delta is None else D_delta
+    cols = [
+        t, np.full(n, 1e-3), l2, l2 if h1 is None else h1, zeros, D, *D_delta.values(),
+        zeros, l2, -2.0 * D, zeros if conc is None else conc, zeros,
+    ]
+    table = np.column_stack([np.asarray(c, dtype=float) for c in cols])
+    return TrajectoryRecord(params=p, delta_list=tuple(D_delta), table=table, status=status)
 
 
 def test_sign_persistence_detects_violation():
     t = np.linspace(0.0, 1.0, 5)
-    tr = _synthetic_record(t, l2=np.ones(5), h1=np.ones(5))
-    tr.delta_list = (1.0,)
-    tr.D_delta = np.array([[1.0], [1.0], [-0.5], [1.0], [1.0]])
+    tr = _synthetic_record(t, l2=np.ones(5), h1=np.ones(5), D_delta={1.0: [1.0, 1.0, -0.5, 1.0, 1.0]})
     rep = check_sign_persistence(tr)[0]
     assert not rep.persistent
     assert rep.first_violation == 2

@@ -269,9 +269,9 @@ def _ref_scalars(v, g, H):
 
 
 def _flow_bits(u):
-    """The bits of a solve of u and of every series, status and end state of a few flow steps from u."""
+    """The bits of a solve of u and of the record's table, status and end state of a few flow steps from u."""
     tr = flow.run(u, flow.FlowParams(H=1.5, dt0=1e-4, t_end=5e-4), delta_list=(0.5,))
-    arrays = [solve_helmholtz(u, 1e-3).values, *(s for _, s in tr.series()), tr.final_state.values]
+    arrays = [solve_helmholtz(u, 1e-3).values, tr.table, tr.final_state.values]
     return [_bits(a) for a in arrays] + [tr.status, tr.stop_reason]
 
 

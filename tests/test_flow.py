@@ -288,9 +288,10 @@ def _run_with_public_solve(u0, p):
 @pytest.mark.parametrize("amplitude, status", [(0.5, REACHED_HORIZON), (3.0, BLOWUP_SUSPECTED)])
 def test_run_working_set_at_n127(amplitude, status):
     # a run holds its workspace (about 2.0 grid arrays: a one-component pad and out, mu, den), the state's u and
-    # wedge, one candidate and the derivative pass's one-component temporary, about 5.4 in all; a
-    # three-component pad and out, a second wedge, a residual array or, in the blow-up run's retries after
-    # rejected attempts, a rejected candidate beside the next would pass 6.0
+    # wedge and one candidate, about 5.05 in all, the state pass forming the wedge's second products in the spent
+    # rhs; a fresh one-component temporary there (0.33), a three-component pad and out, a second wedge, a
+    # residual array or, in the blow-up run's retries after rejected attempts, a rejected candidate beside the
+    # next would pass 5.2
     n = 127
     g = make_grid(n)
     u0 = random_bandlimited(g, 3, 6).scaled(amplitude)
@@ -303,7 +304,7 @@ def test_run_working_set_at_n127(amplitude, status):
     finally:
         tracemalloc.stop()
     assert tr.status == status and len(tr) > 2
-    assert peak <= 6.0 * (3 * n * n * 8)
+    assert peak <= 5.2 * (3 * n * n * 8)
 
 
 @pytest.mark.parametrize("g", [make_grid(9), make_grid(15), make_grid(16)], ids=str)
@@ -488,17 +489,31 @@ def test_energy_residuals_per_interval(g15):
 
 
 def test_series_name_each_recorded_column(g15):
-    # series() pairs trajectory_columns with the row entries run recorded under them: fprime is recorded
-    # as |u|_2^2, fsecond as -2 D, and D_delta at delta = 1 is D
+    # the table's columns, named by trajectory_columns, hold the row entries run recorded under them: fprime is
+    # recorded as |u|_2^2, fsecond as -2 D, and D_delta at delta = 1 is D
     u0 = bubble_direction(g15, 1.0, eps=0.25).scaled(0.3)
     delta_list = (0.5, 1.0)
     tr = run(u0, FlowParams(H=1.0, dt0=1e-3, t_end=0.02, record_every=3), delta_list)
-    series = dict(tr.series())
+    series = dict(zip(tr.columns, tr.table.T))
     assert list(series) == trajectory_columns(delta_list)
     assert len(tr) > 2 and all(len(col) == len(tr) for col in series.values())
     assert np.array_equal(series["fprime"], series["l2_sq"]) and np.array_equal(series["fsecond"], -2.0 * tr.D)
     assert np.array_equal(series["D_delta_1"], series["D"]) and np.array_equal(series["D_delta_0.5"], tr.D_delta[:, 0])
-    assert series["energy_residual"] is tr.energy_residual and series["t"][0] == 0.0
+    assert np.shares_memory(series["energy_residual"], tr.energy_residual) and series["t"][0] == 0.0
+
+
+def test_run_record_series_are_views_of_its_table(g15):
+    # run keeps its row buffer as the record's one table, and each named series is a view of the column that
+    # trajectory_columns names, D_delta the block between D and f; a copy of any of them would hold the record twice
+    u0 = bubble_direction(g15, 1.0, eps=0.25).scaled(0.3)
+    delta_list = (0.5, 1.0)
+    tr = run(u0, FlowParams(H=1.0, dt0=1e-3, t_end=0.02), delta_list)
+    table = tr.table
+    assert table.shape == (len(tr), len(trajectory_columns(delta_list))) and table.flags.c_contiguous
+    assert table.base is not None and np.shares_memory(tr.D_delta, table) and tr.D_delta.shape == (len(tr), 2)
+    named = [tr.t, tr.dt, tr.l2_sq, tr.h1_sq, tr.E, tr.D, *tr.D_delta.T, tr.f, tr.fprime, tr.fsecond, tr.concavity]
+    for j, series in enumerate([*named, tr.energy_residual]):
+        assert np.shares_memory(series, table[:, j]) and np.array_equal(series, table[:, j])
 
 
 @pytest.mark.parametrize("delta_list", [(0.25, 0.2500001), (0.25, 0.25)])

@@ -162,6 +162,28 @@ def test_golden_section_matches_lambda_star(g63):
         assert abs(lam_gs - lam) / lam <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "lo, hi, tol, name",
+    [
+        (4.0, 0.0, 1e-9, "lo < hi"),
+        (0.0, 4.0, math.nan, "tol"),
+        (1.0, 1.0, 1e-9, "lo < hi"),
+        (math.nan, 4.0, 1e-9, "lo < hi"),
+        (0.0, math.inf, 1e-9, "lo < hi"),
+        (0.0, 4.0, math.inf, "tol"),
+        (0.0, 4.0, 0.0, "tol"),
+        (0.0, 4.0, -1.0, "tol"),
+    ],
+)
+def test_golden_section_rejects_a_bad_bracket_or_tol(g15, lo, hi, tol, name):
+    # on this bubble (lambda* = 1.7239) an unchecked search returned 4.262 for the reversed bracket and the first
+    # golden point, 2.634, for a NaN tol, and never returned for a zero or negative tol; the bracket is in lambda*
+    u = bubble_direction(g15)
+    lam = lambda_star(fibering_coeffs(u, 1.0))
+    with pytest.raises(ValueError, match=name):
+        golden_section_peak(u, 1.0, lo * lam, hi * lam, tol=tol)
+
+
 def _ray_energy(u, energy_of_lambda, calls):
     """A stand-in for energy_E that reads lambda back off the scaled field u and counts its calls."""
     k = np.unravel_index(np.argmax(np.abs(u.values)), u.values.shape)
