@@ -1,25 +1,24 @@
 """Potential-well membership, trajectory verdicts, decay fits and blow-up reports.
 
-An initial datum is placed by comparing its energy E with the estimated
-well depth d and reading the sign of the Nehari functional D:
+An initial datum is placed by `functionals.region`, the one test that holds
+the critical band around the estimated well depth d and the sign tolerance
+of the Nehari functional D; its (regime, sign) reads:
 
-    regime      sign of D        code     expected outcome
-    E < d       D > 0            t21      global-decay
-    E < d       D < 0            t22      blowup
-    |E - d|     D >= 0           t31      global-decay
-      <= tol    D < 0            t32      blowup
-    E > d       high-energy inequality   t52      blowup
-    E > d       D > 0, |u|_2 <= lambda^  t51.1    global-decay (heuristic)
-    E > d       D < 0, |u|_2 >= Lambda^  t51.2    blowup (heuristic)
+    regime      sign of D                code     expected outcome
+    low         +1                       t21      global-decay
+    low         -1                       t22      blowup
+    low         0                        none     undetermined
+    critical    0 or +1                  t31      global-decay
+    critical    -1                       t32      blowup
+    high        high-energy inequality   t52      blowup
+    high        +1, |u|_2 <= lambda^     t51.1    global-decay (heuristic)
+    high        -1, |u|_2 >= Lambda^     t51.2    blowup (heuristic)
 
 The codes are stable strings used in artifacts; lambda^ / Lambda^ are
 sampled estimates over the well's bubble family, so verdicts that rely on
 them are flagged heuristic.  classify_initial owns the whole initial
-verdict: one report of the datum, its finiteness check and every regime
-threshold.  It reads lambda^ / Lambda^ off the well's family rows only for
-a high-energy datum that the high-energy inequality does not settle.
-Critical-regime detection uses a relative tolerance tol_d >= 0 since d
-itself carries estimation error.
+verdict: one report of the datum, its finiteness check and the map from
+region to theorem.
 """
 
 from __future__ import annotations
@@ -31,10 +30,9 @@ import numpy as np
 
 from . import functionals
 from .flow import BLOWUP_SUSPECTED, TrajectoryRecord
+from .functionals import SIGN_TOL_FACTOR  # noqa: F401 -- one of this module's names
 from .grid import VectorField
 from .nehari import WellParameters, delta_roots, sample_lambda_Lambda
-
-SIGN_TOL_FACTOR = 1e-10  # |D_delta| below this times h1_sq counts as zero
 
 GLOBAL_DECAY = "global-decay"
 BLOWUP = "blowup"
@@ -129,21 +127,11 @@ def classify_initial(u0: VectorField, wp: WellParameters, tol_d: float = 1e-3) -
     if bad:
         raise functionals.NonFiniteError(f"initial datum has non-finite functionals: {', '.join(bad)}")
     e, dd = rep.energy, rep.nehari
-    details: dict = {
-        "energy": e,
-        "nehari": dd,
-        "dirichlet": rep.dirichlet,
-        "l2_sq": rep.l2_sq,
-        "d": wp.d,
-        "tol_d": tol_d,
-    }
+    details = dict(energy=e, nehari=dd, dirichlet=rep.dirichlet, l2_sq=rep.l2_sq, d=wp.d, tol_d=tol_d)
 
     if rep.l2_sq == 0.0:
         details["note"] = "zero datum: stays zero for all time"
         return Verdict("low", "W", "none", GLOBAL_DECAY, details=details)
-
-    tau = SIGN_TOL_FACTOR * rep.dirichlet
-    band = tol_d * wp.d
 
     if 0.0 < e <= wp.d:
         details["delta1"], details["delta2"] = delta_roots(e, wp.d)
@@ -151,31 +139,31 @@ def classify_initial(u0: VectorField, wp: WellParameters, tol_d: float = 1e-3) -
         # nonpositive energy: the Nehari sign persists for every delta
         details["delta1"], details["delta2"] = 0.0, 1.5
 
-    if e < wp.d - band:
-        if dd > tau:
+    regime, sign = functionals.region(e, dd, rep.dirichlet, wp.d, tol_d)
+    if regime == "low":
+        if sign > 0:
             return Verdict("low", "W", "t21", GLOBAL_DECAY, details=details)
-        if dd < -tau:
+        if sign < 0:
             return Verdict("low", "V", "t22", BLOWUP, details=details)
         details["note"] = "D vanishes below the well depth (discretization boundary case)"
         return Verdict("low", "boundary", "none", UNDETERMINED, details=details)
 
-    if abs(e - wp.d) <= band:
-        if dd >= -tau:
+    if regime == "critical":
+        if sign >= 0:
             return Verdict("critical", "boundary", "t31", GLOBAL_DECAY, details=details)
         return Verdict("critical", "boundary", "t32", BLOWUP, details=details)
 
-    # high energy
     e54_ok, e54_meas = _e54_of(rep)
     details["e54"] = e54_meas
     if e54_ok:
         return Verdict("high", "outside", "t52", BLOWUP, details=details)
-    # E - d > band >= 0 here, so the family's minimising row lies below E
+    # high: E - d > tol_d d >= 0, so the family's minimising row lies below E
     (lam_hat, lam_eps), (cap_hat, cap_eps) = sample_lambda_Lambda(e, wp)
     details.update(lambda_hat=lam_hat, Lambda_hat=cap_hat, lambda_hat_eps=lam_eps, Lambda_hat_eps=cap_eps)
     l2_norm = math.sqrt(rep.l2_sq)
-    if dd > tau and l2_norm <= lam_hat:
+    if sign > 0 and l2_norm <= lam_hat:
         return Verdict("high", "outside", "t51.1", GLOBAL_DECAY, heuristic=True, details=details)
-    if dd < -tau and l2_norm >= cap_hat:
+    if sign < 0 and l2_norm >= cap_hat:
         return Verdict("high", "outside", "t51.2", BLOWUP, heuristic=True, details=details)
     return Verdict("high", "outside", "none", UNDETERMINED, details=details)
 
@@ -183,28 +171,19 @@ def classify_initial(u0: VectorField, wp: WellParameters, tol_d: float = 1e-3) -
 def check_sign_persistence(tr: TrajectoryRecord, deltas=None) -> list[DeltaSignReport]:
     """Verify that sign(D_delta(u(t))) is constant along the recorded samples.
 
-    Values within SIGN_TOL_FACTOR * h1_sq of zero are treated as signless
-    and cannot break persistence.
+    Each sample's sign is `functionals.nehari_sign` against its h1_sq, and a 0 cannot break persistence.
     """
     if deltas is None:
         deltas = tr.delta_list
     reports = []
-    tol = SIGN_TOL_FACTOR * tr.h1_sq
     for d in deltas:
-        matches = [j for j, dl in enumerate(tr.delta_list) if dl == d]
-        if not matches:
+        if d not in tr.delta_list:
             raise ValueError(f"delta {d} was not monitored along this trajectory")
-        series = tr.D_delta[:, matches[0]]
-        signs = np.where(np.abs(series) <= tol, 0, np.sign(series)).astype(int)
+        signs = functionals.nehari_sign(tr.D_delta[:, tr.delta_list.index(d)], tr.h1_sq)
         nonzero = signs[signs != 0]
-        if nonzero.size == 0:
-            reports.append(DeltaSignReport(d, True, 0, None))
-            continue
-        lead = int(nonzero[0])
-        bad = np.nonzero(signs == -lead)[0]
-        reports.append(
-            DeltaSignReport(d, bad.size == 0, lead, int(bad[0]) if bad.size else None)
-        )
+        lead = int(nonzero[0]) if nonzero.size else 0
+        bad = np.flatnonzero(signs * lead < 0)  # none when every sign is 0
+        reports.append(DeltaSignReport(d, bad.size == 0, lead, int(bad[0]) if bad.size else None))
     return reports
 
 

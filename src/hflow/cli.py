@@ -245,9 +245,8 @@ def _amplitude_for_energy_level(coeffs, level: float, d: float, branch: str) -> 
             f"ic.params.energy_level = {level:g} is unreachable on this fiber: its peak is {peak / d:.3g}·d"
         )
     below, above = nehari.delta_roots(ratio, 1.0)
-    # on the fiber D(m lambda* w) = (1 - m) dirichlet, and classify reads |D| <= SIGN_TOL_FACTOR dirichlet as
-    # zero: on the peak (ratio 1, both roots 1) the above-peak datum sits 10 times that far above it, so D < 0
-    m = max(above, 1.0 + 10.0 * classify.SIGN_TOL_FACTOR) if branch == "above-peak" else below
+    # on the peak (ratio 1) both roots are 1, and the margin keeps the above-peak datum's D negative
+    m = max(above, 1.0 + functionals.ABOVE_PEAK_MARGIN) if branch == "above-peak" else below
     return m * nehari.lambda_star(coeffs)
 
 

@@ -24,6 +24,9 @@ from .grid import VectorField, dirichlet_and_volume, l2_norm_sq
 ISOPERIMETRIC_CONST = (32.0 * math.pi) ** (1.0 / 3.0)
 
 DELTA_MAX = 1.5
+SIGN_TOL_FACTOR = 1e-10  # |D| up to this times the Dirichlet integral reads as zero (`nehari_sign`)
+# the least m - 1 of an above-peak datum m lambda* w: on its fiber D = (1 - m) dirichlet, so its D reads negative
+ABOVE_PEAK_MARGIN = 10.0 * SIGN_TOL_FACTOR
 
 
 class NonFiniteError(RuntimeError):
@@ -90,6 +93,24 @@ def energy_of(a: float, v: float, H: float) -> float:
 def nehari_of(a: float, v: float, H: float, delta: float = 1.0) -> float:
     """The delta-Nehari functional from a field's (dirichlet, integral u . u_x ^ u_y); D at delta = 1."""
     return delta * a + 2.0 * H * v
+
+
+def nehari_sign(nehari, dirichlet):
+    """Sign of D (-1, 0 or 1), read as 0 within SIGN_TOL_FACTOR * dirichlet and for NaN; elementwise on arrays.
+    Two comparisons: np.sign and np.where would page in numpy code that no other step of a CLI run touches."""
+    tol = SIGN_TOL_FACTOR * dirichlet
+    return (nehari > tol) * 1 - (nehari < -tol) * 1
+
+
+def region(energy: float, nehari: float, dirichlet: float, d: float, tol_d: float) -> tuple[str, int]:
+    """(regime, sign of D) of a state against the well depth d: the one region test.
+
+    With the band b = tol_d * d (tol_d >= 0, since d itself carries estimation error), the regime is low
+    for E < d - b, critical for E - d <= b above that, and high for E - d > b; the sign is `nehari_sign`.
+    """
+    band = tol_d * d
+    regime = "low" if energy < d - band else "critical" if energy - d <= band else "high"
+    return regime, nehari_sign(nehari, dirichlet)
 
 
 def report(u: VectorField, H: float) -> FunctionalReport:
